@@ -17,9 +17,8 @@ from .data_io import (ImageSample, StyleSpec, default_style_specs,
                       gen_content_image, gen_style_collection, read_ppm,
                       write_ppm)
 from .diffusion import (Denoiser, LatentState, NoiseSchedule,
-                        denoiser_forward, load_checkpoint, make_schedule,
-                        q_sample, sample, save_checkpoint, train_ispb,
-                        train_naive)
+                        load_checkpoint, make_schedule, q_sample, sample,
+                        save_checkpoint, train_ispb, train_naive)
 from .inversion import InversionConfig, stochastic_invert, stylize
 from .metrics import (ConvergenceReport, StyleScore, convergence_benchmark,
                       gram_style_score, signature_of, ssim)

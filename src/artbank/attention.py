@@ -48,19 +48,6 @@ class SsamParams:
     def all_params(self) -> list[Parameter]:
         return [self.w_q, self.w_k, self.w_v, self.w_col, self.w_row, self.alpha]
 
-    def validate(self) -> None:
-        c, n = self.channels, self.positions
-        if self.w_q.value.data.shape != (c, c):
-            raise DimensionError("w_q must be square C x C")
-        if self.w_k.value.data.shape != (c, c) or self.w_v.value.data.shape != (c, c):
-            raise DimensionError("w_k/w_v must match w_q's C x C shape")
-        if self.w_col.value.data.shape != (n, 1):
-            raise DimensionError("w_col must be N x 1")
-        if self.w_row.value.data.shape != (1, n):
-            raise DimensionError("w_row must be 1 x N")
-        if self.alpha.value.data.shape != ():
-            raise DimensionError("alpha must be a scalar")
-
 
 def init_ssam_params(channels: int, positions: int,
                      rng: np.random.Generator) -> SsamParams:

@@ -20,8 +20,9 @@ import numpy as np
 
 from .attention import SsamParams, init_ssam_params
 from .errors import (BadMagicError, ConfigError, DimensionError,
-                     DuplicateStyleError, TemplateError, TruncatedFileError,
-                     UnknownStyleError, VersionMismatchError)
+                     DuplicateStyleError, FormatError, MalformedHeaderError,
+                     TemplateError, TruncatedFileError, UnknownStyleError,
+                     VersionMismatchError)
 from .tensor import Parameter, Tensor, concat_rows, transpose
 
 PLACEHOLDER = "*"
@@ -276,11 +277,20 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
     def string(self, what: str) -> str:
-        return self.take(self.u32(f"{what} length"), what).decode("utf-8")
+        raw = self.take(self.u32(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedHeaderError(f"{what} is not valid UTF-8") from None
 
     def f64(self, count: int, what: str) -> np.ndarray:
         return np.frombuffer(self.take(8 * count, what), dtype="<f8").astype(
             np.float64)
+
+    def finish(self) -> None:
+        extra = len(self._raw) - self._pos
+        if extra:
+            raise FormatError(f"{extra} trailing bytes after the payload")
 
 
 def load_bank(path) -> StyleBank:
@@ -317,4 +327,5 @@ def load_bank(path) -> StyleBank:
         bank.add(StyleBankEntry(style_id=style_id, artist=artist,
                                 template=template,
                                 i_m=Parameter("i_m", Tensor(i_m)), ssam=ssam))
+    rd.finish()
     return bank

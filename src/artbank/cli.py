@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 from . import bank as bank_mod
 from . import data_io, diffusion, inversion, metrics
@@ -113,29 +113,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("ARTBANK_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"ARTBANK_THREADS must be an integer: {raw!r}") from None
-    if cap < 1:
-        raise ConfigError("ARTBANK_THREADS must be at least 1")
-    return cap
-
-
-def _require_file(path: str, what: str) -> str:
+def _require(path: str, what: str,
+             exists: Callable[[Path], bool] = Path.is_file) -> str:
+    """Return ``path`` if it is set and passes ``exists`` (a ``Path``
+    predicate such as ``Path.is_dir``); otherwise raise ``ConfigError``."""
     if not path:
         raise ConfigError(f"missing required path for {what}")
-    if not Path(path).is_file():
-        raise ConfigError(f"{what} not found: {path}")
-    return path
-
-
-def _require_dir(path: str, what: str) -> str:
-    if not path:
-        raise ConfigError(f"missing required path for {what}")
-    if not Path(path).is_dir():
+    if not exists(Path(path)):
         raise ConfigError(f"{what} not found: {path}")
     return path
 
@@ -143,6 +127,17 @@ def _require_dir(path: str, what: str) -> str:
 def _load_dir_images(root: Path) -> list[data_io.ImageSample]:
     files = sorted(root.glob("*.ppm")) + sorted(root.glob("*.pgm"))
     return [data_io.read_ppm(p) for p in files]
+
+
+def _load_style_images(cfg: RunConfig) -> list[data_io.ImageSample]:
+    """The images of the style collection ``<data_root>/<style_id>``."""
+    root = Path(_require(cfg.data_root, "dataset root", Path.is_dir))
+    style_dir = _require(str(root / cfg.style_id), "style directory",
+                         Path.is_dir)
+    images = _load_dir_images(Path(style_dir))
+    if not images:
+        raise ConfigError(f"no .ppm/.pgm images under {style_dir}")
+    return images
 
 
 def _load_pool(root: Path) -> tuple[list[data_io.ImageSample], list[str]]:
@@ -169,7 +164,7 @@ def _write_loss_csv(trace: list[float], path: str) -> None:
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    root = Path(_require_dir(cfg.data_root, "dataset root"))
+    root = Path(_require(cfg.data_root, "dataset root", Path.is_dir))
     if not cfg.checkpoint_path:
         raise ConfigError("pretrain requires a checkpoint output path")
     images, prompts = _load_pool(root)
@@ -192,7 +187,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 
 def cmd_train_bank(cfg: RunConfig) -> int:
-    d = diffusion.load_checkpoint(_require_file(cfg.checkpoint_path, "checkpoint"))
+    d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
     d.freeze()
     if d.cond_dim != cfg.channels:
         raise ConfigError(
@@ -202,10 +197,7 @@ def cmd_train_bank(cfg: RunConfig) -> int:
         raise ConfigError("train-bank requires --style-id")
     if not cfg.bank_path:
         raise ConfigError("train-bank requires a bank output path")
-    style_dir = Path(_require_dir(cfg.data_root, "dataset root")) / cfg.style_id
-    images = _load_dir_images(Path(_require_dir(str(style_dir), "style directory")))
-    if not images:
-        raise ConfigError(f"no .ppm/.pgm images under {style_dir}")
+    images = _load_style_images(cfg)
     if cfg.attention not in ("ssam", "adaattn"):
         raise ConfigError(
             "train-bank supports the ssam and adaattn encoders; the sanet "
@@ -233,10 +225,10 @@ def cmd_train_bank(cfg: RunConfig) -> int:
 
 
 def cmd_stylize(cfg: RunConfig) -> int:
-    d = diffusion.load_checkpoint(_require_file(cfg.checkpoint_path, "checkpoint"))
+    d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
     d.freeze()
-    bank = bank_mod.load_bank(_require_file(cfg.bank_path, "bank"))
-    content = data_io.read_ppm(_require_file(cfg.content_path, "content image"))
+    bank = bank_mod.load_bank(_require(cfg.bank_path, "bank"))
+    content = data_io.read_ppm(_require(cfg.content_path, "content image"))
     if not cfg.out_path:
         raise ConfigError("stylize requires an output path")
     entry = bank.get(cfg.style_id)
@@ -256,23 +248,19 @@ def cmd_stylize(cfg: RunConfig) -> int:
 
 
 def cmd_bench_attn(cfg: RunConfig) -> int:
-    d = diffusion.load_checkpoint(_require_file(cfg.checkpoint_path, "checkpoint"))
+    d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
     d.freeze()
     if d.cond_dim != cfg.channels:
         raise ConfigError(
             f"checkpoint expects condition width {d.cond_dim} but "
             f"channels={cfg.channels} was requested")
-    style_dir = Path(_require_dir(cfg.data_root, "dataset root")) / cfg.style_id
-    images = _load_dir_images(Path(_require_dir(str(style_dir), "style directory")))
-    if not images:
-        raise ConfigError(f"no .ppm/.pgm images under {style_dir}")
+    images = _load_style_images(cfg)
     variants = [v.strip() for v in cfg.variants.split(",") if v.strip()]
     seeds = [derive_seed(cfg.seed, f"bench:{i}") for i in range(cfg.bench_seeds)]
     reports = metrics.convergence_benchmark(
         d, images, variants, seeds, cfg.threshold, cfg.max_iters,
         sched=diffusion.make_schedule(cfg.timesteps), channels=cfg.channels,
-        positions=cfg.positions, lr=cfg.lr, vocab_seed=cfg.vocab_seed,
-        max_workers=thread_cap())
+        positions=cfg.positions, lr=cfg.lr, vocab_seed=cfg.vocab_seed)
     if cfg.out_path:
         metrics.write_convergence_csv(reports, cfg.out_path)
     print(metrics.format_convergence_table(reports))
@@ -294,12 +282,12 @@ def _paired_paths(a: str, b: str) -> list[tuple[Path, Path]]:
 
 def cmd_eval(cfg: RunConfig) -> int:
     pairs = _paired_paths(
-        _require_path(cfg.content_path, "content path"),
-        _require_path(cfg.stylized_path, "stylized path"))
+        _require(cfg.content_path, "content path", Path.exists),
+        _require(cfg.stylized_path, "stylized path", Path.exists))
     signature = None
     if cfg.style_dir:
-        collection = _load_dir_images(Path(_require_dir(cfg.style_dir,
-                                                        "style directory")))
+        collection = _load_dir_images(Path(_require(cfg.style_dir,
+                                                        "style directory", Path.is_dir)))
         if not collection:
             raise ConfigError(f"no images under {cfg.style_dir}")
         signature = metrics.signature_of(collection)
@@ -326,16 +314,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_path(path: str, what: str) -> str:
-    if not path:
-        raise ConfigError(f"missing required path for {what}")
-    if not Path(path).exists():
-        raise ConfigError(f"{what} not found: {path}")
-    return path
-
-
 def cmd_bank_inspect(cfg: RunConfig) -> int:
-    bank = bank_mod.load_bank(_require_file(cfg.bank_path, "bank"))
+    bank = bank_mod.load_bank(_require(cfg.bank_path, "bank"))
     print(f"bank {cfg.bank_path}: {len(bank)} entries")
     for e in bank.entries():
         print(f"  {e.style_id}: artist={e.artist!r} template={e.template!r} "
@@ -378,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positions", type=int)
     p.add_argument("--timesteps", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--attention", choices=("ssam", "adaattn", "sanet"))
+    p.add_argument("--attention", choices=tuple(diffusion.ENCODERS))
     p.add_argument("--drop-text", dest="drop_text", action="store_const",
                    const=True)
     p.add_argument("--loss-csv", dest="loss_csv")

@@ -12,26 +12,25 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .attention import (adaattn_forward, init_output_proj, sanet_forward,
                         ssam_forward)
 from .bank import (DEFAULT_VOCAB_SEED, ConditionVector, StyleBankEntry,
-                   TokenEmbeddingSeq, assemble_condition, encode_prompt)
+                   assemble_condition, encode_prompt)
 from .data_io import ImageSample
 from .errors import (BadMagicError, ConfigError, ContractError,
-                     DimensionError, TruncatedFileError, VersionMismatchError)
+                     DimensionError, FormatError, TruncatedFileError,
+                     VersionMismatchError)
 from .optim import AdamConfig, AdamState, adam_step, zero_grads
-from .seeding import derive_seed
+from .seeding import rng_for
 from .tensor import (Parameter, Tensor, conv2d, gelu, matmul, mean_all,
                      reshape, softmax_rows, transpose)
 
 CHECKPOINT_MAGIC = b"ABDN"
 CHECKPOINT_VERSION = 1
-
-ATTENTION_VARIANTS = ("ssam", "adaattn", "sanet")
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class Denoiser:
         self.in_channels = in_channels
         self.width = width
         self.cond_dim = cond_dim
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "denoiser-init")))
+        rng = rng_for(seed, "denoiser-init")
 
         def conv_param(name: str, cout: int, cin: int) -> Parameter:
             bound = 1.0 / np.sqrt(cin * 9)
@@ -146,10 +145,6 @@ class Denoiser:
             p.value.requires_grad = False
             p.value.grad = None
 
-    def unfreeze(self) -> None:
-        for p in self.parameters():
-            p.value.requires_grad = True
-
     def _time_features(self, t: int) -> np.ndarray:
         ang = float(t) * self._freqs
         emb = np.concatenate([np.sin(ang), np.cos(ang)])
@@ -186,11 +181,6 @@ class Denoiser:
         return conv2d(x, self.conv4_w.value, self.conv4_b.value)
 
 
-def denoiser_forward(d, state: LatentState, cond: ConditionVector) -> Tensor:
-    """Predict the noise component of a latent state under a condition."""
-    return d.predict_noise(state, cond)
-
-
 def checkpoint_bytes(d: Denoiser) -> bytes:
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -215,6 +205,8 @@ def load_checkpoint(path) -> Denoiser:
         raw = fh.read()
     if len(raw) < 4 or raw[:4] != CHECKPOINT_MAGIC:
         raise BadMagicError("not a denoiser checkpoint (bad magic)")
+    if len(raw) < 22:  # magic, u16 version, four u32 fields
+        raise TruncatedFileError("checkpoint header is truncated")
     pos = 4
     (version,) = struct.unpack_from("<H", raw, pos)
     pos += 2
@@ -227,8 +219,11 @@ def load_checkpoint(path) -> Denoiser:
     if total != expected:
         raise TruncatedFileError(
             f"checkpoint declares {total} values, config needs {expected}")
-    if len(raw) - pos < 8 * total:
+    extra = len(raw) - pos - 8 * total
+    if extra < 0:
         raise TruncatedFileError("checkpoint payload is truncated")
+    if extra:
+        raise FormatError(f"{extra} trailing bytes after the checkpoint payload")
     for p in d.parameters():
         n = p.value.data.size
         arr = np.frombuffer(raw[pos:pos + 8 * n], dtype="<f8")
@@ -247,6 +242,21 @@ def _prepare_text_conditions(prompts: Sequence[str], vocab_seed: int,
             cache[prompt] = assemble_condition(seq, None)
         conds.append(cache[prompt])
     return conds
+
+
+def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
+                cond: ConditionVector, sched: NoiseSchedule,
+                params: list[Parameter], state: AdamState,
+                hyper: AdamConfig) -> float:
+    """One Adam update of ``params`` on the squared error between ``eps``
+    and its prediction for ``x0`` noised to ``t``; returns the loss."""
+    pred = d.predict_noise(q_sample(x0, t, eps, sched), cond)
+    diff = eps - pred
+    loss = mean_all(diff * diff)
+    zero_grads(params)
+    loss.backward()
+    adam_step(params, state, hyper)
+    return loss.item()
 
 
 def train_naive(d: Denoiser, images: Sequence[ImageSample],
@@ -278,45 +288,66 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
         idx = int(rng.integers(len(tensors)))
         t = int(rng.integers(1, sched.timesteps + 1))
         eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
-        noisy = q_sample(tensors[idx], t, eps, sched)
-        pred = d.predict_noise(noisy, conds[idx])
-        diff = eps - pred
-        loss = mean_all(diff * diff)
-        zero_grads(params)
-        loss.backward()
-        adam_step(params, state, hyper)
-        trace.append(loss.item())
+        trace.append(_noise_step(d, tensors[idx], t, eps, conds[idx], sched,
+                                 params, state, hyper))
     return trace
 
 
-def style_encoding(entry: StyleBankEntry, variant: str = "ssam",
-                   w_o: Parameter | None = None) -> Tensor:
-    """Encode an entry's style matrix with the chosen attention encoder."""
-    if variant == "ssam":
-        return ssam_forward(entry.i_m.value, entry.ssam)
-    if variant == "adaattn":
-        return adaattn_forward(entry.i_m.value, entry.ssam.w_q,
-                               entry.ssam.w_k, entry.ssam.w_v)
-    if variant == "sanet":
-        if w_o is None:
-            raise ConfigError("sanet encoding requires an output projection")
-        return sanet_forward(entry.i_m.value, entry.ssam.w_q, entry.ssam.w_k,
-                             entry.ssam.w_v, w_o)
-    raise ConfigError(f"unknown attention variant: {variant!r}")
+# An encoder builder returns the parameters a variant trains and a closure
+# that encodes the entry's style matrix. The closures look the encoder
+# functions up by module-global name on every call, so wrappers installed on
+# this module's names (such as a profiler's spans) see each call.
+EncoderBuilder = Callable[[StyleBankEntry, int],
+                          tuple[list[Parameter], Callable[[], Tensor]]]
+
+
+def _ssam_encoder(entry: StyleBankEntry, seed: int):
+    return (entry.trainable_params(),
+            lambda: ssam_forward(entry.i_m.value, entry.ssam))
+
+
+def _adaattn_encoder(entry: StyleBankEntry, seed: int):
+    # SSAM's statistical core; the entry's spatial weights are left untouched.
+    s = entry.ssam
+    return ([entry.i_m, s.w_q, s.w_k, s.w_v],
+            lambda: adaattn_forward(entry.i_m.value, s.w_q, s.w_k, s.w_v))
+
+
+def _sanet_encoder(entry: StyleBankEntry, seed: int):
+    # The residual baseline's output projection has no slot in the bank
+    # format, so it is drawn from the seed and lives only for the caller.
+    s = entry.ssam
+    w_o = init_output_proj(entry.channels, rng_for(seed, "sanet-output-proj"))
+    return ([entry.i_m, s.w_q, s.w_k, s.w_v, w_o],
+            lambda: sanet_forward(entry.i_m.value, s.w_q, s.w_k, s.w_v, w_o))
+
+
+ENCODERS: dict[str, EncoderBuilder] = {
+    "ssam": _ssam_encoder,
+    "adaattn": _adaattn_encoder,
+    "sanet": _sanet_encoder,
+}
+
+
+def encoder_builder(variant: str) -> EncoderBuilder:
+    """The registered builder for an attention-encoder variant name."""
+    try:
+        return ENCODERS[variant]
+    except KeyError:
+        raise ConfigError(f"unknown attention variant: {variant!r}") from None
 
 
 def train_ispb(d: Denoiser, entry: StyleBankEntry,
                style_images: Sequence[ImageSample], sched: NoiseSchedule,
                steps: int, seed: int, lr: float = 1e-3,
-               vocab_seed: int = DEFAULT_VOCAB_SEED, variant: str = "ssam",
-               w_o: Parameter | None = None) -> list[float]:
+               vocab_seed: int = DEFAULT_VOCAB_SEED,
+               variant: str = "ssam") -> list[float]:
     """Train one bank entry against a frozen denoiser.
 
-    Gradients flow only into the entry's style matrix and attention-encoder
-    weights, through condition assembly and the denoiser's cross-attention.
-    Returns the per-step loss trace; the entry is updated in place. The
-    residual (sanet) variant needs an extra output projection, created from
-    the seed when not supplied.
+    Gradients flow only into the parameters the encoder variant trains (the
+    entry's style matrix and encoder weights), through condition assembly
+    and the denoiser's cross-attention. Returns the per-step loss trace; the
+    entry is updated in place.
 
     Images are visited in seeded shuffled epochs and timesteps are drawn as
     seeded per-block permutations of 1..T (uniform coverage): the per-step
@@ -327,21 +358,10 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
         raise ContractError("bank training requires a frozen denoiser")
     if not style_images:
         raise ConfigError("training requires a non-empty style collection")
-    if variant not in ATTENTION_VARIANTS:
-        raise ConfigError(f"unknown attention variant: {variant!r}")
+    params, encode = encoder_builder(variant)(entry, seed)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
     tensors = [img.to_tensor() for img in style_images]
     rng = np.random.Generator(np.random.PCG64(seed))
-    params = {
-        "ssam": entry.trainable_params(),
-        "adaattn": [entry.i_m, entry.ssam.w_q, entry.ssam.w_k, entry.ssam.w_v],
-    }.get(variant)
-    if variant == "sanet":
-        if w_o is None:
-            rng_wo = np.random.Generator(
-                np.random.PCG64(derive_seed(seed, "sanet-output-proj")))
-            w_o = init_output_proj(entry.channels, rng_wo)
-        params = [entry.i_m, entry.ssam.w_q, entry.ssam.w_k, entry.ssam.w_v, w_o]
     state = AdamState()
     hyper = AdamConfig(lr=lr)
     trace: list[float] = []
@@ -356,37 +376,31 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
                        rng.permutation(np.arange(1, sched.timesteps + 1))]
         t = t_block.pop()
         eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
-        noisy = q_sample(tensors[idx], t, eps, sched)
-        cond = assemble_condition(seq, style_encoding(entry, variant, w_o))
-        pred = d.predict_noise(noisy, cond)
-        diff = eps - pred
-        loss = mean_all(diff * diff)
-        zero_grads(params)
-        loss.backward()
-        adam_step(params, state, hyper)
-        trace.append(loss.item())
+        cond = assemble_condition(seq, encode())
+        trace.append(_noise_step(d, tensors[idx], t, eps, cond, sched,
+                                 params, state, hyper))
     return trace
 
 
 def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
                    style_images: Sequence[ImageSample], sched: NoiseSchedule,
                    seed: int, n_draws: int = 200,
-                   vocab_seed: int = DEFAULT_VOCAB_SEED, variant: str = "ssam",
-                   w_o: Parameter | None = None) -> float:
+                   vocab_seed: int = DEFAULT_VOCAB_SEED,
+                   variant: str = "ssam") -> float:
     """Noise-prediction loss of an entry on a fixed probe set (no training).
 
     Deterministic given the seed; timesteps cycle 1..T so the estimate is
     balanced over the schedule. Used as the pre-training reference when
-    measuring how fast an encoder variant converges.
+    measuring how fast an encoder variant converges; ``train_ispb`` with the
+    same seed starts from the same encoder.
     """
     if not style_images:
         raise ConfigError("evaluation requires a non-empty style collection")
+    _, encode = encoder_builder(variant)(entry, seed)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
     tensors = [img.to_tensor() for img in style_images]
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "ispb-probe")))
-    cond = assemble_condition(seq, style_encoding(entry, variant, w_o))
-    cond = ConditionVector(Tensor(cond.embeddings.data), cond.provenance) \
-        if cond.embeddings is not None else cond
+    rng = rng_for(seed, "ispb-probe")
+    cond = assemble_condition(seq, encode().detach())
     total = 0.0
     for draw in range(n_draws):
         idx = draw % len(tensors)
@@ -426,7 +440,7 @@ def sample(d, sched: NoiseSchedule, cond: ConditionVector, mode: str = "ddim",
         z = rng.standard_normal(shape)
         t_start = sched.timesteps
     for t in range(t_start, 0, -1):
-        eps_hat = denoiser_forward(d, LatentState(Tensor(z), t), cond).data
+        eps_hat = d.predict_noise(LatentState(Tensor(z), t), cond).data
         ab_t = sched.alpha_bar[t]
         ab_prev = sched.alpha_bar[t - 1]
         if mode == "ddim":

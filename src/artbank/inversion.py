@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import ssam_forward
 from .bank import (DEFAULT_VOCAB_SEED, ConditionVector, StyleBank,
                    assemble_condition, encode_prompt)
 from .data_io import ImageSample
-from .diffusion import (LatentState, NoiseSchedule, denoiser_forward,
-                        q_sample, sample, style_encoding)
+from .diffusion import LatentState, NoiseSchedule, q_sample, sample
 from .errors import ConfigError, ContractError
-from .seeding import derive_seed
+from .seeding import rng_for
 from .tensor import Tensor
 
 
@@ -43,9 +43,7 @@ def start_timestep(cfg: InversionConfig, sched: NoiseSchedule) -> int:
 
 def probe_noise(cfg: InversionConfig, shape: tuple[int, ...]) -> np.ndarray:
     """The deterministic unit-normal probe drawn from the config seed."""
-    rng = np.random.Generator(
-        np.random.PCG64(derive_seed(cfg.seed, "inversion-probe")))
-    return rng.standard_normal(shape)
+    return rng_for(cfg.seed, "inversion-probe").standard_normal(shape)
 
 
 def stochastic_invert(d, sched: NoiseSchedule, content: ImageSample,
@@ -62,7 +60,7 @@ def stochastic_invert(d, sched: NoiseSchedule, content: ImageSample,
     t0 = start_timestep(cfg, sched)
     probe = probe_noise(cfg, (content.channels, content.height, content.width))
     state = q_sample(content.to_tensor(), t0, Tensor(probe), sched)
-    eps_pred = denoiser_forward(d, state, cond)
+    eps_pred = d.predict_noise(state, cond)
     return Tensor(eps_pred.data), t0
 
 
@@ -77,6 +75,10 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     state from it, assemble the entry's full text+style condition, and run
     deterministic sampling back to step zero. A pure function of (denoiser,
     entry, content, cfg).
+
+    Every bank entry is encoded with SSAM: an entry trained with the
+    ``adaattn`` variant keeps its all-ones spatial weights, under which SSAM
+    reduces exactly to that baseline.
     """
     entry = bank.get(style_id)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
@@ -91,6 +93,6 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     ab = sched.alpha_bar[t0]
     z_t0 = (np.sqrt(ab) * content.to_tensor().data
             + np.sqrt(1.0 - ab) * eps_arr)
-    cond = assemble_condition(seq, style_encoding(entry))
+    cond = assemble_condition(seq, ssam_forward(entry.i_m.value, entry.ssam))
     return sample(d, sched, cond, mode="ddim",
                   init=LatentState(Tensor(z_t0), t0))

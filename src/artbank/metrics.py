@@ -11,16 +11,14 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .attention import init_output_proj
-from .bank import DEFAULT_VOCAB_SEED, StyleBankEntry, create_entry
+from .bank import DEFAULT_VOCAB_SEED, create_entry
 from .data_io import ImageSample
-from .diffusion import (ATTENTION_VARIANTS, Denoiser, NoiseSchedule,
+from .diffusion import (Denoiser, NoiseSchedule, encoder_builder,
                         ispb_eval_loss, train_ispb)
 from .errors import ConfigError, DimensionError
 from .seeding import derive_seed
@@ -194,15 +192,10 @@ def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
                positions: int, lr: float, vocab_seed: int) -> int | None:
     entry = create_entry(f"bench-{variant}", "benchmark", channels, positions,
                          seed=derive_seed(seed, f"bench-entry-{variant}"))
-    w_o = None
-    if variant == "sanet":
-        rng_wo = np.random.Generator(
-            np.random.PCG64(derive_seed(seed, "sanet-output-proj")))
-        w_o = init_output_proj(channels, rng_wo)
     initial = ispb_eval_loss(d, entry, collection, sched, seed=seed,
-                             vocab_seed=vocab_seed, variant=variant, w_o=w_o)
+                             vocab_seed=vocab_seed, variant=variant)
     trace = train_ispb(d, entry, collection, sched, max_iters, seed=seed,
-                       lr=lr, vocab_seed=vocab_seed, variant=variant, w_o=w_o)
+                       lr=lr, vocab_seed=vocab_seed, variant=variant)
     return iterations_to_threshold(trace, loss_threshold,
                                    initial_loss=initial)
 
@@ -212,37 +205,20 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
                           loss_threshold: float, max_iters: int, *,
                           sched: NoiseSchedule, channels: int = 64,
                           positions: int = 16, lr: float = 1e-3,
-                          vocab_seed: int = DEFAULT_VOCAB_SEED,
-                          max_workers: int = 1) -> list[ConvergenceReport]:
+                          vocab_seed: int = DEFAULT_VOCAB_SEED
+                          ) -> list[ConvergenceReport]:
     """Train a fresh entry per (variant, seed) and report how many
     iterations each needs to cross the relative loss threshold."""
     if len(seeds) < 3:
         raise ConfigError("the benchmark needs at least 3 seeds")
-    for v in variants:
-        if v not in ATTENTION_VARIANTS:
-            raise ConfigError(f"unknown attention variant: {v!r}")
-    jobs = [(variant, seed) for variant in variants for seed in seeds]
-    results: dict[tuple[str, int], int | None] = {}
-    workers = max(1, min(max_workers, len(jobs)))
-    if workers == 1:
-        for variant, seed in jobs:
-            results[(variant, seed)] = _bench_one(
-                d, collection, sched, variant, seed, loss_threshold,
-                max_iters, channels, positions, lr, vocab_seed)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (variant, seed): pool.submit(
-                    _bench_one, d, collection, sched, variant, seed,
-                    loss_threshold, max_iters, channels, positions, lr,
-                    vocab_seed)
-                for variant, seed in jobs
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
+    for v in variants:  # reject an unknown name before any job trains
+        encoder_builder(v)
     reports = []
     for variant in variants:
-        iters = [results[(variant, seed)] for seed in seeds]
+        iters = [_bench_one(d, collection, sched, variant, seed,
+                            loss_threshold, max_iters, channels, positions,
+                            lr, vocab_seed)
+                 for seed in seeds]
         reports.append(ConvergenceReport(
             variant=variant, seeds=list(seeds), iterations_to_threshold=iters,
             threshold=loss_threshold, median_iters=_median_or_none(iters)))

@@ -10,7 +10,8 @@ from artbank.bank import (BANK_MAGIC, ConditionVector, StyleBank,
                           assemble_condition, bank_bytes, create_entry,
                           encode_prompt, load_bank, save_bank)
 from artbank.errors import (BadMagicError, ConfigError, DimensionError,
-                            DuplicateStyleError, TemplateError,
+                            DuplicateStyleError, FormatError,
+                            MalformedHeaderError, TemplateError,
                             TruncatedFileError, UnknownStyleError,
                             VersionMismatchError)
 from artbank.tensor import Tensor
@@ -202,6 +203,24 @@ class TestPersistence:
         (tmp_path / "tiny.ispb").write_bytes(BANK_MAGIC[:2])
         with pytest.raises(TruncatedFileError):
             load_bank(tmp_path / "tiny.ispb")
+
+    def test_invalid_utf8_string(self, tmp_path):
+        bank = StyleBank()
+        bank.add(create_entry("s", "a", 4, 2))
+        raw = bytearray(bank_bytes(bank))
+        raw[14] = 0xFF  # first style id byte, after magic, version, count, length
+        path = tmp_path / "utf8.ispb"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedHeaderError, match="style_id"):
+            load_bank(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        bank = StyleBank()
+        bank.add(create_entry("s", "a", 4, 2))
+        path = tmp_path / "junk.ispb"
+        path.write_bytes(bank_bytes(bank) + b"junk")
+        with pytest.raises(FormatError, match="4 trailing bytes"):
+            load_bank(path)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from artbank.bank import StyleBank, create_entry, save_bank
-from artbank.cli import parse_config_file, run, thread_cap
+from artbank.bank import StyleBank, bank_bytes, create_entry, save_bank
+from artbank.cli import parse_config_file, run
 from artbank.data_io import (default_style_specs, gen_content_image,
                              gen_style_collection, read_ppm, write_ppm)
 from artbank.errors import ConfigError
@@ -40,19 +40,6 @@ def test_config_file_rejects_garbage(tmp_path):
         parse_config_file(cfg)
 
 
-def test_thread_cap(monkeypatch):
-    monkeypatch.delenv("ARTBANK_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("ARTBANK_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("ARTBANK_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        thread_cap()
-    monkeypatch.setenv("ARTBANK_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_cap()
-
-
 def test_bank_inspect_empty_bank(tmp_path, capsys):
     path = tmp_path / "empty.ispb"
     save_bank(StyleBank(), path)
@@ -72,6 +59,18 @@ def test_bank_inspect_lists_entries(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "alpha" in out and "beta" in out and "C=6" in out
+
+
+def test_bank_inspect_corrupt_string_exits_2(tmp_path, capsys):
+    bank = StyleBank()
+    bank.add(create_entry("alpha", "Artist A", 6, 3, seed=1))
+    raw = bytearray(bank_bytes(bank))
+    raw[14] = 0xFF  # first style id byte
+    path = tmp_path / "corrupt.ispb"
+    path.write_bytes(bytes(raw))
+    code = run(["bank", "inspect", "--bank", str(path)])
+    assert code == 2
+    assert "style_id is not valid UTF-8" in capsys.readouterr().err
 
 
 def test_unknown_flag_nonzero_exit(capsys):
@@ -140,6 +139,24 @@ class TestPipeline:
         assert run(args) == 0
         assert run(args) != 0
         assert "already present" in capsys.readouterr().err
+
+    def test_sanet_from_config_file_rejected(self, dataset, tmp_path, capsys):
+        # A config file bypasses argparse's choices, so train-bank's own
+        # guard must refuse the encoder the bank format cannot store.
+        ck = tmp_path / "b5.abdn"
+        bank_path = tmp_path / "s5.ispb"
+        common = ["--seed", "7", "--channels", "12", "--timesteps", "10"]
+        assert run(["pretrain", "--data", str(dataset), "--checkpoint",
+                    str(ck), "--steps", "5", "--width", "8"] + common) == 0
+        cfg = tmp_path / "sanet.cfg"
+        cfg.write_text("attention = sanet\n")
+        code = run(["train-bank", "--config", str(cfg), "--data",
+                    str(dataset), "--checkpoint", str(ck), "--bank",
+                    str(bank_path), "--style-id", "checks", "--steps", "2",
+                    "--positions", "4"] + common)
+        assert code == 2
+        assert "does not fit the bank format" in capsys.readouterr().err
+        assert not bank_path.exists()
 
     def test_stylize_unknown_style_id(self, dataset, tmp_path, capsys):
         ck = tmp_path / "b2.abdn"

@@ -5,13 +5,14 @@ import pytest
 
 from artbank.bank import assemble_condition, create_entry, encode_prompt
 from artbank.data_io import gen_content_image
-from artbank.diffusion import (Denoiser, LatentState, checkpoint_bytes,
-                               denoiser_forward, ispb_eval_loss,
+from artbank.diffusion import (CHECKPOINT_MAGIC, Denoiser, LatentState,
+                               checkpoint_bytes, ispb_eval_loss,
                                load_checkpoint, make_schedule, q_sample,
                                sample, save_checkpoint, train_ispb,
                                train_naive)
 from artbank.errors import (BadMagicError, ConfigError, ContractError,
-                            TruncatedFileError, VersionMismatchError)
+                            FormatError, TruncatedFileError,
+                            VersionMismatchError)
 from artbank.optim import grad_check
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all
@@ -118,13 +119,13 @@ class TestDenoiser:
         for p in d.parameters():
             p.value.data[...] = 0.0
         state = LatentState(Tensor(np.random.default_rng(0).normal(size=(3, 8, 8))), 5)
-        out = denoiser_forward(d, state, text_cond(16))
+        out = d.predict_noise(state, text_cond(16))
         np.testing.assert_array_equal(out.data, np.zeros((3, 8, 8)))
 
     def test_fresh_model_output_head_is_zero(self):
         d = Denoiser(3, 8, 16, seed=1)
         state = LatentState(Tensor(np.random.default_rng(1).normal(size=(3, 6, 6))), 9)
-        out = denoiser_forward(d, state, text_cond(16))
+        out = d.predict_noise(state, text_cond(16))
         np.testing.assert_array_equal(out.data, np.zeros((3, 6, 6)))
 
     def test_deterministic_forward(self):
@@ -133,15 +134,15 @@ class TestDenoiser:
         d.conv4_w.value.data[...] = rng.normal(size=d.conv4_w.value.data.shape)
         state = LatentState(Tensor(rng.normal(size=(3, 8, 8))), 17)
         cond = text_cond(16)
-        a = denoiser_forward(d, state, cond).data
-        b = denoiser_forward(d, state, cond).data
+        a = d.predict_noise(state, cond).data
+        b = d.predict_noise(state, cond).data
         assert np.array_equal(a, b)
 
     def test_empty_condition_skips_cross_attention(self):
         d = Denoiser(3, 8, 16, seed=2)
         state = LatentState(Tensor(np.zeros((3, 4, 4))), 1)
         empty = assemble_condition(encode_prompt("*", "", 7, 16), None)
-        out = denoiser_forward(d, state, empty)
+        out = d.predict_noise(state, empty)
         assert out.data.shape == (3, 4, 4)
 
     def test_gradient_into_style_row(self):
@@ -254,16 +255,36 @@ class TestTrainIspb:
     def test_variants_train(self, desk):
         for variant in ("adaattn", "sanet"):
             entry = create_entry(f"var-{variant}", "x", 64, 16, seed=5)
+            spatial = [entry.ssam.w_col, entry.ssam.w_row, entry.ssam.alpha]
+            before = [p.value.data.copy() for p in spatial]
+            i_m_before = entry.i_m.value.data.copy()
             trace = train_ispb(desk.backbone, entry, desk.style_collection,
                                desk.sched, 20, seed=6, variant=variant)
             assert len(trace) == 20
             assert all(np.isfinite(trace))
+            assert not np.array_equal(entry.i_m.value.data, i_m_before)
+            # Neither baseline trains SSAM's spatial weights, so an adaattn
+            # entry still encodes exactly as the baseline under ssam_forward.
+            for p, b in zip(spatial, before):
+                assert np.array_equal(p.value.data, b), (variant, p.name)
+
+    def test_eval_loss_sanet_needs_only_the_seed(self, desk):
+        entry = create_entry("eval-sanet", "x", 64, 16, seed=8)
+        losses = [ispb_eval_loss(desk.backbone, entry, desk.style_collection,
+                                 desk.sched, seed=s, n_draws=4,
+                                 variant="sanet") for s in (3, 3, 4)]
+        assert np.isfinite(losses[0])
+        assert losses[0] == losses[1]
+        assert losses[0] != losses[2]
 
     def test_unknown_variant(self, desk):
         entry = create_entry("var-x", "x", 64, 16, seed=7)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="film"):
             train_ispb(desk.backbone, entry, desk.style_collection,
                        desk.sched, 1, seed=0, variant="film")
+        with pytest.raises(ConfigError, match="film"):
+            ispb_eval_loss(desk.backbone, entry, desk.style_collection,
+                           desk.sched, seed=0, variant="film")
 
 
 class TestSample:
@@ -347,4 +368,14 @@ class TestCheckpoint:
         save_checkpoint(Denoiser(1, 4, 4, seed=0), path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x01")
+        with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "junk.abdn"
+        save_checkpoint(Denoiser(1, 4, 4, seed=0), path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(FormatError, match="4 trailing bytes"):
             load_checkpoint(path)
