@@ -12,17 +12,16 @@ the columns of an encoded style matrix.
 from __future__ import annotations
 
 import hashlib
-import io
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .attention import SsamParams, init_ssam_params
-from .errors import (BadMagicError, ConfigError, DimensionError,
-                     DuplicateStyleError, FormatError, MalformedHeaderError,
-                     TemplateError, TruncatedFileError, UnknownStyleError,
-                     VersionMismatchError)
+from .errors import (ArtBankError, ConfigError, DimensionError,
+                     DuplicateStyleError, MalformedHeaderError, TemplateError,
+                     UnknownStyleError)
 from .tensor import Parameter, Tensor, concat_rows, transpose
 
 PLACEHOLDER = "*"
@@ -104,11 +103,12 @@ class StyleBankEntry:
         return [self.i_m] + self.ssam.all_params()
 
 
-def _validate_template(template: str) -> list[str]:
+def _validate_template(template: str,
+                       error: type[ArtBankError] = TemplateError) -> list[str]:
     tokens = template.split()
     count = sum(1 for t in tokens if t == PLACEHOLDER)
     if count != 1:
-        raise TemplateError(
+        raise error(
             f"template must contain exactly one '{PLACEHOLDER}' token, "
             f"found {count}: {template!r}")
     return tokens
@@ -220,112 +220,46 @@ class StyleBank:
         return list(self._entries.values())
 
 
-def _write_str(buf: io.BytesIO, text: str) -> None:
-    raw = text.encode("utf-8")
-    buf.write(struct.pack("<I", len(raw)))
-    buf.write(raw)
-
-
-def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
-    buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
 def bank_bytes(bank: StyleBank) -> bytes:
     """Serialize a bank; entry payload order is i_m, w_q, w_k, w_v, w_col,
     w_row, alpha as consecutive little-endian float64 arrays."""
-    buf = io.BytesIO()
-    buf.write(BANK_MAGIC)
-    buf.write(struct.pack("<H", BANK_VERSION))
-    buf.write(struct.pack("<I", len(bank)))
+    w = container.Writer(BANK_MAGIC, BANK_VERSION)
+    w.u32(len(bank))
     for e in bank.entries():
-        _write_str(buf, e.style_id)
-        _write_str(buf, e.artist)
-        _write_str(buf, e.template)
-        c, n = e.channels, e.positions
-        buf.write(struct.pack("<II", c, n))
-        _write_array(buf, e.i_m.value.data)
-        _write_array(buf, e.ssam.w_q.value.data)
-        _write_array(buf, e.ssam.w_k.value.data)
-        _write_array(buf, e.ssam.w_v.value.data)
-        _write_array(buf, e.ssam.w_col.value.data)
-        _write_array(buf, e.ssam.w_row.value.data)
-        _write_array(buf, e.ssam.alpha.value.data.reshape(1))
-    return buf.getvalue()
+        w.string(e.style_id)
+        w.string(e.artist)
+        w.string(e.template)
+        w.u32(e.channels, e.positions)
+        for p in e.trainable_params():
+            w.array(p.value.data)
+    return w.getvalue()
 
 
 def save_bank(bank: StyleBank, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(bank_bytes(bank))
-
-
-class _Reader:
-    def __init__(self, raw: bytes):
-        self._raw = raw
-        self._pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self._pos + n > len(self._raw):
-            raise TruncatedFileError(f"file ended while reading {what}")
-        chunk = self._raw[self._pos:self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def string(self, what: str) -> str:
-        raw = self.take(self.u32(f"{what} length"), what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise MalformedHeaderError(f"{what} is not valid UTF-8") from None
-
-    def f64(self, count: int, what: str) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count, what), dtype="<f8").astype(
-            np.float64)
-
-    def finish(self) -> None:
-        extra = len(self._raw) - self._pos
-        if extra:
-            raise FormatError(f"{extra} trailing bytes after the payload")
+    Path(path).write_bytes(bank_bytes(bank))
 
 
 def load_bank(path) -> StyleBank:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    rd = _Reader(raw)
-    if rd.take(4, "magic") != BANK_MAGIC:
-        raise BadMagicError("not a style bank file (bad magic)")
-    version = rd.u16("version")
-    if version != BANK_VERSION:
-        raise VersionMismatchError(f"unsupported bank version: {version}")
+    rd = container.Reader(Path(path).read_bytes(), BANK_MAGIC, BANK_VERSION,
+                          "bank")
     bank = StyleBank()
     for _ in range(rd.u32("entry count")):
-        style_id = rd.string("style_id")
-        artist = rd.string("artist")
-        template = rd.string("template")
-        c = rd.u32("channels")
-        n = rd.u32("positions")
-        i_m = rd.f64(c * n, "i_m").reshape(c, n)
-        w_q = rd.f64(c * c, "w_q").reshape(c, c)
-        w_k = rd.f64(c * c, "w_k").reshape(c, c)
-        w_v = rd.f64(c * c, "w_v").reshape(c, c)
-        w_col = rd.f64(n, "w_col").reshape(n, 1)
-        w_row = rd.f64(n, "w_row").reshape(1, n)
-        alpha = rd.f64(1, "alpha").reshape(())
-        ssam = SsamParams(
-            w_q=Parameter("w_q", Tensor(w_q)),
-            w_k=Parameter("w_k", Tensor(w_k)),
-            w_v=Parameter("w_v", Tensor(w_v)),
-            w_col=Parameter("w_col", Tensor(w_col)),
-            w_row=Parameter("w_row", Tensor(w_row)),
-            alpha=Parameter("alpha", Tensor(alpha)),
-        )
+        style_id, artist, template = (
+            rd.string(what) for what in ("style_id", "artist", "template"))
+        c, n = rd.u32("channels"), rd.u32("positions")
+        if style_id in bank:
+            raise MalformedHeaderError(f"duplicate style id: {style_id!r}")
+        _validate_template(template, MalformedHeaderError)
+        if c < 1 or n < 1:
+            raise MalformedHeaderError(
+                f"entry {style_id!r} has dimensions ({c}, {n})")
+        shapes = {"i_m": (c, n), "w_q": (c, c), "w_k": (c, c), "w_v": (c, c),
+                  "w_col": (n, 1), "w_row": (1, n), "alpha": ()}
+        params = {name: Parameter(name, Tensor(rd.array(shape, name)))
+                  for name, shape in shapes.items()}
+        i_m = params.pop("i_m")
         bank.add(StyleBankEntry(style_id=style_id, artist=artist,
-                                template=template,
-                                i_m=Parameter("i_m", Tensor(i_m)), ssam=ssam))
+                                template=template, i_m=i_m,
+                                ssam=SsamParams(**params)))
     rd.finish()
     return bank

@@ -60,12 +60,6 @@ class RunConfig:
         return "config: " + " ".join(parts)
 
 
-_INT_KEYS = {"channels", "positions", "width", "timesteps", "steps", "seed",
-             "vocab_seed", "bench_seeds", "max_iters"}
-_FLOAT_KEYS = {"lr", "strength", "threshold"}
-_BOOL_KEYS = {"no_inversion", "drop_text"}
-
-
 def parse_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
     values: dict[str, str] = {}
@@ -82,18 +76,15 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _coerce(key: str, raw: str):
+    kind = type(getattr(RunConfig, key))
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if raw.lower() in ("1", "true", "yes", "on"):
                 return True
             if raw.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
 
@@ -209,11 +200,11 @@ def cmd_train_bank(cfg: RunConfig) -> int:
     entry = bank_mod.create_entry(
         cfg.style_id, cfg.artist or cfg.style_id, cfg.channels, cfg.positions,
         seed=derive_seed(cfg.seed, f"entry:{cfg.style_id}"), template=template)
+    bank.add(entry)  # refuses a duplicate id before any training step
     trace = diffusion.train_ispb(d, entry, images, diffusion.make_schedule(cfg.timesteps),
                                  cfg.steps, seed=derive_seed(cfg.seed, "train-bank"),
                                  lr=cfg.lr, vocab_seed=cfg.vocab_seed,
                                  variant=cfg.attention)
-    bank.add(entry)
     bank_mod.save_bank(bank, cfg.bank_path)
     if cfg.loss_csv:
         _write_loss_csv(trace, cfg.loss_csv)
@@ -423,10 +414,7 @@ def run(argv: list[str]) -> int:
                     if getattr(args, k, None) is not None]
         print(cfg.describe(provided))
         return args.func(cfg)
-    except ArtBankError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ArtBankError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -281,7 +281,8 @@ def read_ppm(path) -> ImageSample:
         raw = fh.read()
     if len(raw) < 2:
         raise MalformedHeaderError("file too short for an image header")
-    magic = raw[:2].decode("ascii", errors="replace")
+    # The magic is a two-byte token: "P6x" is not a P6 file.
+    magic = raw[:3].rstrip().decode("ascii", errors="replace")
     if magic in ("P3", "P2", "P1", "P4"):
         raise UnsupportedFormatError(f"unsupported image variant: {magic}")
     if magic not in ("P6", "P5"):

@@ -9,21 +9,21 @@ keeps the backbone frozen, and DDPM/DDIM samplers.
 
 from __future__ import annotations
 
-import io
-import struct
+import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import container
 from .attention import (adaattn_forward, init_output_proj, sanet_forward,
                         ssam_forward)
 from .bank import (DEFAULT_VOCAB_SEED, ConditionVector, StyleBankEntry,
                    assemble_condition, encode_prompt)
 from .data_io import ImageSample
-from .errors import (BadMagicError, ConfigError, ContractError,
-                     DimensionError, FormatError, TruncatedFileError,
-                     VersionMismatchError)
+from .errors import (ArtBankError, ConfigError, ContractError,
+                     DimensionError, MalformedHeaderError)
 from .optim import AdamConfig, AdamState, adam_step, zero_grads
 from .seeding import rng_for
 from .tensor import (Parameter, Tensor, conv2d, gelu, matmul, mean_all,
@@ -81,6 +81,26 @@ def q_sample(z0: Tensor, t: int, eps: Tensor, sched: NoiseSchedule) -> LatentSta
     return LatentState(z=z_t, t=t)
 
 
+def _check_config(in_channels: int, width: int, cond_dim: int,
+                  error: type[ArtBankError] = ConfigError) -> None:
+    if in_channels not in (1, 3):
+        raise error("in_channels must be 1 or 3")
+    if width < 2 or cond_dim < 1:
+        raise error("width must be >= 2 and cond_dim >= 1")
+
+
+def _param_shapes(in_channels: int, width: int,
+                  cond_dim: int) -> dict[str, tuple[int, ...]]:
+    """Each denoiser parameter's shape, in ``parameters()`` and file order."""
+    c, w = in_channels, width
+    return {"conv1_w": (w, c, 3, 3), "conv1_b": (w,),
+            "conv2_w": (w, w, 3, 3), "conv2_b": (w,),
+            "attn_wq": (w, w), "attn_wk": (w, cond_dim),
+            "attn_wv": (w, cond_dim), "attn_wo": (w, w),
+            "conv3_w": (w, w, 3, 3), "conv3_b": (w,),
+            "conv4_w": (c, w, 3, 3), "conv4_b": (c,)}
+
+
 class Denoiser:
     """Conditional noise-prediction network.
 
@@ -92,49 +112,30 @@ class Denoiser:
 
     def __init__(self, in_channels: int = 3, width: int = 32,
                  cond_dim: int = 64, seed: int = 0):
-        if in_channels not in (1, 3):
-            raise ConfigError("in_channels must be 1 or 3")
-        if width < 2 or cond_dim < 1:
-            raise ConfigError("width must be >= 2 and cond_dim >= 1")
+        _check_config(in_channels, width, cond_dim)
         self.in_channels = in_channels
         self.width = width
         self.cond_dim = cond_dim
         rng = rng_for(seed, "denoiser-init")
+        shapes = _param_shapes(in_channels, width, cond_dim)
+        for name, shape in shapes.items():
+            if name.endswith("_b") or name == "conv4_w":
+                data = np.zeros(shape)
+            else:
+                # +-1/sqrt(fan-in): cin * 9 for a conv, cols for a matrix
+                bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+                data = rng.uniform(-bound, bound, size=shape)
+            setattr(self, name, Parameter(name, Tensor(data)))
+        self._param_names = list(shapes)
 
-        def conv_param(name: str, cout: int, cin: int) -> Parameter:
-            bound = 1.0 / np.sqrt(cin * 9)
-            return Parameter(name, Tensor(rng.uniform(-bound, bound,
-                                                      size=(cout, cin, 3, 3))))
-
-        def mat_param(name: str, rows: int, cols: int) -> Parameter:
-            bound = 1.0 / np.sqrt(cols)
-            return Parameter(name, Tensor(rng.uniform(-bound, bound,
-                                                      size=(rows, cols))))
-
-        w = width
-        self.conv1_w = conv_param("conv1_w", w, in_channels)
-        self.conv1_b = Parameter("conv1_b", Tensor(np.zeros(w)))
-        self.conv2_w = conv_param("conv2_w", w, w)
-        self.conv2_b = Parameter("conv2_b", Tensor(np.zeros(w)))
-        self.attn_wq = mat_param("attn_wq", w, w)
-        self.attn_wk = mat_param("attn_wk", w, cond_dim)
-        self.attn_wv = mat_param("attn_wv", w, cond_dim)
-        self.attn_wo = mat_param("attn_wo", w, w)
-        self.conv3_w = conv_param("conv3_w", w, w)
-        self.conv3_b = Parameter("conv3_b", Tensor(np.zeros(w)))
-        self.conv4_w = Parameter("conv4_w", Tensor(np.zeros((in_channels, w, 3, 3))))
-        self.conv4_b = Parameter("conv4_b", Tensor(np.zeros(in_channels)))
-
-        half = w // 2
+        half = width // 2
         if half > 1:
             self._freqs = np.exp(-np.log(10000.0) * np.arange(half) / (half - 1))
         else:
             self._freqs = np.ones(max(half, 1))
 
     def parameters(self) -> list[Parameter]:
-        return [self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b,
-                self.attn_wq, self.attn_wk, self.attn_wv, self.attn_wo,
-                self.conv3_w, self.conv3_b, self.conv4_w, self.conv4_b]
+        return [getattr(self, name) for name in self._param_names]
 
     @property
     def frozen(self) -> bool:
@@ -182,53 +183,37 @@ class Denoiser:
 
 
 def checkpoint_bytes(d: Denoiser) -> bytes:
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<III", d.in_channels, d.width, d.cond_dim))
-    blobs = [np.ascontiguousarray(p.value.data, dtype="<f8").tobytes()
-             for p in d.parameters()]
-    total = sum(len(b) for b in blobs) // 8
-    buf.write(struct.pack("<I", total))
-    for b in blobs:
-        buf.write(b)
-    return buf.getvalue()
+    params = d.parameters()
+    w = container.Writer(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    w.u32(d.in_channels, d.width, d.cond_dim,
+          sum(p.value.data.size for p in params))
+    for p in params:
+        w.array(p.value.data)
+    return w.getvalue()
 
 
 def save_checkpoint(d: Denoiser, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(d))
+    Path(path).write_bytes(checkpoint_bytes(d))
 
 
 def load_checkpoint(path) -> Denoiser:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 or raw[:4] != CHECKPOINT_MAGIC:
-        raise BadMagicError("not a denoiser checkpoint (bad magic)")
-    if len(raw) < 22:  # magic, u16 version, four u32 fields
-        raise TruncatedFileError("checkpoint header is truncated")
-    pos = 4
-    (version,) = struct.unpack_from("<H", raw, pos)
-    pos += 2
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"unsupported checkpoint version: {version}")
-    in_channels, width, cond_dim, total = struct.unpack_from("<IIII", raw, pos)
-    pos += 16
-    d = Denoiser(in_channels=in_channels, width=width, cond_dim=cond_dim, seed=0)
-    expected = sum(p.value.data.size for p in d.parameters())
+    rd = container.Reader(Path(path).read_bytes(), CHECKPOINT_MAGIC,
+                          CHECKPOINT_VERSION, "checkpoint")
+    in_channels, width, cond_dim, total = (
+        rd.u32(what) for what in ("in_channels", "width", "cond_dim", "count"))
+    _check_config(in_channels, width, cond_dim, MalformedHeaderError)
+    shapes = _param_shapes(in_channels, width, cond_dim)
+    expected = sum(math.prod(s) for s in shapes.values())
     if total != expected:
-        raise TruncatedFileError(
+        raise MalformedHeaderError(
             f"checkpoint declares {total} values, config needs {expected}")
-    extra = len(raw) - pos - 8 * total
-    if extra < 0:
-        raise TruncatedFileError("checkpoint payload is truncated")
-    if extra:
-        raise FormatError(f"{extra} trailing bytes after the checkpoint payload")
-    for p in d.parameters():
-        n = p.value.data.size
-        arr = np.frombuffer(raw[pos:pos + 8 * n], dtype="<f8")
-        p.value.data = arr.astype(np.float64).reshape(p.value.data.shape)
-        pos += 8 * n
+    # Read the payload before building the network, so a corrupt header
+    # cannot make it allocate for values the file does not hold.
+    arrays = [rd.array(shape, name) for name, shape in shapes.items()]
+    rd.finish()
+    d = Denoiser(in_channels=in_channels, width=width, cond_dim=cond_dim, seed=0)
+    for p, arr in zip(d.parameters(), arrays):
+        p.value.data = arr
     return d
 
 

@@ -1,5 +1,7 @@
 """Prompt encoding, condition assembly, and bank persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,26 @@ from artbank.attention import ssam_forward
 from artbank.bank import (BANK_MAGIC, ConditionVector, StyleBank,
                           assemble_condition, bank_bytes, create_entry,
                           encode_prompt, load_bank, save_bank)
+from artbank.diffusion import Denoiser, checkpoint_bytes, load_checkpoint
 from artbank.errors import (BadMagicError, ConfigError, DimensionError,
                             DuplicateStyleError, FormatError,
                             MalformedHeaderError, TemplateError,
                             TruncatedFileError, UnknownStyleError,
                             VersionMismatchError)
 from artbank.tensor import Tensor
+
+
+def raw_bank(*entries):
+    """Version-1 bank bytes built by hand, one (style_id, template, c, n,
+    fill) tuple per entry, every payload value equal to ``fill``."""
+    out = BANK_MAGIC + struct.pack("<HI", 1, len(entries))
+    for style_id, template, c, n, fill in entries:
+        for text in (style_id, "artist", template):
+            raw = text.encode("utf-8")
+            out += struct.pack("<I", len(raw)) + raw
+        out += struct.pack("<II", c, n)
+        out += np.full(c * n + 3 * c * c + 2 * n + 1, fill, "<f8").tobytes()
+    return out
 
 
 class TestEncodePrompt:
@@ -182,6 +198,9 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(BadMagicError):
             load_bank(path)
+        path.write_bytes(b"XY")
+        with pytest.raises(BadMagicError):
+            load_bank(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "ver.ispb"
@@ -222,6 +241,40 @@ class TestPersistence:
         with pytest.raises(FormatError, match="4 trailing bytes"):
             load_bank(path)
 
+    def test_hand_built_bank_loads(self, tmp_path):
+        path = tmp_path / "hand.ispb"
+        path.write_bytes(raw_bank(("s", "a *", 2, 3, 0.5)))
+        (entry,) = load_bank(path).entries()
+        assert (entry.channels, entry.positions) == (2, 3)
+        assert entry.template == "a *"
+        assert all(np.all(p.value.data == 0.5) for p in entry.trainable_params())
+
+    def test_non_finite_payload(self, tmp_path):
+        path = tmp_path / "inf.ispb"
+        for fill in (np.inf, np.nan):
+            path.write_bytes(raw_bank(("s", "*", 2, 3, fill)))
+            with pytest.raises(FormatError, match="i_m holds a non-finite"):
+                load_bank(path)
+
+    def test_template_without_placeholder(self, tmp_path):
+        path = tmp_path / "tmpl.ispb"
+        path.write_bytes(raw_bank(("s", "a painting", 2, 3, 0.0)))
+        with pytest.raises(MalformedHeaderError, match="exactly one"):
+            load_bank(path)
+
+    def test_duplicate_id(self, tmp_path):
+        path = tmp_path / "dup.ispb"
+        path.write_bytes(raw_bank(("s", "*", 2, 3, 0.0), ("s", "*", 2, 3, 0.0)))
+        with pytest.raises(MalformedHeaderError, match="duplicate"):
+            load_bank(path)
+
+    def test_zero_dimension(self, tmp_path):
+        path = tmp_path / "zero.ispb"
+        for c, n in ((0, 3), (2, 0)):
+            path.write_bytes(raw_bank(("s", "*", c, n, 0.0)))
+            with pytest.raises(MalformedHeaderError, match="dimensions"):
+                load_bank(path)
+
     @settings(max_examples=25, deadline=None)
     @given(
         c=st.integers(1, 6), n=st.integers(1, 6), seed=st.integers(0, 2**31),
@@ -255,3 +308,47 @@ class TestPersistence:
         e1.i_m.value.data += 1.0  # stand-in for a training update
         assert bank_bytes(bank) != whole_before
         assert solo_bytes(e2) == e2_before
+
+
+def _mutate(raw: bytes, data) -> bytes:
+    """One truncation, byte overwrite or append, drawn by hypothesis."""
+    kind = data.draw(st.sampled_from(["truncate", "overwrite", "append"]))
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "overwrite":
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:pos] + bytes([data.draw(st.integers(0, 255))]) + raw[pos + 1:]
+    return raw + data.draw(st.binary(min_size=1, max_size=16))
+
+
+class TestCorruptFiles:
+    """A damaged file either loads with finite values or raises a
+    ``FormatError`` subclass; no other exception may escape a loader."""
+
+    BANK = raw_bank(("one", "a painting by {artist} *", 3, 2, 0.25),
+                    ("two", "*", 2, 2, -1.5))
+    CHECKPOINT = checkpoint_bytes(Denoiser(1, 2, 1, seed=0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bank(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "b.ispb"
+        path.write_bytes(_mutate(self.BANK, data))
+        try:
+            bank = load_bank(path)
+        except FormatError:
+            return
+        for entry in bank.entries():
+            assert all(np.isfinite(p.value.data).all()
+                       for p in entry.trainable_params())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "d.abdn"
+        path.write_bytes(_mutate(self.CHECKPOINT, data))
+        try:
+            d = load_checkpoint(path)
+        except FormatError:
+            return
+        assert all(np.isfinite(p.value.data).all() for p in d.parameters())

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import artbank.diffusion as diffusion
 from artbank.bank import StyleBank, bank_bytes, create_entry, save_bank
-from artbank.cli import parse_config_file, run
+from artbank.cli import build_config, build_parser, parse_config_file, run
 from artbank.data_io import (default_style_specs, gen_content_image,
                              gen_style_collection, read_ppm, write_ppm)
 from artbank.errors import ConfigError
@@ -38,6 +39,22 @@ def test_config_file_rejects_garbage(tmp_path):
     cfg.write_text("this is not an assignment\n")
     with pytest.raises(ConfigError):
         parse_config_file(cfg)
+
+
+def test_config_values_take_field_types(tmp_path):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text("steps = 12\nlr = 0.01\ndrop_text = yes\n"
+                   "no_inversion = off\ntemplate = a photo *\n")
+    args = build_parser().parse_args(["bank", "inspect", "--config", str(cfg)])
+    resolved = build_config(args)
+    assert resolved.steps == 12 and type(resolved.steps) is int
+    assert resolved.lr == 0.01 and type(resolved.lr) is float
+    assert resolved.drop_text is True and resolved.no_inversion is False
+    assert resolved.template == "a photo *"
+    for bad in ("steps = 1.5", "lr = fast", "drop_text = maybe"):
+        cfg.write_text(bad + "\n")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            build_config(args)
 
 
 def test_bank_inspect_empty_bank(tmp_path, capsys):
@@ -139,6 +156,26 @@ class TestPipeline:
         assert run(args) == 0
         assert run(args) != 0
         assert "already present" in capsys.readouterr().err
+
+    def test_duplicate_style_id_refused_before_training(self, dataset, tmp_path,
+                                                        capsys, monkeypatch):
+        ck = tmp_path / "b6.abdn"
+        bank_path = tmp_path / "s6.ispb"
+        diffusion.save_checkpoint(diffusion.Denoiser(3, 8, 12, seed=0), ck)
+        existing = StyleBank()
+        existing.add(create_entry("stripes", "a", 12, 4, seed=1))
+        save_bank(existing, bank_path)
+        before = bank_path.read_bytes()
+        calls = []
+        monkeypatch.setattr(diffusion, "train_ispb",
+                            lambda *a, **k: calls.append(a) or [])
+        code = run(["train-bank", "--data", str(dataset), "--checkpoint",
+                    str(ck), "--bank", str(bank_path), "--style-id", "stripes",
+                    "--steps", "2", "--channels", "12", "--positions", "4"])
+        assert code == 2
+        assert "already present" in capsys.readouterr().err
+        assert calls == []
+        assert bank_path.read_bytes() == before
 
     def test_sanet_from_config_file_rejected(self, dataset, tmp_path, capsys):
         # A config file bypasses argparse's choices, so train-bank's own

@@ -130,6 +130,10 @@ class TestPpmIo:
         path.write_bytes(b"P6\nnot numbers\n255\n")
         with pytest.raises(MalformedHeaderError):
             read_ppm(path)
+        # The first token is "P6x", not the P6 magic.
+        path.write_bytes(b"P6x 2 2 255\n" + bytes(12))
+        with pytest.raises(MalformedHeaderError):
+            read_ppm(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.ppm"

@@ -1,5 +1,8 @@
 """Noise schedule, denoiser, trainers, and samplers."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,8 @@ from artbank.diffusion import (CHECKPOINT_MAGIC, Denoiser, LatentState,
                                sample, save_checkpoint, train_ispb,
                                train_naive)
 from artbank.errors import (BadMagicError, ConfigError, ContractError,
-                            FormatError, TruncatedFileError,
-                            VersionMismatchError)
+                            FormatError, MalformedHeaderError,
+                            TruncatedFileError, VersionMismatchError)
 from artbank.optim import grad_check
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all
@@ -372,6 +375,14 @@ class TestCheckpoint:
         path.write_bytes(CHECKPOINT_MAGIC + b"\x01")
         with pytest.raises(TruncatedFileError):
             load_checkpoint(path)
+        # Shorter than the magic: truncated if it is a prefix of the magic,
+        # the same rule as the bank's.
+        path.write_bytes(CHECKPOINT_MAGIC[:2])
+        with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+        path.write_bytes(b"XY")
+        with pytest.raises(BadMagicError):
+            load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "junk.abdn"
@@ -379,3 +390,46 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError, match="4 trailing bytes"):
             load_checkpoint(path)
+
+    # Header layout: magic (4), version (2), then u32 in_channels at 6,
+    # width at 10, cond_dim at 14, value count at 18; payload from 22.
+
+    def test_non_finite_payload(self, tmp_path):
+        path = tmp_path / "nan.abdn"
+        raw = bytearray(checkpoint_bytes(Denoiser(1, 4, 4, seed=0)))
+        for value in (np.nan, np.inf):
+            struct.pack_into("<d", raw, 22, value)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match="conv1_w holds a non-finite"):
+                load_checkpoint(path)
+
+    def test_header_rejected_by_constructor(self, tmp_path):
+        path = tmp_path / "hdr.abdn"
+        good = checkpoint_bytes(Denoiser(1, 4, 4, seed=0))
+        for offset, value in ((6, 2), (10, 1), (14, 0)):
+            raw = bytearray(good)
+            struct.pack_into("<I", raw, offset, value)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(MalformedHeaderError):
+                load_checkpoint(path)
+
+    def test_oversized_header_allocates_little(self, tmp_path):
+        # A 3,518-byte file whose width field says 800: the network that
+        # width describes needs ~146 MB, so nothing may be built for it
+        # before the payload is shown to be there.
+        path = tmp_path / "wide.abdn"
+        raw = bytearray(checkpoint_bytes(Denoiser(1, 4, 4, seed=0)))
+        assert len(raw) == 3518
+        struct.pack_into("<I", raw, 10, 800)
+        count = 9 * 800 * (1 + 800 + 800 + 1) + 2 * 800 * (800 + 4) + 3 * 800 + 1
+        for total in (437, count):  # count left stale, and made consistent
+            struct.pack_into("<I", raw, 18, total)
+            path.write_bytes(bytes(raw))
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError):
+                    load_checkpoint(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
