@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import container
+from . import container, seeding
 from .attention import SsamParams, init_ssam_params
 from .errors import (ArtBankError, ConfigError, DimensionError,
                      DuplicateStyleError, MalformedHeaderError, TemplateError,
@@ -123,13 +123,15 @@ def _embedding_row(token_id: int, vocab_seed: int, width: int) -> np.ndarray:
     mixed = hashlib.sha256(
         vocab_seed.to_bytes(8, "little", signed=False)
         + token_id.to_bytes(8, "little", signed=False)).digest()
-    rng = np.random.Generator(np.random.PCG64(int.from_bytes(mixed[:8], "little")))
+    rng = seeding.rng(int.from_bytes(mixed[:8], "little"))
     return rng.uniform(-1.0, 1.0, size=width) / np.sqrt(width)
 
 
 def encode_prompt(template: str, artist: str, vocab_seed: int = DEFAULT_VOCAB_SEED,
                   width: int = DEFAULT_CHANNELS) -> TokenEmbeddingSeq:
     """Tokenize a prompt template and embed every token deterministically."""
+    if not 0 <= vocab_seed < 2**64:
+        raise ConfigError(f"vocab_seed must lie in [0, 2**64): {vocab_seed}")
     text = template.replace("{artist}", artist)
     tokens = _validate_template(text)
     ids = [_token_id(t) for t in tokens]
@@ -185,7 +187,7 @@ def create_entry(style_id: str, artist: str, channels: int = DEFAULT_CHANNELS,
     """Deterministically initialize a fresh bank entry."""
     if channels < 1 or positions < 1:
         raise ConfigError("entry dimensions must be positive")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeding.rng(seed)
     i_m = Parameter("i_m", Tensor(rng.normal(0.0, 0.02,
                                              size=(channels, positions))))
     ssam = init_ssam_params(channels, positions, rng)

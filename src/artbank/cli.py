@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bank as bank_mod
 from . import data_io, diffusion, inversion, metrics
@@ -115,16 +116,29 @@ def _require(path: str, what: str,
     return path
 
 
+def _image_files(root: Path) -> list[Path]:
+    return sorted(root.glob("*.ppm")) + sorted(root.glob("*.pgm"))
+
+
 def _load_dir_images(root: Path) -> list[data_io.ImageSample]:
-    files = sorted(root.glob("*.ppm")) + sorted(root.glob("*.pgm"))
-    return [data_io.read_ppm(p) for p in files]
+    return [data_io.read_ppm(p) for p in _image_files(root)]
+
+
+def _load_backbone(cfg: RunConfig) -> diffusion.Denoiser:
+    """The frozen checkpoint, checked against the configured bank width."""
+    d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
+    d.freeze()
+    if d.cond_dim != cfg.channels:
+        raise ConfigError(
+            f"checkpoint expects condition width {d.cond_dim} but "
+            f"channels={cfg.channels} was requested")
+    return d
 
 
 def _load_style_images(cfg: RunConfig) -> list[data_io.ImageSample]:
     """The images of the style collection ``<data_root>/<style_id>``."""
     root = Path(_require(cfg.data_root, "dataset root", Path.is_dir))
-    style_dir = _require(str(root / cfg.style_id), "style directory",
-                         Path.is_dir)
+    style_dir = _require(str(root / cfg.style_id), "style directory", Path.is_dir)
     images = _load_dir_images(Path(style_dir))
     if not images:
         raise ConfigError(f"no .ppm/.pgm images under {style_dir}")
@@ -135,23 +149,22 @@ def _load_pool(root: Path) -> tuple[list[data_io.ImageSample], list[str]]:
     """All images under the dataset root, prompted by their directory name."""
     images: list[data_io.ImageSample] = []
     prompts: list[str] = []
-    subdirs = sorted(p for p in root.iterdir() if p.is_dir())
-    if not subdirs:
-        imgs = _load_dir_images(root)
-        return imgs, [f"a painting by {root.name} *"] * len(imgs)
-    for sub in subdirs:
+    for sub in sorted(p for p in root.iterdir() if p.is_dir()) or [root]:
         imgs = _load_dir_images(sub)
         images.extend(imgs)
         prompts.extend([f"a painting by {sub.name} *"] * len(imgs))
     return images, prompts
 
 
-def _write_loss_csv(trace: list[float], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss"])
-        for i, loss in enumerate(trace, start=1):
-            writer.writerow([i, repr(loss)])
+def _record_loss(trace: list[float], path: str) -> float:
+    """Write the per-step losses to ``path`` if set; return the final loss."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "loss"])
+            for i, loss in enumerate(trace, start=1):
+                writer.writerow([i, repr(loss)])
+    return trace[-1] if trace else float("nan")
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
@@ -169,21 +182,14 @@ def cmd_pretrain(cfg: RunConfig) -> int:
                                   seed=derive_seed(cfg.seed, "pretrain"),
                                   lr=cfg.lr, vocab_seed=cfg.vocab_seed)
     diffusion.save_checkpoint(d, cfg.checkpoint_path)
-    if cfg.loss_csv:
-        _write_loss_csv(trace, cfg.loss_csv)
-    final = trace[-1] if trace else float("nan")
+    final = _record_loss(trace, cfg.loss_csv)
     print(f"pretrained {cfg.steps} steps on {len(images)} images; "
           f"final loss {final:.4f}; checkpoint -> {cfg.checkpoint_path}")
     return 0
 
 
 def cmd_train_bank(cfg: RunConfig) -> int:
-    d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
-    d.freeze()
-    if d.cond_dim != cfg.channels:
-        raise ConfigError(
-            f"checkpoint expects condition width {d.cond_dim} but the bank "
-            f"is configured with channels={cfg.channels}")
+    d = _load_backbone(cfg)
     if not cfg.style_id:
         raise ConfigError("train-bank requires --style-id")
     if not cfg.bank_path:
@@ -206,9 +212,7 @@ def cmd_train_bank(cfg: RunConfig) -> int:
                                  lr=cfg.lr, vocab_seed=cfg.vocab_seed,
                                  variant=cfg.attention)
     bank_mod.save_bank(bank, cfg.bank_path)
-    if cfg.loss_csv:
-        _write_loss_csv(trace, cfg.loss_csv)
-    final = trace[-1] if trace else float("nan")
+    final = _record_loss(trace, cfg.loss_csv)
     print(f"trained entry '{cfg.style_id}' for {cfg.steps} steps on "
           f"{len(images)} images; final loss {final:.4f}; "
           f"bank -> {cfg.bank_path}")
@@ -239,12 +243,7 @@ def cmd_stylize(cfg: RunConfig) -> int:
 
 
 def cmd_bench_attn(cfg: RunConfig) -> int:
-    d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
-    d.freeze()
-    if d.cond_dim != cfg.channels:
-        raise ConfigError(
-            f"checkpoint expects condition width {d.cond_dim} but "
-            f"channels={cfg.channels} was requested")
+    d = _load_backbone(cfg)
     images = _load_style_images(cfg)
     variants = [v.strip() for v in cfg.variants.split(",") if v.strip()]
     seeds = [derive_seed(cfg.seed, f"bench:{i}") for i in range(cfg.bench_seeds)]
@@ -263,8 +262,7 @@ def _paired_paths(a: str, b: str) -> list[tuple[Path, Path]]:
     if pa.is_file() and pb.is_file():
         return [(pa, pb)]
     if pa.is_dir() and pb.is_dir():
-        left = sorted(pa.glob("*.ppm")) + sorted(pa.glob("*.pgm"))
-        right = sorted(pb.glob("*.ppm")) + sorted(pb.glob("*.pgm"))
+        left, right = _image_files(pa), _image_files(pb)
         if len(left) != len(right):
             raise ConfigError("content and stylized directories differ in size")
         return list(zip(left, right))
@@ -314,91 +312,71 @@ def cmd_bank_inspect(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int, help="root seed (default 0)")
-    p.add_argument("--vocab-seed", dest="vocab_seed", type=int)
+class Command(NamedTuple):
+    """A subcommand's handler (or table of nested subcommands), help line
+    and the ``RunConfig`` fields it takes as flags."""
+
+    handler: Callable[[RunConfig], int] | dict[str, Command]
+    help: str
+    fields: str = ""
+
+
+COMMANDS: dict[str, Command] = {
+    "pretrain": Command(
+        cmd_pretrain, "train the denoiser backbone",
+        "data_root checkpoint_path steps width channels timesteps lr loss_csv"),
+    "train-bank": Command(
+        cmd_train_bank, "train one bank entry",
+        "data_root checkpoint_path bank_path style_id artist template steps "
+        "channels positions timesteps lr attention drop_text loss_csv"),
+    "stylize": Command(
+        cmd_stylize, "render a content image in a style",
+        "checkpoint_path bank_path style_id content_path out_path strength "
+        "timesteps no_inversion"),
+    "bench-attn": Command(
+        cmd_bench_attn, "attention-encoder convergence benchmark",
+        "data_root checkpoint_path style_id variants bench_seeds threshold "
+        "max_iters channels positions timesteps lr out_path"),
+    "eval": Command(
+        cmd_eval, "SSIM and style scores for image pairs",
+        "content_path stylized_path style_dir out_path"),
+    "bank": Command(
+        {"inspect": Command(cmd_bank_inspect, "list a bank's entries",
+                            "bank_path")},
+        "bank file tools"),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str,
+                  table: dict[str, Command]) -> None:
+    """Add one subparser per table entry. Each takes ``--config``, ``--seed``,
+    ``--vocab-seed`` and its entry's fields; a field's flag is its name minus
+    a ``_path``/``_root`` suffix, dashed, and takes the field's type."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, command in table.items():
+        p = sub.add_parser(name, help=command.help)
+        if isinstance(command.handler, dict):
+            _add_commands(p, f"{name}_command", command.handler)
+            continue
+        p.add_argument("--config", help="key = value config file")
+        for field in ["seed", "vocab_seed"] + command.fields.split():
+            kind = type(getattr(RunConfig, field))
+            opts: dict = {"dest": field, "help": (
+                "root seed (default 0)" if field == "seed" else None)}
+            if kind is bool:
+                opts.update(action="store_const", const=True)
+            elif field == "attention":
+                opts["choices"] = tuple(diffusion.ENCODERS)
+            elif kind is not str:
+                opts["type"] = kind
+            flag = re.sub(r"_(path|root)$", "", field).replace("_", "-")
+            p.add_argument("--" + flag, **opts)
+        p.set_defaults(func=command.handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pretrain", help="train the denoiser backbone")
-    _add_common(p)
-    p.add_argument("--data", dest="data_root")
-    p.add_argument("--checkpoint", dest="checkpoint_path")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--loss-csv", dest="loss_csv")
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("train-bank", help="train one bank entry")
-    _add_common(p)
-    p.add_argument("--data", dest="data_root")
-    p.add_argument("--checkpoint", dest="checkpoint_path")
-    p.add_argument("--bank", dest="bank_path")
-    p.add_argument("--style-id", dest="style_id")
-    p.add_argument("--artist")
-    p.add_argument("--template")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--positions", type=int)
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--attention", choices=tuple(diffusion.ENCODERS))
-    p.add_argument("--drop-text", dest="drop_text", action="store_const",
-                   const=True)
-    p.add_argument("--loss-csv", dest="loss_csv")
-    p.set_defaults(func=cmd_train_bank)
-
-    p = sub.add_parser("stylize", help="render a content image in a style")
-    _add_common(p)
-    p.add_argument("--checkpoint", dest="checkpoint_path")
-    p.add_argument("--bank", dest="bank_path")
-    p.add_argument("--style-id", dest="style_id")
-    p.add_argument("--content", dest="content_path")
-    p.add_argument("--out", dest="out_path")
-    p.add_argument("--strength", type=float)
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--no-inversion", dest="no_inversion", action="store_const",
-                   const=True)
-    p.set_defaults(func=cmd_stylize)
-
-    p = sub.add_parser("bench-attn", help="attention-encoder convergence benchmark")
-    _add_common(p)
-    p.add_argument("--data", dest="data_root")
-    p.add_argument("--checkpoint", dest="checkpoint_path")
-    p.add_argument("--style-id", dest="style_id")
-    p.add_argument("--variants")
-    p.add_argument("--bench-seeds", dest="bench_seeds", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--positions", type=int)
-    p.add_argument("--timesteps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--out", dest="out_path")
-    p.set_defaults(func=cmd_bench_attn)
-
-    p = sub.add_parser("eval", help="SSIM and style scores for image pairs")
-    _add_common(p)
-    p.add_argument("--content", dest="content_path")
-    p.add_argument("--stylized", dest="stylized_path")
-    p.add_argument("--style-dir", dest="style_dir")
-    p.add_argument("--out", dest="out_path")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bank", help="bank file tools")
-    bank_sub = p.add_subparsers(dest="bank_command", required=True)
-    pi = bank_sub.add_parser("inspect", help="list a bank's entries")
-    _add_common(pi)
-    pi.add_argument("--bank", dest="bank_path")
-    pi.set_defaults(func=cmd_bank_inspect)
-
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 

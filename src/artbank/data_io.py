@@ -9,10 +9,12 @@ structured inputs for structure-preservation measurements.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
 from .errors import (ConfigError, DimensionError, MalformedHeaderError,
                      TruncatedFileError, UnsupportedFormatError)
 from .tensor import Tensor
@@ -172,7 +174,7 @@ def gen_style_collection(spec: StyleSpec, count: int, size: int,
     """Render ``count`` images sharing one family's statistics."""
     if count < 1:
         raise ConfigError("count must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeding.rng(seed)
     render = _RENDERERS[spec.family]
     images = []
     for _ in range(count):
@@ -235,7 +237,7 @@ def gen_content_image(kind: str, size: int, seed: int,
         raise ConfigError(f"unknown content kind: {kind!r}")
     if channels not in (1, 3):
         raise DimensionError("content images must have 1 or 3 channels")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeding.rng(seed)
     render = {"gradient": _render_gradient, "shapes": _render_shapes,
               "photo": _render_photo}[kind]
     return ImageSample.from_array(np.clip(render(size, rng, channels), 0.0, 1.0))
@@ -255,8 +257,7 @@ def _parse_header(raw: bytes) -> tuple[str, int, int, int, int]:
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
+        pos = re.compile(rb"(?:\s|#[^\r\n]*)*").match(raw, pos).end()  # blanks, #-comments
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1

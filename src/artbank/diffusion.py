@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import container
+from . import container, seeding
 from .attention import (adaattn_forward, init_output_proj, sanet_forward,
                         ssam_forward)
 from .bank import (DEFAULT_VOCAB_SEED, ConditionVector, StyleBankEntry,
@@ -25,7 +25,6 @@ from .data_io import ImageSample
 from .errors import (ArtBankError, ConfigError, ContractError,
                      DimensionError, MalformedHeaderError)
 from .optim import AdamConfig, AdamState, adam_step, zero_grads
-from .seeding import rng_for
 from .tensor import (Parameter, Tensor, conv2d, gelu, matmul, mean_all,
                      reshape, softmax_rows, transpose)
 
@@ -116,7 +115,7 @@ class Denoiser:
         self.in_channels = in_channels
         self.width = width
         self.cond_dim = cond_dim
-        rng = rng_for(seed, "denoiser-init")
+        rng = seeding.rng_for(seed, "denoiser-init")
         shapes = _param_shapes(in_channels, width, cond_dim)
         for name, shape in shapes.items():
             if name.endswith("_b") or name == "conv4_w":
@@ -264,7 +263,7 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
         [prompts[i % len(prompts)] for i in range(len(images))],
         vocab_seed, d.cond_dim)
     tensors = [img.to_tensor() for img in images]
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeding.rng(seed)
     params = d.parameters()
     state = AdamState()
     hyper = AdamConfig(lr=lr)
@@ -302,7 +301,7 @@ def _sanet_encoder(entry: StyleBankEntry, seed: int):
     # The residual baseline's output projection has no slot in the bank
     # format, so it is drawn from the seed and lives only for the caller.
     s = entry.ssam
-    w_o = init_output_proj(entry.channels, rng_for(seed, "sanet-output-proj"))
+    w_o = init_output_proj(entry.channels, seeding.rng_for(seed, "sanet-output-proj"))
     return ([entry.i_m, s.w_q, s.w_k, s.w_v, w_o],
             lambda: sanet_forward(entry.i_m.value, s.w_q, s.w_k, s.w_v, w_o))
 
@@ -346,7 +345,7 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
     params, encode = encoder_builder(variant)(entry, seed)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
     tensors = [img.to_tensor() for img in style_images]
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeding.rng(seed)
     state = AdamState()
     hyper = AdamConfig(lr=lr)
     trace: list[float] = []
@@ -384,7 +383,7 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
     _, encode = encoder_builder(variant)(entry, seed)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
     tensors = [img.to_tensor() for img in style_images]
-    rng = rng_for(seed, "ispb-probe")
+    rng = seeding.rng_for(seed, "ispb-probe")
     cond = assemble_condition(seq, encode().detach())
     total = 0.0
     for draw in range(n_draws):
@@ -417,11 +416,11 @@ def sample(d, sched: NoiseSchedule, cond: ConditionVector, mode: str = "ddim",
         if mode == "ddpm" and t_start > 1:
             if seed is None:
                 raise ConfigError("ddpm sampling needs a seed for per-step noise")
-            rng = np.random.Generator(np.random.PCG64(seed))
+            rng = seeding.rng(seed)
     else:
         if shape is None or seed is None:
             raise ConfigError("sampling from noise requires a shape and a seed")
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = seeding.rng(seed)
         z = rng.standard_normal(shape)
         t_start = sched.timesteps
     for t in range(t_start, 0, -1):

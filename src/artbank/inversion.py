@@ -19,7 +19,7 @@ from .attention import ssam_forward
 from .bank import (DEFAULT_VOCAB_SEED, ConditionVector, StyleBank,
                    assemble_condition, encode_prompt)
 from .data_io import ImageSample
-from .diffusion import LatentState, NoiseSchedule, q_sample, sample
+from .diffusion import NoiseSchedule, q_sample, sample
 from .errors import ConfigError, ContractError
 from .seeding import rng_for
 from .tensor import Tensor
@@ -83,16 +83,12 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     entry = bank.get(style_id)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
     if use_inversion:
-        eps_init, t0 = stochastic_invert(d, sched, content, cfg,
-                                         ConditionVector(None, []))
-        eps_arr = eps_init.data
+        eps, t0 = stochastic_invert(d, sched, content, cfg,
+                                    ConditionVector(None, []))
     else:
         t0 = start_timestep(cfg, sched)
-        eps_arr = probe_noise(cfg, (content.channels, content.height,
-                                    content.width))
-    ab = sched.alpha_bar[t0]
-    z_t0 = (np.sqrt(ab) * content.to_tensor().data
-            + np.sqrt(1.0 - ab) * eps_arr)
+        eps = Tensor(probe_noise(cfg, (content.channels, content.height,
+                                       content.width)))
+    start = q_sample(content.to_tensor(), t0, eps, sched)
     cond = assemble_condition(seq, ssam_forward(entry.i_m.value, entry.ssam))
-    return sample(d, sched, cond, mode="ddim",
-                  init=LatentState(Tensor(z_t0), t0))
+    return sample(d, sched, cond, mode="ddim", init=start)

@@ -16,12 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import seeding
 from .bank import DEFAULT_VOCAB_SEED, create_entry
 from .data_io import ImageSample
 from .diffusion import (Denoiser, NoiseSchedule, encoder_builder,
                         ispb_eval_loss, train_ispb)
 from .errors import ConfigError, DimensionError
-from .seeding import derive_seed
 from .tensor import im2col
 
 SSIM_WINDOW = 8
@@ -72,7 +72,7 @@ class FeatureBank:
 
 
 def feature_bank(seed: int = GRAM_BANK_SEED) -> FeatureBank:
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeding.rng(seed)
     conv1 = rng.normal(0.0, 1.0 / math.sqrt(3 * 9),
                        size=(GRAM_CHANNELS, 3, 3, 3))
     conv2 = rng.normal(0.0, 1.0 / math.sqrt(GRAM_CHANNELS * 9),
@@ -191,7 +191,7 @@ def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
                loss_threshold: float, max_iters: int, channels: int,
                positions: int, lr: float, vocab_seed: int) -> int | None:
     entry = create_entry(f"bench-{variant}", "benchmark", channels, positions,
-                         seed=derive_seed(seed, f"bench-entry-{variant}"))
+                         seed=seeding.derive_seed(seed, f"bench-entry-{variant}"))
     initial = ispb_eval_loss(d, entry, collection, sched, seed=seed,
                              vocab_seed=vocab_seed, variant=variant)
     trace = train_ispb(d, entry, collection, sched, max_iters, seed=seed,

@@ -11,6 +11,11 @@ def derive_seed(root: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def rng(seed: int) -> np.random.Generator:
+    """The one generator type every component draws from, seeded as given."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def rng_for(root: int, label: str) -> np.random.Generator:
     """Deterministic generator for one labeled component."""
-    return np.random.Generator(np.random.PCG64(derive_seed(root, label)))
+    return rng(derive_seed(root, label))

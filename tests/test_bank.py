@@ -59,6 +59,14 @@ class TestEncodePrompt:
         b = encode_prompt("a painting by {artist} *", "Monet", 8, 16)
         assert not np.array_equal(a.embeddings, b.embeddings)
 
+    def test_vocab_seed_range(self):
+        # The vocab seed is hashed as an unsigned 64-bit integer.
+        encode_prompt("a *", "x", 0, 4)
+        encode_prompt("a *", "x", 2**64 - 1, 4)
+        for bad in (-1, 2**64):
+            with pytest.raises(ConfigError, match="vocab_seed"):
+                encode_prompt("a *", "x", bad, 4)
+
     def test_placeholder_count_errors(self):
         with pytest.raises(TemplateError):
             encode_prompt("no placeholder here", "x")

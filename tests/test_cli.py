@@ -1,5 +1,7 @@
 """End-to-end CLI behavior with a tiny on-disk dataset."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,112 @@ def test_config_values_take_field_types(tmp_path):
         cfg.write_text(bad + "\n")
         with pytest.raises(ConfigError, match="cannot parse"):
             build_config(args)
+
+
+# Every subcommand's flags as (option strings, dest, type or const, choices).
+_COMMON_FLAGS = [
+    (("--config",), "config", "str", None),
+    (("--seed",), "seed", "int", None),
+    (("--vocab-seed",), "vocab_seed", "int", None),
+]
+_FLAG_SURFACE = {
+    "pretrain": [
+        (("--data",), "data_root", "str", None),
+        (("--checkpoint",), "checkpoint_path", "str", None),
+        (("--steps",), "steps", "int", None),
+        (("--width",), "width", "int", None),
+        (("--channels",), "channels", "int", None),
+        (("--timesteps",), "timesteps", "int", None),
+        (("--lr",), "lr", "float", None),
+        (("--loss-csv",), "loss_csv", "str", None),
+    ],
+    "train-bank": [
+        (("--data",), "data_root", "str", None),
+        (("--checkpoint",), "checkpoint_path", "str", None),
+        (("--bank",), "bank_path", "str", None),
+        (("--style-id",), "style_id", "str", None),
+        (("--artist",), "artist", "str", None),
+        (("--template",), "template", "str", None),
+        (("--steps",), "steps", "int", None),
+        (("--channels",), "channels", "int", None),
+        (("--positions",), "positions", "int", None),
+        (("--timesteps",), "timesteps", "int", None),
+        (("--lr",), "lr", "float", None),
+        (("--attention",), "attention", "str", ("ssam", "adaattn", "sanet")),
+        (("--drop-text",), "drop_text", "const=True", None),
+        (("--loss-csv",), "loss_csv", "str", None),
+    ],
+    "stylize": [
+        (("--checkpoint",), "checkpoint_path", "str", None),
+        (("--bank",), "bank_path", "str", None),
+        (("--style-id",), "style_id", "str", None),
+        (("--content",), "content_path", "str", None),
+        (("--out",), "out_path", "str", None),
+        (("--strength",), "strength", "float", None),
+        (("--timesteps",), "timesteps", "int", None),
+        (("--no-inversion",), "no_inversion", "const=True", None),
+    ],
+    "bench-attn": [
+        (("--data",), "data_root", "str", None),
+        (("--checkpoint",), "checkpoint_path", "str", None),
+        (("--style-id",), "style_id", "str", None),
+        (("--variants",), "variants", "str", None),
+        (("--bench-seeds",), "bench_seeds", "int", None),
+        (("--threshold",), "threshold", "float", None),
+        (("--max-iters",), "max_iters", "int", None),
+        (("--channels",), "channels", "int", None),
+        (("--positions",), "positions", "int", None),
+        (("--timesteps",), "timesteps", "int", None),
+        (("--lr",), "lr", "float", None),
+        (("--out",), "out_path", "str", None),
+    ],
+    "eval": [
+        (("--content",), "content_path", "str", None),
+        (("--stylized",), "stylized_path", "str", None),
+        (("--style-dir",), "style_dir", "str", None),
+        (("--out",), "out_path", "str", None),
+    ],
+    "bank inspect": [
+        (("--bank",), "bank_path", "str", None),
+    ],
+}
+
+
+def _leaf_parsers(parser, prefix=()):
+    """Yield (command path, parser) for every subcommand that runs."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def _flag_row(action):
+    if action.nargs == 0:
+        kind = f"const={action.const!r}"
+    else:
+        kind = action.type.__name__ if action.type else "str"
+    return tuple(action.option_strings), action.dest, kind, action.choices
+
+
+def test_flag_surface():
+    surface = {path: [_flag_row(a) for a in p._actions
+                      if not isinstance(a, argparse._HelpAction)]
+               for path, p in _leaf_parsers(build_parser())}
+    assert surface == {path: _COMMON_FLAGS + rows
+                       for path, rows in _FLAG_SURFACE.items()}
+
+
+@pytest.mark.parametrize("vocab_seed", ["-1", str(2**64)])
+def test_out_of_range_vocab_seed_exits_2(dataset, tmp_path, capsys, vocab_seed):
+    ck = tmp_path / "never.abdn"
+    code = run(["pretrain", "--data", str(dataset), "--checkpoint", str(ck),
+                "--steps", "1", "--width", "8", "--vocab-seed", vocab_seed])
+    assert code == 2
+    assert "vocab_seed must lie in" in capsys.readouterr().err
+    assert not ck.exists()
 
 
 def test_bank_inspect_empty_bank(tmp_path, capsys):

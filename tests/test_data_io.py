@@ -135,6 +135,17 @@ class TestPpmIo:
         with pytest.raises(MalformedHeaderError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P6\n# made by gimp\n1 1\n255\n",
+        b"P6\n1 # width, then height\r1\n255\n",
+    ], ids=["after-magic", "between-width-and-height"])
+    def test_header_comments_skipped(self, tmp_path, header):
+        path = tmp_path / "commented.ppm"
+        path.write_bytes(header + b"\xff\x80\x00")
+        img = read_ppm(path)
+        assert (img.width, img.height, img.channels) == (1, 1, 3)
+        assert np.array_equal(img.pixels[0, 0] * 255.0, [255.0, 128.0, 0.0])
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\xff\xff")
