@@ -1,58 +1,39 @@
 #!/usr/bin/env python3
-"""Attention-encoder optimization-efficiency comparison.
+"""Attention-encoder optimization-efficiency comparison on the desk rig.
 
-Pretrains a small backbone on a mixed synthetic pool, then measures how
-many iterations each encoder variant (ssam / sanet / adaattn) needs to pull
-the 100-step moving-average training loss below a fraction of its
-initial (untrained, probe-evaluated) loss on a held-out style collection.
-Emits a CSV plus a table on stdout.
+Builds the desk backbone (``artbank.desk``), then measures how many
+iterations each encoder variant (ssam / sanet / adaattn) needs to pull the
+100-step moving-average training loss below a fraction of its initial
+(untrained, probe-evaluated) loss on the target collection. Emits a CSV
+plus a table on stdout; at the defaults the ssam and sanet rows are
+acceptance criterion 07's per-seed crossings.
 """
 
 import argparse
 
-from artbank.data_io import StyleSpec, default_style_specs, gen_style_collection
-from artbank.diffusion import Denoiser, make_schedule, train_naive
+from artbank import desk
 from artbank.metrics import (convergence_benchmark, format_convergence_table,
                              write_convergence_csv)
 from artbank.seeding import derive_seed
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="convergence.csv")
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--max-iters", type=int, default=5000)
     ap.add_argument("--threshold", type=float, default=0.85)
-    ap.add_argument("--lr", type=float, default=1e-3)
-    ap.add_argument("--pretrain-steps", type=int, default=2500)
-    ap.add_argument("--size", type=int, default=16)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    ap.add_argument("--lr", type=float, default=3e-4)
+    ap.add_argument("--pretrain-steps", type=int, default=desk.PRETRAIN_STEPS)
+    ap.add_argument("--seed", type=int, default=desk.ROOT_SEED)
+    args = ap.parse_args(argv)
 
-    sched = make_schedule(100)
-    pool, prompts = [], []
-    for name, spec in sorted(default_style_specs().items()):
-        imgs = gen_style_collection(spec, 12, args.size,
-                                    seed=derive_seed(args.seed, f"pool:{name}"))
-        pool.extend(imgs)
-        prompts.extend([f"a painting by {name} *"] * len(imgs))
-
-    backbone = Denoiser(in_channels=3, width=32, cond_dim=64,
-                        seed=derive_seed(args.seed, "backbone"))
-    train_naive(backbone, pool, prompts, sched, args.pretrain_steps,
-                seed=derive_seed(args.seed, "pretrain"))
-    backbone.freeze()
-
-    target = StyleSpec("stripes", [(0.85, 0.15, 0.45), (0.05, 0.90, 0.85)],
-                       orientation=120.0, scale=6.0)
-    collection = gen_style_collection(target, 64, args.size,
-                                      seed=derive_seed(args.seed, "target"))
-
+    rig = desk.build_backbone(args.seed, args.pretrain_steps)
     seeds = [derive_seed(args.seed, f"bench:{i}") for i in range(args.seeds)]
     reports = convergence_benchmark(
-        backbone, collection, ["ssam", "sanet", "adaattn"], seeds,
-        loss_threshold=args.threshold, max_iters=args.max_iters, sched=sched,
-        lr=args.lr)
+        rig.backbone, rig.style_collection, ["ssam", "sanet", "adaattn"],
+        seeds, loss_threshold=args.threshold, max_iters=args.max_iters,
+        sched=rig.sched, lr=args.lr)
     write_convergence_csv(reports, args.out)
     print(format_convergence_table(reports))
     print(f"csv -> {args.out}")

@@ -9,8 +9,9 @@ content/ directory, i.e. the layout `pretrain`, `train-bank` and
 import argparse
 from pathlib import Path
 
-from artbank.data_io import (default_style_specs, gen_content_image,
-                             gen_style_collection, write_ppm)
+from artbank.data_io import (CONTENT_KINDS, default_style_specs,
+                             gen_content_image, gen_style_collection,
+                             write_ppm)
 from artbank.seeding import derive_seed
 
 
@@ -36,9 +37,8 @@ def main() -> None:
 
     content = root / "content"
     content.mkdir(exist_ok=True)
-    kinds = ("shapes", "gradient", "photo")
     for i in range(args.n_content):
-        img = gen_content_image(kinds[i % 3], args.size,
+        img = gen_content_image(CONTENT_KINDS[i % len(CONTENT_KINDS)], args.size,
                                 seed=derive_seed(args.seed, f"content:{i}"))
         write_ppm(img, content / f"content_{i:04d}.ppm")
     print(f"{content}: {args.n_content} images")

@@ -1,82 +1,49 @@
 #!/usr/bin/env python3
-"""Structure preservation: predicted-noise init vs random-noise init.
+"""Structure preservation and style acquisition on the desk rig.
 
-Trains one bank entry on a held-out collection, stylizes a batch of content
-images both ways at equal strength, and reports mean SSIM against the
-content plus mean Gram-feature style scores.
+Builds the desk rig (``artbank.desk``), stylizes its content images with the
+full entry both ways at equal strength (predicted-noise vs random-noise
+initialization) and with the drop-text entry, and reports mean SSIM against
+the content plus mean Gram-feature style scores. At the defaults these are
+the means acceptance criteria 08 (ssim) and 09 (style) compare.
 """
 
 import argparse
 
 import numpy as np
 
-from artbank.bank import StyleBank, create_entry
-from artbank.data_io import (StyleSpec, default_style_specs,
-                             gen_content_image, gen_style_collection)
-from artbank.diffusion import Denoiser, make_schedule, train_ispb, train_naive
-from artbank.inversion import InversionConfig, stylize
+from artbank import desk
+from artbank.inversion import stylize
 from artbank.metrics import gram_style_score, signature_of, ssim
-from artbank.seeding import derive_seed
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-content", type=int, default=20)
-    ap.add_argument("--strength", type=float, default=0.6)
-    ap.add_argument("--entry-steps", type=int, default=2000)
-    ap.add_argument("--pretrain-steps", type=int, default=2500)
-    ap.add_argument("--size", type=int, default=16)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    ap.add_argument("--entry-steps", type=int, default=desk.ENTRY_STEPS)
+    ap.add_argument("--pretrain-steps", type=int, default=desk.PRETRAIN_STEPS)
+    ap.add_argument("--seed", type=int, default=desk.ROOT_SEED)
+    args = ap.parse_args(argv)
 
-    sched = make_schedule(100)
-    pool, prompts = [], []
-    for name, spec in sorted(default_style_specs().items()):
-        imgs = gen_style_collection(spec, 12, args.size,
-                                    seed=derive_seed(args.seed, f"pool:{name}"))
-        pool.extend(imgs)
-        prompts.extend([f"a painting by {name} *"] * len(imgs))
-    for i in range(12):
-        pool.append(gen_content_image(("shapes", "gradient", "photo")[i % 3],
-                                      args.size,
-                                      seed=derive_seed(args.seed, f"pc:{i}")))
-        prompts.append("a photo *")
+    rig = desk.build(args.seed, args.pretrain_steps, args.entry_steps)
+    signature = signature_of(rig.style_collection)
 
-    backbone = Denoiser(in_channels=3, width=32, cond_dim=64,
-                        seed=derive_seed(args.seed, "backbone"))
-    train_naive(backbone, pool, prompts, sched, args.pretrain_steps,
-                seed=derive_seed(args.seed, "pretrain"))
-    backbone.freeze()
-
-    target = StyleSpec("stripes", [(0.85, 0.15, 0.45), (0.05, 0.90, 0.85)],
-                       orientation=120.0, scale=6.0)
-    collection = gen_style_collection(target, 64, args.size,
-                                      seed=derive_seed(args.seed, "target"))
-    entry = create_entry("target", "target", 64, 16,
-                         seed=derive_seed(args.seed, "entry"))
-    train_ispb(backbone, entry, collection, sched, args.entry_steps,
-               seed=derive_seed(args.seed, "train"))
-    bank = StyleBank()
-    bank.add(entry)
-    signature = signature_of(collection)
+    def styled(style_id, content, cfg, use_inversion=True):
+        return stylize(rig.backbone, rig.sched, rig.bank, style_id, content,
+                       cfg, use_inversion=use_inversion)
 
     rows = []
-    kinds = ("shapes", "gradient", "photo")
-    for i in range(args.n_content):
-        content = gen_content_image(kinds[i % 3], args.size,
-                                    seed=derive_seed(args.seed, f"content:{i}"))
-        cfg = InversionConfig(strength=args.strength,
-                              seed=derive_seed(args.seed, f"style:{i}"))
-        inv = stylize(backbone, sched, bank, "target", content, cfg,
-                      use_inversion=True)
-        rnd = stylize(backbone, sched, bank, "target", content, cfg,
-                      use_inversion=False)
+    for content, cfg in desk.contents(args.n_content):
+        inv = styled(rig.entry_full.style_id, content, cfg)
+        rnd = styled(rig.entry_full.style_id, content, cfg, use_inversion=False)
+        droptext = styled(rig.entry_droptext.style_id, content, cfg)
         rows.append({
             "ssim_inversion": ssim(content, inv),
             "ssim_random": ssim(content, rnd),
-            "style_inversion": gram_style_score(inv, signature).value,
-            "style_random": gram_style_score(rnd, signature).value,
             "style_content": gram_style_score(content, signature).value,
+            "style_inversion": gram_style_score(inv, signature).value,
+            "style_droptext": gram_style_score(droptext, signature).value,
+            "style_random": gram_style_score(rnd, signature).value,
         })
 
     for key in rows[0]:

@@ -164,7 +164,7 @@ def _record_loss(trace: list[float], path: str) -> float:
             writer.writerow(["step", "loss"])
             for i, loss in enumerate(trace, start=1):
                 writer.writerow([i, repr(loss)])
-    return trace[-1] if trace else float("nan")
+    return trace[-1]
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:

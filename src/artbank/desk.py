@@ -1,0 +1,139 @@
+"""The desk rig: the fixed setting the paper's measurable claims are checked on.
+
+The backbone pretrains on a mixed pool of all four procedural families plus
+content images. Bank entries are then trained on a *novel* variant
+collection (same family mechanics, unseen palette/orientation and artist
+token), so the conditioning has real headroom to dig out.
+
+The test suite's session fixture and both experiment scripts build their
+rig here, so a script run at its defaults prints the numbers the acceptance
+criteria check. The build is staged: ``build_backbone`` pretrains the
+backbone and draws the target collection, and ``build`` adds the full and
+drop-text entries and their bank.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .bank import DEFAULT_TEMPLATE, StyleBank, StyleBankEntry, create_entry
+from .data_io import (CONTENT_KINDS, ImageSample, StyleSpec,
+                      default_style_specs, gen_content_image,
+                      gen_style_collection)
+from .diffusion import (Denoiser, NoiseSchedule, make_schedule, train_ispb,
+                        train_naive)
+from .inversion import InversionConfig
+from .seeding import derive_seed
+
+ROOT_SEED = 20240817
+TARGET_STYLE_ID = "rosetta"
+IMAGE_SIZE = 16
+POOL_PER_FAMILY = 12
+N_CONTENT_POOL = 16
+N_TARGET_EXPOSURE = 6
+PRETRAIN_STEPS = 2500
+ENTRY_STEPS = 2000
+COLLECTION_SIZE = 64
+STRENGTH = 0.6
+
+
+def target_spec() -> StyleSpec:
+    """The target collection: stripes mechanics, its own look."""
+    return StyleSpec("stripes", [(0.85, 0.15, 0.45), (0.05, 0.90, 0.85)],
+                     orientation=120.0, scale=6.0)
+
+
+def _pool(root_seed: int) -> tuple[list[ImageSample], list[str]]:
+    """Mixed pretraining pool: four families, content images, and a small
+    exposure to the target collection so its artist token means something
+    to the backbone (the premise the text ablation mirrors)."""
+    specs = default_style_specs()
+    pool: list[ImageSample] = []
+    prompts: list[str] = []
+    for name in sorted(specs):
+        imgs = gen_style_collection(specs[name], POOL_PER_FAMILY, IMAGE_SIZE,
+                                    seed=derive_seed(root_seed, f"pool:{name}"))
+        pool.extend(imgs)
+        prompts.extend([f"a painting by {name} *"] * len(imgs))
+    for i in range(N_CONTENT_POOL):
+        pool.append(gen_content_image(
+            CONTENT_KINDS[i % len(CONTENT_KINDS)], IMAGE_SIZE,
+            seed=derive_seed(root_seed, f"pool-content:{i}")))
+        prompts.append("a photo *")
+    # Narrow-jitter slice: the token becomes meaningful without letting the
+    # backbone master the full collection.
+    exposure_spec = target_spec()
+    exposure_spec.jitter = 0.35
+    exposure = gen_style_collection(exposure_spec, N_TARGET_EXPOSURE,
+                                    IMAGE_SIZE,
+                                    seed=derive_seed(root_seed, "pool-target"))
+    pool.extend(exposure)
+    prompts.extend([f"a painting by {TARGET_STYLE_ID} *"] * len(exposure))
+    return pool, prompts
+
+
+@dataclass
+class DeskBackbone:
+    """The pretrained, frozen backbone and the target collection."""
+
+    sched: NoiseSchedule
+    backbone: Denoiser
+    pretrain_trace: list[float]
+    style_collection: list[ImageSample]
+
+
+@dataclass
+class DeskRig(DeskBackbone):
+    """The backbone stage plus the full and drop-text entries and their bank."""
+
+    entry_full: StyleBankEntry
+    entry_full_trace: list[float]
+    entry_droptext: StyleBankEntry
+    bank: StyleBank
+
+
+def build_backbone(root_seed: int = ROOT_SEED,
+                   pretrain_steps: int = PRETRAIN_STEPS) -> DeskBackbone:
+    sched = make_schedule(100)
+    pool, prompts = _pool(root_seed)
+    backbone = Denoiser(in_channels=3, width=32, cond_dim=64,
+                        seed=derive_seed(root_seed, "backbone"))
+    trace = train_naive(backbone, pool, prompts, sched, steps=pretrain_steps,
+                        seed=derive_seed(root_seed, "pretrain"))
+    backbone.freeze()
+    collection = gen_style_collection(
+        target_spec(), COLLECTION_SIZE, IMAGE_SIZE,
+        seed=derive_seed(root_seed, "style-collection"))
+    return DeskBackbone(sched, backbone, trace, collection)
+
+
+def build(root_seed: int = ROOT_SEED, pretrain_steps: int = PRETRAIN_STEPS,
+          entry_steps: int = ENTRY_STEPS) -> DeskRig:
+    base = build_backbone(root_seed, pretrain_steps)
+    # Both entries start from the same values and see the same draws, so
+    # the prompt text is the only difference between them.
+    entries = [create_entry(style_id, TARGET_STYLE_ID, 64, 16,
+                            seed=derive_seed(root_seed, "entry-full"),
+                            template=template)
+               for style_id, template in (
+                   (TARGET_STYLE_ID, DEFAULT_TEMPLATE),
+                   (f"{TARGET_STYLE_ID}-droptext", "*"))]
+    traces = [train_ispb(base.backbone, entry, base.style_collection,
+                         base.sched, steps=entry_steps,
+                         seed=derive_seed(root_seed, "train-full"))
+              for entry in entries]
+    bank = StyleBank()
+    for entry in entries:
+        bank.add(entry)
+    return DeskRig(**vars(base), entry_full=entries[0],
+                   entry_full_trace=traces[0], entry_droptext=entries[1],
+                   bank=bank)
+
+
+def contents(n: int) -> list[tuple[ImageSample, InversionConfig]]:
+    """The first ``n`` content images the stylization criteria score, each
+    with its inversion setting."""
+    return [(gen_content_image(CONTENT_KINDS[i % len(CONTENT_KINDS)],
+                               IMAGE_SIZE, seed=100 + i),
+             InversionConfig(strength=STRENGTH, seed=200 + i))
+            for i in range(n)]

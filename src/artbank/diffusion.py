@@ -254,6 +254,8 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
     true and predicted noise under the image's text-only condition. Returns
     the per-step loss trace; the denoiser is updated in place.
     """
+    if steps < 1:
+        raise ConfigError(f"steps must be at least 1, got {steps}")
     if not images:
         raise ConfigError("training requires a non-empty image set")
     if d.frozen:
@@ -338,6 +340,8 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
     loss varies strongly with t and across images, and balanced blocks keep
     moving averages of the trace comparable across training stages.
     """
+    if steps < 1:
+        raise ConfigError(f"steps must be at least 1, got {steps}")
     if not d.frozen:
         raise ContractError("bank training requires a frozen denoiser")
     if not style_images:

@@ -209,8 +209,14 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
                           ) -> list[ConvergenceReport]:
     """Train a fresh entry per (variant, seed) and report how many
     iterations each needs to cross the relative loss threshold."""
+    if not variants:
+        raise ConfigError("variants must name at least one encoder")
     if len(seeds) < 3:
         raise ConfigError("the benchmark needs at least 3 seeds")
+    if max_iters < MOVING_AVG_WINDOW:
+        raise ConfigError(
+            f"max_iters must be at least the {MOVING_AVG_WINDOW}-step "
+            f"moving-average window, got {max_iters}")
     for v in variants:  # reject an unknown name before any job trains
         encoder_builder(v)
     reports = []

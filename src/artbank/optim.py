@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MissingGradError, NumericError
+from .errors import ConfigError, MissingGradError, NumericError
 from .tensor import Parameter, Tensor
 
 Array = np.ndarray
@@ -20,6 +20,10 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
 
 
 @dataclass

@@ -1,119 +1,11 @@
-"""Session-scoped desk rig shared by module tests and the acceptance suite.
-
-The backbone pretrains on a mixed pool of all four procedural families plus
-content images. Bank entries are then trained on a *novel* variant
-collection (same family mechanics, unseen palette/orientation and artist
-token), so the conditioning has real headroom to dig out.
-"""
-
-from dataclasses import dataclass, field
+"""Session-scoped desk rig (``artbank.desk``) shared by module tests and the
+acceptance suite."""
 
 import pytest
 
-from artbank.bank import StyleBank, StyleBankEntry, create_entry
-from artbank.data_io import (ImageSample, StyleSpec, default_style_specs,
-                             gen_content_image, gen_style_collection)
-from artbank.diffusion import (Denoiser, NoiseSchedule, make_schedule,
-                               train_ispb, train_naive)
-from artbank.seeding import derive_seed
-
-ROOT_SEED = 20240817
-IMAGE_SIZE = 16
-POOL_PER_FAMILY = 12
-N_CONTENT_POOL = 16
-N_TARGET_EXPOSURE = 6
-PRETRAIN_STEPS = 2500
-ENTRY_STEPS = 2000
-COLLECTION_SIZE = 64
-TARGET_STYLE_ID = "rosetta"
-
-
-def target_spec() -> StyleSpec:
-    """The target collection: stripes mechanics, its own look."""
-    return StyleSpec("stripes", [(0.85, 0.15, 0.45), (0.05, 0.90, 0.85)],
-                     orientation=120.0, scale=6.0)
-
-
-@dataclass
-class DeskRig:
-    sched: NoiseSchedule
-    pool: list[ImageSample]
-    prompts: list[str]
-    backbone: Denoiser
-    pretrain_trace: list[float]
-    style_collection: list[ImageSample]
-    entry_full: StyleBankEntry
-    entry_full_trace: list[float]
-    entry_droptext: StyleBankEntry
-    entry_droptext_trace: list[float]
-    bank: StyleBank = field(default_factory=StyleBank)
-
-
-def build_pool() -> tuple[list[ImageSample], list[str]]:
-    """Mixed pretraining pool: four families, content images, and a small
-    exposure to the target collection so its artist token means something
-    to the backbone (the premise the text ablation mirrors)."""
-    specs = default_style_specs()
-    pool: list[ImageSample] = []
-    prompts: list[str] = []
-    for name in sorted(specs):
-        imgs = gen_style_collection(specs[name], POOL_PER_FAMILY, IMAGE_SIZE,
-                                    seed=derive_seed(ROOT_SEED, f"pool:{name}"))
-        pool.extend(imgs)
-        prompts.extend([f"a painting by {name} *"] * len(imgs))
-    kinds = ("shapes", "gradient", "photo")
-    for i in range(N_CONTENT_POOL):
-        pool.append(gen_content_image(kinds[i % 3], IMAGE_SIZE,
-                                      seed=derive_seed(ROOT_SEED, f"pool-content:{i}")))
-        prompts.append("a photo *")
-    # Narrow-jitter slice: the token becomes meaningful without letting the
-    # backbone master the full collection.
-    exposure_spec = target_spec()
-    exposure_spec.jitter = 0.35
-    exposure = gen_style_collection(exposure_spec, N_TARGET_EXPOSURE,
-                                    IMAGE_SIZE,
-                                    seed=derive_seed(ROOT_SEED, "pool-target"))
-    pool.extend(exposure)
-    prompts.extend([f"a painting by {TARGET_STYLE_ID} *"] * len(exposure))
-    return pool, prompts
+from artbank import desk as desk_rig
 
 
 @pytest.fixture(scope="session")
-def desk() -> DeskRig:
-    sched = make_schedule(100)
-    pool, prompts = build_pool()
-    backbone = Denoiser(in_channels=3, width=32, cond_dim=64,
-                        seed=derive_seed(ROOT_SEED, "backbone"))
-    pretrain_trace = train_naive(backbone, pool, prompts, sched,
-                                 steps=PRETRAIN_STEPS,
-                                 seed=derive_seed(ROOT_SEED, "pretrain"))
-    backbone.freeze()
-
-    collection = gen_style_collection(
-        target_spec(), COLLECTION_SIZE, IMAGE_SIZE,
-        seed=derive_seed(ROOT_SEED, "style-collection"))
-
-    entry_full = create_entry(TARGET_STYLE_ID, TARGET_STYLE_ID, 64, 16,
-                              seed=derive_seed(ROOT_SEED, "entry-full"))
-    full_trace = train_ispb(backbone, entry_full, collection, sched,
-                            steps=ENTRY_STEPS,
-                            seed=derive_seed(ROOT_SEED, "train-full"))
-
-    entry_droptext = create_entry(f"{TARGET_STYLE_ID}-droptext",
-                                  TARGET_STYLE_ID, 64, 16,
-                                  seed=derive_seed(ROOT_SEED, "entry-full"),
-                                  template="*")
-    droptext_trace = train_ispb(backbone, entry_droptext, collection, sched,
-                                steps=ENTRY_STEPS,
-                                seed=derive_seed(ROOT_SEED, "train-full"))
-
-    bank = StyleBank()
-    bank.add(entry_full)
-    bank.add(entry_droptext)
-    return DeskRig(
-        sched=sched, pool=pool, prompts=prompts, backbone=backbone,
-        pretrain_trace=pretrain_trace, style_collection=collection,
-        entry_full=entry_full, entry_full_trace=full_trace,
-        entry_droptext=entry_droptext, entry_droptext_trace=droptext_trace,
-        bank=bank,
-    )
+def desk() -> desk_rig.DeskRig:
+    return desk_rig.build()

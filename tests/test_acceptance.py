@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines. The heavyweight fixtures (pretrained backbone, trained entries) come
-from conftest and are shared with the module tests.
+lines. The heavyweight fixture (pretrained backbone, trained entries) is
+the desk rig from ``artbank.desk``, built once per session by conftest and
+shared with the module tests.
 """
 
 import math
@@ -15,6 +16,7 @@ from artbank.attention import adaattn_forward, init_output_proj, ssam_forward
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
                           create_entry, encode_prompt, load_bank, save_bank)
 from artbank.data_io import gen_content_image, read_ppm, write_ppm
+from artbank.desk import ROOT_SEED, TARGET_STYLE_ID, contents
 from artbank.diffusion import (Denoiser, LatentState, checkpoint_bytes,
                                load_checkpoint, make_schedule, q_sample,
                                sample, save_checkpoint, train_ispb)
@@ -24,7 +26,6 @@ from artbank.optim import grad_check
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all, softmax_rows
 
-from conftest import ROOT_SEED, TARGET_STYLE_ID
 from oracles import random_ssam_instance, ssam_ref
 from test_attention import params_from_instance
 
@@ -244,11 +245,8 @@ def test_criterion_07_convergence_direction(desk):
 
 def test_criterion_08_structure_preservation(desk):
     t0 = time.time()
-    kinds = ("shapes", "gradient", "photo")
     with_inv, without_inv = [], []
-    for i in range(20):
-        content = gen_content_image(kinds[i % 3], 16, seed=100 + i)
-        cfg = InversionConfig(strength=0.6, seed=200 + i)
+    for content, cfg in contents(20):
         inv = stylize(desk.backbone, desk.sched, desk.bank, TARGET_STYLE_ID,
                       content, cfg, use_inversion=True)
         rnd = stylize(desk.backbone, desk.sched, desk.bank, TARGET_STYLE_ID,
@@ -265,11 +263,8 @@ def test_criterion_08_structure_preservation(desk):
 
 def test_criterion_09_style_acquisition_and_text_ablation(desk):
     signature = signature_of(desk.style_collection)
-    kinds = ("shapes", "gradient", "photo")
     g_content, g_full, g_droptext = [], [], []
-    for i in range(20):
-        content = gen_content_image(kinds[i % 3], 16, seed=100 + i)
-        cfg = InversionConfig(strength=0.6, seed=200 + i)
+    for content, cfg in contents(20):
         full = stylize(desk.backbone, desk.sched, desk.bank, TARGET_STYLE_ID,
                        content, cfg)
         droptext = stylize(desk.backbone, desk.sched, desk.bank,

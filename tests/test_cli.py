@@ -165,6 +165,43 @@ def test_out_of_range_vocab_seed_exits_2(dataset, tmp_path, capsys, vocab_seed):
     assert not ck.exists()
 
 
+@pytest.fixture(scope="module")
+def untrained_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ck") / "untrained.abdn"
+    diffusion.save_checkpoint(diffusion.Denoiser(3, 8, 12, seed=0), path)
+    return path
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("pretrain", "--lr", "-1"),
+    ("pretrain", "--lr", "nan"),
+    ("train-bank", "--lr", "-1"),
+    ("pretrain", "--steps", "0"),
+    ("pretrain", "--steps", "-3"),
+    ("train-bank", "--steps", "0"),
+    ("bench-attn", "--variants", ","),
+    ("bench-attn", "--max-iters", "50"),
+])
+def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
+                                           tmp_path, capsys, command, flag,
+                                           value):
+    out = tmp_path / "never"
+    common = ["--data", str(dataset), "--channels", "12", "--seed", "7"]
+    args = {
+        "pretrain": ["--checkpoint", str(out), "--steps", "1", "--width", "8"],
+        "train-bank": ["--checkpoint", str(untrained_checkpoint), "--bank",
+                       str(out), "--style-id", "checks", "--steps", "1",
+                       "--positions", "4"],
+        "bench-attn": ["--checkpoint", str(untrained_checkpoint), "--out",
+                       str(out), "--style-id", "checks", "--bench-seeds", "3",
+                       "--max-iters", "100", "--positions", "4"],
+    }[command]
+    code = run([command, *common, *args, flag, value])
+    assert code == 2
+    assert f"{flag[2:].replace('-', '_')} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bank_inspect_empty_bank(tmp_path, capsys):
     path = tmp_path / "empty.ispb"
     save_bank(StyleBank(), path)

@@ -8,6 +8,7 @@ import pytest
 
 from artbank.bank import assemble_condition, create_entry, encode_prompt
 from artbank.data_io import gen_content_image
+from artbank.desk import ROOT_SEED
 from artbank.diffusion import (CHECKPOINT_MAGIC, Denoiser, LatentState,
                                checkpoint_bytes, ispb_eval_loss,
                                load_checkpoint, make_schedule, q_sample,
@@ -19,8 +20,6 @@ from artbank.errors import (BadMagicError, ConfigError, ContractError,
 from artbank.optim import grad_check
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all
-
-from conftest import ROOT_SEED
 
 
 class OracleDenoiser:
@@ -171,8 +170,8 @@ class TestTrainNaive:
         d = Denoiser(3, 8, 16, seed=5)
         before = checkpoint_bytes(d)
         imgs = [gen_content_image("photo", 8, seed=1)]
-        trace = train_naive(d, imgs, ["a photo *"], make_schedule(10), 0, seed=0)
-        assert trace == []
+        with pytest.raises(ConfigError, match="steps must be at least 1"):
+            train_naive(d, imgs, ["a photo *"], make_schedule(10), 0, seed=0)
         assert checkpoint_bytes(d) == before
 
     def test_initial_loss_near_unit_variance(self):
@@ -218,9 +217,9 @@ class TestTrainIspb:
     def test_zero_steps_leaves_entry(self, desk):
         entry = create_entry("tmp", "tmp", 64, 16, seed=0)
         before = [p.value.data.copy() for p in entry.trainable_params()]
-        trace = train_ispb(desk.backbone, entry, desk.style_collection,
-                           desk.sched, 0, seed=0)
-        assert trace == []
+        with pytest.raises(ConfigError, match="steps must be at least 1"):
+            train_ispb(desk.backbone, entry, desk.style_collection,
+                       desk.sched, 0, seed=0)
         for p, b in zip(entry.trainable_params(), before):
             assert np.array_equal(p.value.data, b)
 

@@ -7,6 +7,7 @@ import artbank.inversion as inversion
 
 from artbank.bank import StyleBank, assemble_condition, create_entry, encode_prompt
 from artbank.data_io import gen_content_image
+from artbank.desk import contents
 from artbank.diffusion import Denoiser, make_schedule
 from artbank.errors import ConfigError, UnknownStyleError
 from artbank.inversion import (InversionConfig, probe_noise, start_timestep,
@@ -131,11 +132,8 @@ class TestStylize:
         assert seen[0].embeddings is None
 
     def test_inversion_beats_random_init_on_structure(self, desk):
-        kinds = ("shapes", "gradient", "photo")
         with_inv, without_inv = [], []
-        for i in range(20):
-            content = gen_content_image(kinds[i % 3], 16, seed=100 + i)
-            cfg = InversionConfig(strength=0.6, seed=200 + i)
+        for content, cfg in contents(20):
             inv = stylize(desk.backbone, desk.sched, desk.bank,
                           desk.entry_full.style_id, content, cfg,
                           use_inversion=True)
