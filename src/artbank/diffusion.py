@@ -279,6 +279,18 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
     return trace
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """What ``train_ispb`` hands its ``on_step`` hook after an update:
+    the 1-based step, the timestep, the image's index in the collection
+    and the step's loss (the value appended to the trace)."""
+
+    step: int
+    t: int
+    image: int
+    loss: float
+
+
 # An encoder builder returns the parameters a variant trains and a closure
 # that encodes the entry's style matrix. The closures look the encoder
 # functions up by module-global name on every call, so wrappers installed on
@@ -327,13 +339,20 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
                style_images: Sequence[ImageSample], sched: NoiseSchedule,
                steps: int, seed: int, lr: float = 1e-3,
                vocab_seed: int = DEFAULT_VOCAB_SEED,
-               variant: str = "ssam") -> list[float]:
+               variant: str = "ssam",
+               on_step: Callable[[StepRecord], bool] | None = None
+               ) -> list[float]:
     """Train one bank entry against a frozen denoiser.
 
     Gradients flow only into the parameters the encoder variant trains (the
     entry's style matrix and encoder weights), through condition assembly
     and the denoiser's cross-attention. Returns the per-step loss trace; the
     entry is updated in place.
+
+    ``on_step``, when given, is called with a ``StepRecord`` after each
+    update; training stops after the update for which it returns ``True``.
+    The draws are sequential, so a run stopped at step k returns the first k
+    losses of an unstopped run and leaves the entry as a k-step run does.
 
     Images are visited in seeded shuffled epochs and timesteps are drawn as
     seeded per-block permutations of 1..T (uniform coverage): the per-step
@@ -355,7 +374,7 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
     trace: list[float] = []
     t_block: list[int] = []
     img_epoch: list[int] = []
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         if not img_epoch:
             img_epoch = [int(v) for v in rng.permutation(len(tensors))]
         idx = img_epoch.pop()
@@ -365,8 +384,11 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
         t = t_block.pop()
         eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
         cond = assemble_condition(seq, encode())
-        trace.append(_noise_step(d, tensors[idx], t, eps, cond, sched,
-                                 params, state, hyper))
+        loss = _noise_step(d, tensors[idx], t, eps, cond, sched, params,
+                           state, hyper)
+        trace.append(loss)
+        if on_step is not None and on_step(StepRecord(step, t, idx, loss)):
+            break
     return trace
 
 
@@ -382,6 +404,8 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
     measuring how fast an encoder variant converges; ``train_ispb`` with the
     same seed starts from the same encoder.
     """
+    if n_draws < 1:
+        raise ConfigError(f"n_draws must be at least 1, got {n_draws}")
     if not style_images:
         raise ConfigError("evaluation requires a non-empty style collection")
     _, encode = encoder_builder(variant)(entry, seed)

@@ -12,14 +12,14 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import seeding
 from .bank import DEFAULT_VOCAB_SEED, create_entry
 from .data_io import ImageSample
-from .diffusion import (Denoiser, NoiseSchedule, encoder_builder,
+from .diffusion import (Denoiser, NoiseSchedule, StepRecord, encoder_builder,
                         ispb_eval_loss, train_ispb)
 from .errors import ConfigError, DimensionError
 from .tensor import im2col
@@ -186,6 +186,25 @@ def _median_or_none(values: list[int | None]) -> int | None:
     return (lo + hi) // 2
 
 
+def _crossing_detector(threshold: float) -> Callable[[StepRecord], bool]:
+    """A ``train_ispb`` hook that stops training at the first step whose
+    trailing ``MOVING_AVG_WINDOW``-step mean loss is below ``threshold``.
+
+    It keeps the prefix sums ``iterations_to_threshold`` computes, added in
+    the same order as ``np.cumsum``, so it stops exactly at the step that
+    function reports for the full trace.
+    """
+    csum = [0.0]
+    k = MOVING_AVG_WINDOW
+
+    def on_step(record: StepRecord) -> bool:
+        csum.append(csum[-1] + record.loss)
+        n = len(csum) - 1
+        return n >= k and (csum[n] - csum[n - k]) / k < threshold
+
+    return on_step
+
+
 def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
                sched: NoiseSchedule, variant: str, seed: int,
                loss_threshold: float, max_iters: int, channels: int,
@@ -195,7 +214,8 @@ def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
     initial = ispb_eval_loss(d, entry, collection, sched, seed=seed,
                              vocab_seed=vocab_seed, variant=variant)
     trace = train_ispb(d, entry, collection, sched, max_iters, seed=seed,
-                       lr=lr, vocab_seed=vocab_seed, variant=variant)
+                       lr=lr, vocab_seed=vocab_seed, variant=variant,
+                       on_step=_crossing_detector(loss_threshold * initial))
     return iterations_to_threshold(trace, loss_threshold,
                                    initial_loss=initial)
 
@@ -208,11 +228,19 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
                           vocab_seed: int = DEFAULT_VOCAB_SEED
                           ) -> list[ConvergenceReport]:
     """Train a fresh entry per (variant, seed) and report how many
-    iterations each needs to cross the relative loss threshold."""
+    iterations each needs to cross the relative loss threshold.
+
+    Each job stops at its crossing, which later steps cannot change, so
+    ``max_iters`` is a ceiling, not a cost: only a job that never crosses
+    trains all of it. The reports are those of full-budget runs.
+    """
     if not variants:
         raise ConfigError("variants must name at least one encoder")
     if len(seeds) < 3:
         raise ConfigError("the benchmark needs at least 3 seeds")
+    if not (math.isfinite(loss_threshold) and loss_threshold > 0.0):
+        raise ConfigError(f"loss_threshold must be finite and positive, "
+                          f"got {loss_threshold}")
     if max_iters < MOVING_AVG_WINDOW:
         raise ConfigError(
             f"max_iters must be at least the {MOVING_AVG_WINDOW}-step "

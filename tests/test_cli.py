@@ -181,6 +181,10 @@ def untrained_checkpoint(tmp_path_factory):
     ("train-bank", "--steps", "0"),
     ("bench-attn", "--variants", ","),
     ("bench-attn", "--max-iters", "50"),
+    ("bench-attn", "--threshold", "0"),
+    ("bench-attn", "--threshold", "nan"),
+    ("bench-attn", "--threshold", "-1"),
+    ("bench-attn", "--threshold", "inf"),
 ])
 def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
                                            tmp_path, capsys, command, flag,

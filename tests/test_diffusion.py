@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from artbank.bank import assemble_condition, create_entry, encode_prompt
+from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
+                          create_entry, encode_prompt)
 from artbank.data_io import gen_content_image
 from artbank.desk import ROOT_SEED
 from artbank.diffusion import (CHECKPOINT_MAGIC, Denoiser, LatentState,
@@ -278,6 +279,43 @@ class TestTrainIspb:
         assert np.isfinite(losses[0])
         assert losses[0] == losses[1]
         assert losses[0] != losses[2]
+
+    def test_on_step_true_stops_after_that_step(self, desk):
+        k, steps = 12, 30
+
+        def run(n, on_step=None):
+            entry = create_entry("hook", "hook", 64, 16, seed=9)
+            trace = train_ispb(desk.backbone, entry, desk.style_collection,
+                               desk.sched, n, seed=4, on_step=on_step)
+            bank = StyleBank()
+            bank.add(entry)
+            return np.asarray(trace), bank_bytes(bank)
+
+        records = []
+
+        def stop_at_k(record):
+            records.append(record)
+            return record.step == k
+
+        full, _ = run(steps)
+        hooked, hooked_bytes = run(steps, stop_at_k)
+        plain, plain_bytes = run(k)
+        assert hooked.tobytes() == full[:k].tobytes()
+        assert hooked.tobytes() == plain.tobytes()
+        assert hooked_bytes == plain_bytes
+        assert [r.step for r in records] == list(range(1, k + 1))
+        assert [r.loss for r in records] == hooked.tolist()
+        assert all(1 <= r.t <= desk.sched.timesteps for r in records)
+        assert all(0 <= r.image < len(desk.style_collection) for r in records)
+        never, _ = run(steps, lambda record: False)
+        assert never.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("n_draws", [0, -1])
+    def test_eval_loss_needs_a_draw(self, desk, n_draws):
+        entry = create_entry("eval-none", "x", 64, 16, seed=8)
+        with pytest.raises(ConfigError, match="n_draws must be at least 1"):
+            ispb_eval_loss(desk.backbone, entry, desk.style_collection,
+                           desk.sched, seed=0, n_draws=n_draws)
 
     def test_unknown_variant(self, desk):
         entry = create_entry("var-x", "x", 64, 16, seed=7)

@@ -1,12 +1,16 @@
 """SSIM, Gram-feature style scores, and the convergence report machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from artbank import diffusion, metrics
 from artbank.data_io import (ImageSample, default_style_specs,
                              gen_content_image, gen_style_collection)
 from artbank.errors import ConfigError, DimensionError
-from artbank.metrics import (ConvergenceReport, feature_bank,
+from artbank.metrics import (MOVING_AVG_WINDOW, ConvergenceReport,
+                             convergence_benchmark, feature_bank,
                              format_convergence_table, gram_style_score,
                              iterations_to_threshold, signature_of, ssim,
                              write_convergence_csv)
@@ -166,3 +170,50 @@ class TestConvergenceMachinery:
         assert "sanet,1,,0,0.85," in text
         table = format_convergence_table(reports)
         assert "ssam" in table and "n/c" in table
+
+
+class TestEarlyStop:
+    """``convergence_benchmark`` stops each job at its crossing; its reports
+    must be those of jobs trained for the whole budget."""
+
+    @staticmethod
+    def _run(desk, monkeypatch, variants, threshold, max_iters, full_budget):
+        lengths = []
+
+        def counted(*args, on_step=None, **kwargs):
+            trace = diffusion.train_ispb(
+                *args, on_step=None if full_budget else on_step, **kwargs)
+            lengths.append(len(trace))
+            return trace
+
+        monkeypatch.setattr(metrics, "train_ispb", counted)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = convergence_benchmark(
+                desk.backbone, desk.style_collection, variants, [0, 1, 2],
+                loss_threshold=threshold, max_iters=max_iters,
+                sched=desk.sched, lr=3e-4)
+        censored = sum("censored" in str(w.message) for w in caught)
+        return reports, lengths, censored
+
+    @pytest.mark.parametrize("variants, threshold, max_iters, crosses", [
+        (["ssam", "sanet"], 0.75, 200, True),  # at and after the window
+        (["ssam"], 0.01, MOVING_AVG_WINDOW, False),
+    ])
+    def test_same_reports_as_full_budget(self, desk, monkeypatch, variants,
+                                         threshold, max_iters, crosses):
+        early, early_len, early_censored = self._run(
+            desk, monkeypatch, variants, threshold, max_iters, False)
+        full, full_len, full_censored = self._run(
+            desk, monkeypatch, variants, threshold, max_iters, True)
+        assert early == full
+        iters = [it for r in early for it in r.iterations_to_threshold]
+        assert full_len == [max_iters] * len(iters)
+        assert early_len == [max_iters if it is None else it for it in iters]
+        assert early_censored == full_censored
+        assert early_censored == iters.count(MOVING_AVG_WINDOW)
+        if crosses:
+            assert iters.count(MOVING_AVG_WINDOW) >= 1  # a censored job
+            assert max(it for it in iters if it is not None) > MOVING_AVG_WINDOW
+        else:
+            assert iters == [None] * len(iters)
