@@ -9,10 +9,9 @@ structure.
 
 from .attention import (SsamParams, adaattn_forward, init_output_proj,
                         init_ssam_params, sanet_forward, ssam_forward)
-from .bank import (DEFAULT_TEMPLATE, DEFAULT_VOCAB_SEED, ConditionVector,
-                   StyleBank, StyleBankEntry, TokenEmbeddingSeq,
-                   assemble_condition, create_entry, encode_prompt, load_bank,
-                   save_bank)
+from .bank import (DEFAULT_TEMPLATE, DEFAULT_VOCAB_SEED, StyleBank,
+                   StyleBankEntry, TokenEmbeddingSeq, assemble_condition,
+                   create_entry, encode_prompt, load_bank, save_bank)
 from .data_io import (ImageSample, StyleSpec, default_style_specs,
                       gen_content_image, gen_style_collection, read_ppm,
                       write_ppm)

@@ -73,12 +73,12 @@ def init_ssam_params(channels: int, positions: int,
     )
 
 
-def init_output_proj(channels: int, rng: np.random.Generator,
-                     name: str = "w_o") -> Parameter:
-    """Extra C x C output projection used by the residual (SANet) baseline."""
+def init_output_proj(channels: int, rng: np.random.Generator) -> Parameter:
+    """Extra C x C output projection ``w_o`` used by the residual (SANet)
+    baseline."""
     bound = 1.0 / np.sqrt(channels)
-    return Parameter(name, Tensor(rng.uniform(-bound, bound,
-                                              size=(channels, channels))))
+    return Parameter("w_o", Tensor(rng.uniform(-bound, bound,
+                                               size=(channels, channels))))
 
 
 def _check_style_matrix(i_m: Tensor, channels: int, positions: int) -> None:

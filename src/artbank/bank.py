@@ -5,8 +5,9 @@ binary persistence.
 A prompt template holds exactly one ``*`` placeholder token. Encoding
 tokenizes on whitespace and looks each token up in a frozen hash-seeded
 embedding table, so text rows are a deterministic context rather than a
-learned encoder. Assembling a condition replaces the placeholder row with
-the columns of an encoded style matrix.
+learned encoder. A condition is the tensor of rows the denoiser
+cross-attends over: the prompt's rows with the placeholder row replaced by
+the columns of an encoded style matrix, or dropped when there is none.
 """
 
 from __future__ import annotations
@@ -39,37 +40,12 @@ class TokenEmbeddingSeq:
     """A tokenized prompt with its frozen embedding rows."""
 
     tokens: list[str]
-    token_ids: list[int]
     embeddings: np.ndarray  # (L, C)
-    placeholder_index: int | None
+    placeholder_index: int
 
     def __post_init__(self) -> None:
         if self.embeddings.shape[0] != len(self.tokens):
             raise DimensionError("embedding row count must equal token count")
-
-
-@dataclass
-class ConditionVector:
-    """Token-embedding sequence consumed by the denoiser's cross-attention.
-
-    ``embeddings`` is None for the degenerate empty condition (a bare
-    placeholder template assembled without a style block).
-    """
-
-    embeddings: Tensor | None
-    provenance: list[str]
-
-    def __post_init__(self) -> None:
-        n_rows = 0 if self.embeddings is None else self.embeddings.data.shape[0]
-        if n_rows != len(self.provenance):
-            raise DimensionError("provenance must tag every embedding row")
-
-    def style_block(self) -> np.ndarray:
-        """The style-tagged rows (N x C), empty if no style was applied."""
-        if self.embeddings is None:
-            return np.zeros((0, 0))
-        rows = [i for i, tag in enumerate(self.provenance) if tag == "style"]
-        return self.embeddings.data[rows]
 
 
 @dataclass
@@ -134,51 +110,31 @@ def encode_prompt(template: str, artist: str, vocab_seed: int = DEFAULT_VOCAB_SE
         raise ConfigError(f"vocab_seed must lie in [0, 2**64): {vocab_seed}")
     text = template.replace("{artist}", artist)
     tokens = _validate_template(text)
-    ids = [_token_id(t) for t in tokens]
-    table = np.stack([_embedding_row(i, vocab_seed, width) for i in ids])
-    return TokenEmbeddingSeq(
-        tokens=tokens,
-        token_ids=ids,
-        embeddings=table,
-        placeholder_index=tokens.index(PLACEHOLDER),
-    )
+    table = np.stack([_embedding_row(_token_id(t), vocab_seed, width)
+                      for t in tokens])
+    return TokenEmbeddingSeq(tokens=tokens, embeddings=table,
+                             placeholder_index=tokens.index(PLACEHOLDER))
 
 
 def assemble_condition(seq: TokenEmbeddingSeq,
-                       v_m: Tensor | None) -> ConditionVector:
-    """Splice a style block into the placeholder slot of an encoded prompt.
+                       v_m: Tensor | None) -> Tensor | None:
+    """The condition rows the denoiser cross-attends over (L' x C).
 
     With a style matrix present, the placeholder row is replaced by the N
     columns of ``v_m`` (as N rows of width C); without one the placeholder
-    row is dropped and only text rows remain.
+    row is dropped and only text rows remain, or ``None`` (the empty
+    condition) when the template is the bare placeholder.
     """
-    n_tokens = len(seq.tokens)
     pi = seq.placeholder_index
+    before, after = seq.embeddings[:pi], seq.embeddings[pi + 1:]
     if v_m is None:
-        keep = [i for i in range(n_tokens) if i != pi]
-        if not keep:
-            return ConditionVector(embeddings=None, provenance=[])
-        return ConditionVector(
-            embeddings=Tensor(seq.embeddings[keep]),
-            provenance=["text"] * len(keep),
-        )
-    if pi is None:
-        raise TemplateError("cannot splice a style block: no placeholder")
+        text = np.concatenate([before, after])
+        return Tensor(text) if len(text) else None
     if v_m.data.ndim != 2 or v_m.data.shape[0] != seq.embeddings.shape[1]:
         raise DimensionError(
             f"style block width {v_m.data.shape} does not match embedding "
             f"width {seq.embeddings.shape[1]}")
-    parts: list[Tensor] = []
-    provenance: list[str] = []
-    if pi > 0:
-        parts.append(Tensor(seq.embeddings[:pi]))
-        provenance += ["text"] * pi
-    parts.append(transpose(v_m))
-    provenance += ["style"] * v_m.data.shape[1]
-    if pi < n_tokens - 1:
-        parts.append(Tensor(seq.embeddings[pi + 1:]))
-        provenance += ["text"] * (n_tokens - 1 - pi)
-    return ConditionVector(embeddings=concat_rows(parts), provenance=provenance)
+    return concat_rows([Tensor(before), transpose(v_m), Tensor(after)])
 
 
 def create_entry(style_id: str, artist: str, channels: int = DEFAULT_CHANNELS,

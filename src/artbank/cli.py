@@ -64,7 +64,10 @@ class RunConfig:
 def parse_config_file(path: str) -> dict[str, str]:
     """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not valid UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -102,6 +105,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
+    # Paths may hold any bytes, but these texts are hashed as UTF-8.
+    for key in ("style_id", "artist", "template"):
+        try:
+            getattr(cfg, key).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{key} must be valid UTF-8") from None
     return cfg
 
 

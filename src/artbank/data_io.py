@@ -269,8 +269,11 @@ def _parse_header(raw: bytes) -> tuple[str, int, int, int, int]:
     pos += 1  # single whitespace byte separates header from payload
     magic = fields[0].decode("ascii", errors="replace")
     try:
+        # ASCII decimal digits only: int() would also take "+1" and "1_0".
+        if not all(f.isdigit() for f in fields[1:]):
+            raise ValueError
         width, height, maxval = (int(f) for f in fields[1:])
-    except ValueError:
+    except ValueError:  # also int()'s limit on the digit count
         raise MalformedHeaderError("non-numeric header field") from None
     if width < 1 or height < 1:
         raise MalformedHeaderError("image dimensions must be positive")

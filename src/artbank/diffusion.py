@@ -19,8 +19,8 @@ import numpy as np
 from . import container, seeding
 from .attention import (adaattn_forward, init_output_proj, sanet_forward,
                         ssam_forward)
-from .bank import (DEFAULT_VOCAB_SEED, ConditionVector, StyleBankEntry,
-                   assemble_condition, encode_prompt)
+from .bank import (DEFAULT_VOCAB_SEED, StyleBankEntry, assemble_condition,
+                   encode_prompt)
 from .data_io import ImageSample
 from .errors import (ArtBankError, ConfigError, ContractError,
                      DimensionError, MalformedHeaderError)
@@ -64,10 +64,9 @@ class LatentState:
     t: int
 
 
-def _check_t(t: int, sched: NoiseSchedule, lo: int = 1) -> None:
-    if not (lo <= t <= sched.timesteps):
-        raise ConfigError(
-            f"timestep {t} outside [{lo}, {sched.timesteps}]")
+def _check_t(t: int, sched: NoiseSchedule) -> None:
+    if not (1 <= t <= sched.timesteps):
+        raise ConfigError(f"timestep {t} outside [1, {sched.timesteps}]")
 
 
 def q_sample(z0: Tensor, t: int, eps: Tensor, sched: NoiseSchedule) -> LatentState:
@@ -105,8 +104,9 @@ class Denoiser:
 
     The output head starts at zero so an untrained model predicts zero
     noise; cross-attention uses image positions as queries and condition
-    rows as keys/values, which is the path that carries gradients into the
-    style block during bank training.
+    rows (L x cond_dim) as keys/values, which is the path that carries
+    gradients into the style block during bank training. The empty
+    condition, ``None``, skips it.
     """
 
     def __init__(self, in_channels: int = 3, width: int = 32,
@@ -152,7 +152,7 @@ class Denoiser:
             emb = np.concatenate([emb, np.zeros(self.width - emb.size)])
         return emb[:self.width]
 
-    def predict_noise(self, state: LatentState, cond: ConditionVector) -> Tensor:
+    def predict_noise(self, state: LatentState, cond: Tensor | None) -> Tensor:
         z = state.z
         if z.data.ndim != 3 or z.data.shape[0] != self.in_channels:
             raise DimensionError(
@@ -163,12 +163,12 @@ class Denoiser:
         x = gelu(conv2d(z, self.conv1_w.value, self.conv1_b.value) + temb)
         x = gelu(conv2d(x, self.conv2_w.value, self.conv2_b.value))
         feats = reshape(x, (self.width, h * w_img))
-        if cond.embeddings is not None:
-            if cond.embeddings.data.shape[1] != self.cond_dim:
+        if cond is not None:
+            if cond.data.shape[1] != self.cond_dim:
                 raise DimensionError(
-                    f"condition width {cond.embeddings.data.shape[1]} does "
-                    f"not match cond_dim={self.cond_dim}")
-            cond_t = transpose(cond.embeddings)
+                    f"condition width {cond.data.shape[1]} does not match "
+                    f"cond_dim={self.cond_dim}")
+            cond_t = transpose(cond)
             keys = matmul(self.attn_wk.value, cond_t)
             values = matmul(self.attn_wv.value, cond_t)
             queries = matmul(self.attn_wq.value, feats)
@@ -217,8 +217,8 @@ def load_checkpoint(path) -> Denoiser:
 
 
 def _prepare_text_conditions(prompts: Sequence[str], vocab_seed: int,
-                             width: int) -> list[ConditionVector]:
-    cache: dict[str, ConditionVector] = {}
+                             width: int) -> list[Tensor | None]:
+    cache: dict[str, Tensor | None] = {}
     conds = []
     for prompt in prompts:
         if prompt not in cache:
@@ -229,7 +229,7 @@ def _prepare_text_conditions(prompts: Sequence[str], vocab_seed: int,
 
 
 def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
-                cond: ConditionVector, sched: NoiseSchedule,
+                cond: Tensor | None, sched: NoiseSchedule,
                 params: list[Parameter], state: AdamState,
                 hyper: AdamConfig) -> float:
     """One Adam update of ``params`` on the squared error between ``eps``
@@ -425,7 +425,7 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
     return total / n_draws
 
 
-def sample(d, sched: NoiseSchedule, cond: ConditionVector, mode: str = "ddim",
+def sample(d, sched: NoiseSchedule, cond: Tensor | None, mode: str = "ddim",
            shape: tuple[int, int, int] | None = None, seed: int | None = None,
            init: LatentState | None = None) -> ImageSample:
     """Run the reverse process from pure noise or a provided start state.

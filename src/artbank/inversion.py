@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ssam_forward
-from .bank import (DEFAULT_VOCAB_SEED, ConditionVector, StyleBank,
-                   assemble_condition, encode_prompt)
+from .bank import (DEFAULT_VOCAB_SEED, StyleBank, assemble_condition,
+                   encode_prompt)
 from .data_io import ImageSample
 from .diffusion import NoiseSchedule, q_sample, sample
 from .errors import ConfigError, ContractError
@@ -48,12 +48,12 @@ def probe_noise(cfg: InversionConfig, shape: tuple[int, ...]) -> np.ndarray:
 
 def stochastic_invert(d, sched: NoiseSchedule, content: ImageSample,
                       cfg: InversionConfig,
-                      cond: ConditionVector) -> tuple[Tensor, int]:
+                      cond: Tensor | None) -> tuple[Tensor, int]:
     """Predict the noise the denoiser sees in the noised content image.
 
     Returns the prediction and the start timestep. ``cond`` should carry no
-    style: ``stylize`` passes the empty condition, since prompt text such as
-    an artist token can itself name a style the backbone learned.
+    style: ``stylize`` passes the empty condition (``None``), since prompt
+    text such as an artist token can name a style the backbone learned.
     """
     if not getattr(d, "frozen", True):
         raise ContractError("inversion requires a frozen denoiser")
@@ -83,8 +83,7 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     entry = bank.get(style_id)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
     if use_inversion:
-        eps, t0 = stochastic_invert(d, sched, content, cfg,
-                                    ConditionVector(None, []))
+        eps, t0 = stochastic_invert(d, sched, content, cfg, None)
     else:
         t0 = start_timestep(cfg, sched)
         eps = Tensor(probe_noise(cfg, (content.channels, content.height,

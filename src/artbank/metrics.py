@@ -9,6 +9,7 @@ embedding similarity that still separates the procedural style families.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -62,32 +63,17 @@ def ssim(a: ImageSample, b: ImageSample) -> float:
     return float(np.mean(np.stack(values)))
 
 
-@dataclass(frozen=True)
-class FeatureBank:
-    """Two frozen random 3x3 conv layers used for Gram-feature extraction."""
-
-    conv1: np.ndarray  # (GRAM_CHANNELS, 3, 3, 3)
-    conv2: np.ndarray  # (GRAM_CHANNELS, GRAM_CHANNELS, 3, 3)
-    seed: int
-
-
-def feature_bank(seed: int = GRAM_BANK_SEED) -> FeatureBank:
-    rng = seeding.rng(seed)
+@functools.cache
+def _gram_convs() -> tuple[np.ndarray, np.ndarray]:
+    """The feature bank: two frozen random 3x3 conv layers drawn from
+    ``GRAM_BANK_SEED``, (GRAM_CHANNELS, 3, 3, 3) then
+    (GRAM_CHANNELS, GRAM_CHANNELS, 3, 3)."""
+    rng = seeding.rng(GRAM_BANK_SEED)
     conv1 = rng.normal(0.0, 1.0 / math.sqrt(3 * 9),
                        size=(GRAM_CHANNELS, 3, 3, 3))
     conv2 = rng.normal(0.0, 1.0 / math.sqrt(GRAM_CHANNELS * 9),
                        size=(GRAM_CHANNELS, GRAM_CHANNELS, 3, 3))
-    return FeatureBank(conv1=conv1, conv2=conv2, seed=seed)
-
-
-_DEFAULT_BANK: FeatureBank | None = None
-
-
-def _default_bank() -> FeatureBank:
-    global _DEFAULT_BANK
-    if _DEFAULT_BANK is None:
-        _DEFAULT_BANK = feature_bank()
-    return _DEFAULT_BANK
+    return conv1, conv2
 
 
 def _conv_valid(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -96,12 +82,13 @@ def _conv_valid(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w.reshape(cout, cin * kh * kw) @ cols).reshape(cout, oh, ow)
 
 
-def _gram_vector(img: ImageSample, fb: FeatureBank) -> np.ndarray:
+def _gram_vector(img: ImageSample) -> np.ndarray:
+    conv1, conv2 = _gram_convs()
     x = np.ascontiguousarray(img.pixels.transpose(2, 0, 1))
     if x.shape[0] == 1:
         x = np.repeat(x, 3, axis=0)
-    f = np.maximum(_conv_valid(x, fb.conv1), 0.0)
-    f = np.maximum(_conv_valid(f, fb.conv2), 0.0)
+    f = np.maximum(_conv_valid(x, conv1), 0.0)
+    f = np.maximum(_conv_valid(f, conv2), 0.0)
     flat = f.reshape(f.shape[0], -1)
     gram = (flat @ flat.T) / flat.shape[1]
     return gram.reshape(-1)
@@ -114,21 +101,17 @@ class StyleScore:
     value: float
 
 
-def signature_of(collection: Sequence[ImageSample],
-                 fb: FeatureBank | None = None) -> np.ndarray:
+def signature_of(collection: Sequence[ImageSample]) -> np.ndarray:
     """Unit-normalized mean of per-image vectorized Gram matrices."""
     if not collection:
         raise ConfigError("signature requires a non-empty collection")
-    fb = fb or _default_bank()
-    mean = np.mean([_gram_vector(img, fb) for img in collection], axis=0)
+    mean = np.mean([_gram_vector(img) for img in collection], axis=0)
     norm = float(np.linalg.norm(mean))
     return mean / norm if norm > 0.0 else mean
 
 
-def gram_style_score(img: ImageSample, signature: np.ndarray,
-                     fb: FeatureBank | None = None) -> StyleScore:
-    fb = fb or _default_bank()
-    vec = _gram_vector(img, fb)
+def gram_style_score(img: ImageSample, signature: np.ndarray) -> StyleScore:
+    vec = _gram_vector(img)
     norm = float(np.linalg.norm(vec)) * float(np.linalg.norm(signature))
     if norm == 0.0:
         return StyleScore(0.0)

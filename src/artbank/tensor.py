@@ -48,10 +48,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[Array], None] | None = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def item(self) -> float:
         if self.data.size != 1:
             raise DimensionError("item() requires a single-element tensor")
@@ -59,9 +55,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output."""
@@ -113,9 +106,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
 
 
 def _wrap(value) -> Tensor:

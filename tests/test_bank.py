@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artbank.attention import ssam_forward
-from artbank.bank import (BANK_MAGIC, ConditionVector, StyleBank,
-                          assemble_condition, bank_bytes, create_entry,
-                          encode_prompt, load_bank, save_bank)
+from artbank.bank import (BANK_MAGIC, StyleBank, assemble_condition,
+                          bank_bytes, create_entry, encode_prompt, load_bank,
+                          save_bank)
 from artbank.diffusion import Denoiser, checkpoint_bytes, load_checkpoint
 from artbank.errors import (BadMagicError, ConfigError, DimensionError,
                             DuplicateStyleError, FormatError,
                             MalformedHeaderError, TemplateError,
                             TruncatedFileError, UnknownStyleError,
                             VersionMismatchError)
-from artbank.tensor import Tensor
+from artbank.tensor import Tensor, mean_all
 
 
 def raw_bank(*entries):
@@ -44,7 +44,7 @@ class TestEncodePrompt:
         a = encode_prompt("a painting by {artist} *", "Van Gogh", 7, 16)
         b = encode_prompt("a painting by {artist} *", "Van Gogh", 7, 16)
         assert np.array_equal(a.embeddings, b.embeddings)
-        assert a.token_ids == b.token_ids
+        assert a.tokens == b.tokens
 
     def test_artists_differ_only_at_artist_rows(self):
         a = encode_prompt("a painting by {artist} *", "Monet", 7, 16)
@@ -79,46 +79,40 @@ class TestEncodePrompt:
 
 
 class TestAssembleCondition:
-    def test_row_arithmetic_and_tags(self):
-        seq = encode_prompt("a painting by {artist} *", "Van Gogh", 7, 8)
-        v_m = Tensor(np.random.default_rng(0).normal(size=(8, 4)))
+    @pytest.mark.parametrize("template, before, after", [
+        ("* by {artist}", 0, 3),
+        ("a painting * by {artist}", 2, 3),
+        ("a painting by {artist} *", 5, 0),
+        ("*", 0, 0),
+    ], ids=["first", "middle", "last", "alone"])
+    def test_splices_style_rows_at_placeholder(self, template, before, after):
+        seq = encode_prompt(template, "Van Gogh", 7, 8)
+        assert seq.placeholder_index == before
+        v_m = Tensor(np.random.default_rng(0).normal(size=(8, 4)),
+                     requires_grad=True)
         cond = assemble_condition(seq, v_m)
-        assert cond.embeddings.data.shape == (9, 8)
-        assert cond.provenance == ["text"] * 5 + ["style"] * 4
+        spliced = np.concatenate([seq.embeddings[:before], v_m.data.T,
+                                  seq.embeddings[before + 1:]])
+        assert cond.data.shape == (before + 4 + after, 8)
+        np.testing.assert_array_equal(cond.data, spliced)
+        mean_all(cond * cond).backward()
+        np.testing.assert_allclose(v_m.grad, 2.0 * v_m.data / cond.data.size,
+                                   rtol=1e-12)
 
     def test_without_style_drops_placeholder(self):
         seq = encode_prompt("a painting by {artist} *", "Van Gogh", 7, 8)
         cond = assemble_condition(seq, None)
-        assert cond.embeddings.data.shape == (5, 8)
-        assert cond.provenance == ["text"] * 5
-        np.testing.assert_array_equal(cond.embeddings.data, seq.embeddings[:5])
-
-    def test_style_rows_round_trip(self):
-        seq = encode_prompt("* by {artist}", "X", 7, 6)
-        v_m = Tensor(np.random.default_rng(1).normal(size=(6, 3)))
-        cond = assemble_condition(seq, v_m)
-        np.testing.assert_array_equal(cond.style_block(), v_m.data.T)
+        assert cond.data.shape == (5, 8)
+        np.testing.assert_array_equal(cond.data, seq.embeddings[:5])
 
     def test_bare_placeholder_without_style_is_empty(self):
         seq = encode_prompt("*", "X", 7, 6)
-        cond = assemble_condition(seq, None)
-        assert cond.embeddings is None
-        assert cond.provenance == []
+        assert assemble_condition(seq, None) is None
 
     def test_width_mismatch(self):
         seq = encode_prompt("a *", "X", 7, 6)
         with pytest.raises(DimensionError):
             assemble_condition(seq, Tensor(np.zeros((5, 3))))
-
-    def test_gradient_flows_into_style_block(self):
-        seq = encode_prompt("a painting *", "X", 7, 4)
-        v_m = Tensor(np.random.default_rng(2).normal(size=(4, 2)),
-                     requires_grad=True)
-        cond = assemble_condition(seq, v_m)
-        from artbank.tensor import mean_all
-        mean_all(cond.embeddings * cond.embeddings).backward()
-        assert v_m.grad is not None
-        assert v_m.grad.shape == (4, 2)
 
 
 class TestCreateEntry:
@@ -154,7 +148,7 @@ class TestCreateEntry:
             return assemble_condition(seq, ssam_forward(e.i_m.value, e.ssam))
 
         a, b = build(), build()
-        assert np.array_equal(a.embeddings.data, b.embeddings.data)
+        assert np.array_equal(a.data, b.data)
 
 
 class TestStyleBank:

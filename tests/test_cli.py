@@ -179,6 +179,8 @@ def untrained_checkpoint(tmp_path_factory):
     ("pretrain", "--steps", "0"),
     ("pretrain", "--steps", "-3"),
     ("train-bank", "--steps", "0"),
+    ("train-bank", "--artist", "\udcff"),
+    ("train-bank", "--template", "a \udcff *"),
     ("bench-attn", "--variants", ","),
     ("bench-attn", "--max-iters", "50"),
     ("bench-attn", "--threshold", "0"),
@@ -203,6 +205,20 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     code = run([command, *common, *args, flag, value])
     assert code == 2
     assert f"{flag[2:].replace('-', '_')} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_undecodable_config_file_exits_2(dataset, untrained_checkpoint,
+                                         tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"artist = Andr\xe9\n")
+    out = tmp_path / "never"
+    code = run(["train-bank", "--config", str(cfg), "--data", str(dataset),
+                "--checkpoint", str(untrained_checkpoint), "--bank", str(out),
+                "--style-id", "checks", "--channels", "12", "--positions", "4",
+                "--steps", "1"])
+    assert code == 2
+    assert f"config file {cfg} is not valid UTF-8" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -130,6 +130,14 @@ class TestPpmIo:
         path.write_bytes(b"P6\nnot numbers\n255\n")
         with pytest.raises(MalformedHeaderError):
             read_ppm(path)
+        # Netpbm numbers are plain ASCII decimals: no sign, no underscore,
+        # and none too long for int().
+        for header in (b"P6\n1_0 1\n255\n", b"P6\n10 +1\n255\n",
+                       b"P6\n10 1\n2_55\n",
+                       b"P6\n" + b"9" * 5000 + b" 1\n255\n"):
+            path.write_bytes(header + bytes(30))
+            with pytest.raises(MalformedHeaderError, match="non-numeric"):
+                read_ppm(path)
         # The first token is "P6x", not the P6 magic.
         path.write_bytes(b"P6x 2 2 255\n" + bytes(12))
         with pytest.raises(MalformedHeaderError):

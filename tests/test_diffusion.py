@@ -145,6 +145,7 @@ class TestDenoiser:
         d = Denoiser(3, 8, 16, seed=2)
         state = LatentState(Tensor(np.zeros((3, 4, 4))), 1)
         empty = assemble_condition(encode_prompt("*", "", 7, 16), None)
+        assert empty is None
         out = d.predict_noise(state, empty)
         assert out.data.shape == (3, 4, 4)
 

@@ -129,7 +129,7 @@ class TestStylize:
                 desk.entry_full.style_id, content,
                 InversionConfig(strength=0.6, seed=17))
         assert len(seen) == 1
-        assert seen[0].embeddings is None
+        assert seen[0] is None
 
     def test_inversion_beats_random_init_on_structure(self, desk):
         with_inv, without_inv = [], []

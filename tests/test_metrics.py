@@ -10,7 +10,7 @@ from artbank.data_io import (ImageSample, default_style_specs,
                              gen_content_image, gen_style_collection)
 from artbank.errors import ConfigError, DimensionError
 from artbank.metrics import (MOVING_AVG_WINDOW, ConvergenceReport,
-                             convergence_benchmark, feature_bank,
+                             _gram_convs, _gram_vector, convergence_benchmark,
                              format_convergence_table, gram_style_score,
                              iterations_to_threshold, signature_of, ssim,
                              write_convergence_csv)
@@ -69,8 +69,9 @@ class TestGramScores:
     def test_same_seed_bank_scores_bitwise_equal(self):
         img = gen_content_image("shapes", 16, seed=9)
         sig = signature_of([gen_content_image("photo", 16, seed=10)])
-        a = gram_style_score(img, sig, feature_bank(123))
-        b = gram_style_score(img, sig, feature_bank(123))
+        a = gram_style_score(img, sig)
+        _gram_convs.cache_clear()  # the second score redraws the bank
+        b = gram_style_score(img, sig)
         assert a.value == b.value
 
     def test_own_family_scores_higher(self):
@@ -97,11 +98,9 @@ class TestGramScores:
         size = 24
         fams = sorted(specs)
         grams = {}
-        from artbank.metrics import _gram_vector, _default_bank
-        fb = _default_bank()
         for name in fams:
             coll = gen_style_collection(specs[name], 12, size, seed=55)
-            grams[name] = [_gram_vector(img, fb) for img in coll]
+            grams[name] = [_gram_vector(img) for img in coll]
 
         def mean_dist(xs, ys, same):
             total, count = 0.0, 0
