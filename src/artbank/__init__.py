@@ -21,7 +21,7 @@ from .diffusion import (Denoiser, LatentState, NoiseSchedule,
 from .inversion import InversionConfig, stochastic_invert, stylize
 from .metrics import (ConvergenceReport, StyleScore, convergence_benchmark,
                       gram_style_score, signature_of, ssim)
-from .optim import AdamConfig, AdamState, adam_step, grad_check
+from .optim import AdamState, adam_step, grad_check
 from .tensor import Parameter, Tensor, channel_norm, matmul, softmax_rows
 
 __version__ = "0.1.0"

@@ -272,6 +272,8 @@ def _paired_paths(a: str, b: str) -> list[tuple[Path, Path]]:
         return [(pa, pb)]
     if pa.is_dir() and pb.is_dir():
         left, right = _image_files(pa), _image_files(pb)
+        if not left:
+            raise ConfigError(f"no .ppm/.pgm images under {pa}")
         if len(left) != len(right):
             raise ConfigError("content and stylized directories differ in size")
         return list(zip(left, right))
@@ -301,10 +303,9 @@ def cmd_eval(cfg: RunConfig) -> int:
             row["style_score_content"] = repr(
                 metrics.gram_style_score(content, signature).value)
         rows.append(row)
-    headers = list(rows[0].keys()) if rows else ["content", "stylized", "ssim"]
     if cfg.out_path:
         with open(cfg.out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=headers)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     for row in rows:

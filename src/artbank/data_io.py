@@ -39,8 +39,9 @@ class ImageSample:
             raise DimensionError(
                 f"pixel buffer shape {self.pixels.shape} does not match "
                 f"({self.height}, {self.width}, {self.channels})")
-        if self.pixels.size and (float(self.pixels.min()) < 0.0
-                                 or float(self.pixels.max()) > 1.0):
+        # Written so that a NaN, which compares false, fails it.
+        if self.pixels.size and not (0.0 <= float(self.pixels.min())
+                                     and float(self.pixels.max()) <= 1.0):
             raise ConfigError("pixel values must lie in [0, 1]")
 
     @classmethod

@@ -4,7 +4,7 @@ A linear-beta noise schedule, a small conditional noise-prediction network
 (two 3x3 convs down, one cross-attention block over condition rows, two
 convs up, GELU activations, sinusoidal timestep features added after the
 first conv), the naive all-parameters trainer, the bank-entry trainer that
-keeps the backbone frozen, and DDPM/DDIM samplers.
+keeps the backbone frozen, and a deterministic DDIM sampler.
 """
 
 from __future__ import annotations
@@ -24,36 +24,33 @@ from .bank import (DEFAULT_VOCAB_SEED, StyleBankEntry, assemble_condition,
 from .data_io import ImageSample
 from .errors import (ArtBankError, ConfigError, ContractError,
                      DimensionError, MalformedHeaderError)
-from .optim import AdamConfig, AdamState, adam_step, zero_grads
+from .optim import AdamState, adam_step, zero_grads
 from .tensor import (Parameter, Tensor, conv2d, gelu, matmul, mean_all,
                      reshape, softmax_rows, transpose)
 
 CHECKPOINT_MAGIC = b"ABDN"
 CHECKPOINT_VERSION = 1
 
+# The beta range, linear over steps 1..T.
+BETA_START = 1e-4
+BETA_END = 0.02
+PROBE_DRAWS = 200  # forward draws averaged by ``ispb_eval_loss``
+
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Diffusion constants indexed 1..T; index 0 holds the clean limit."""
+    """Cumulative signal fractions indexed 1..T; index 0 is the clean limit."""
 
     timesteps: int
-    beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
 
 
-def make_schedule(timesteps: int = 100, beta_start: float = 1e-4,
-                  beta_end: float = 0.02) -> NoiseSchedule:
+def make_schedule(timesteps: int = 100) -> NoiseSchedule:
     if timesteps < 1:
         raise ConfigError("timesteps must be at least 1")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError("beta range must satisfy 0 < start <= end < 1")
     beta = np.zeros(timesteps + 1)
-    beta[1:] = np.linspace(beta_start, beta_end, timesteps)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    return NoiseSchedule(timesteps=timesteps, beta=beta, alpha=alpha,
-                         alpha_bar=alpha_bar)
+    beta[1:] = np.linspace(BETA_START, BETA_END, timesteps)
+    return NoiseSchedule(timesteps=timesteps, alpha_bar=np.cumprod(1.0 - beta))
 
 
 @dataclass
@@ -230,8 +227,7 @@ def _prepare_text_conditions(prompts: Sequence[str], vocab_seed: int,
 
 def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
                 cond: Tensor | None, sched: NoiseSchedule,
-                params: list[Parameter], state: AdamState,
-                hyper: AdamConfig) -> float:
+                params: list[Parameter], state: AdamState, lr: float) -> float:
     """One Adam update of ``params`` on the squared error between ``eps``
     and its prediction for ``x0`` noised to ``t``; returns the loss."""
     pred = d.predict_noise(q_sample(x0, t, eps, sched), cond)
@@ -239,7 +235,7 @@ def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
     loss = mean_all(diff * diff)
     zero_grads(params)
     loss.backward()
-    adam_step(params, state, hyper)
+    adam_step(params, state, lr)
     return loss.item()
 
 
@@ -268,14 +264,13 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
     rng = seeding.rng(seed)
     params = d.parameters()
     state = AdamState()
-    hyper = AdamConfig(lr=lr)
     trace: list[float] = []
     for _ in range(steps):
         idx = int(rng.integers(len(tensors)))
         t = int(rng.integers(1, sched.timesteps + 1))
         eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
         trace.append(_noise_step(d, tensors[idx], t, eps, conds[idx], sched,
-                                 params, state, hyper))
+                                 params, state, lr))
     return trace
 
 
@@ -370,7 +365,6 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
     tensors = [img.to_tensor() for img in style_images]
     rng = seeding.rng(seed)
     state = AdamState()
-    hyper = AdamConfig(lr=lr)
     trace: list[float] = []
     t_block: list[int] = []
     img_epoch: list[int] = []
@@ -385,7 +379,7 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
         eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
         cond = assemble_condition(seq, encode())
         loss = _noise_step(d, tensors[idx], t, eps, cond, sched, params,
-                           state, hyper)
+                           state, lr)
         trace.append(loss)
         if on_step is not None and on_step(StepRecord(step, t, idx, loss)):
             break
@@ -394,18 +388,15 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
 
 def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
                    style_images: Sequence[ImageSample], sched: NoiseSchedule,
-                   seed: int, n_draws: int = 200,
-                   vocab_seed: int = DEFAULT_VOCAB_SEED,
+                   seed: int, vocab_seed: int = DEFAULT_VOCAB_SEED,
                    variant: str = "ssam") -> float:
     """Noise-prediction loss of an entry on a fixed probe set (no training).
 
-    Deterministic given the seed; timesteps cycle 1..T so the estimate is
-    balanced over the schedule. Used as the pre-training reference when
-    measuring how fast an encoder variant converges; ``train_ispb`` with the
-    same seed starts from the same encoder.
+    Averages ``PROBE_DRAWS`` draws, deterministic given the seed; timesteps
+    cycle 1..T so the estimate is balanced over the schedule. Used as the
+    pre-training reference when measuring how fast an encoder variant
+    converges; ``train_ispb`` with the same seed starts from the same encoder.
     """
-    if n_draws < 1:
-        raise ConfigError(f"n_draws must be at least 1, got {n_draws}")
     if not style_images:
         raise ConfigError("evaluation requires a non-empty style collection")
     _, encode = encoder_builder(variant)(entry, seed)
@@ -414,7 +405,7 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
     rng = seeding.rng_for(seed, "ispb-probe")
     cond = assemble_condition(seq, encode().detach())
     total = 0.0
-    for draw in range(n_draws):
+    for draw in range(PROBE_DRAWS):
         idx = draw % len(tensors)
         t = (draw % sched.timesteps) + 1
         eps = rng.standard_normal(tensors[idx].data.shape)
@@ -422,46 +413,19 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
         pred = d.predict_noise(noisy, cond)
         diff = eps - pred.data
         total += float(np.mean(diff * diff))
-    return total / n_draws
+    return total / PROBE_DRAWS
 
 
-def sample(d, sched: NoiseSchedule, cond: Tensor | None, mode: str = "ddim",
-           shape: tuple[int, int, int] | None = None, seed: int | None = None,
-           init: LatentState | None = None) -> ImageSample:
-    """Run the reverse process from pure noise or a provided start state.
-
-    ``ddim`` (eta = 0) is fully deterministic given its start state; ``ddpm``
-    additionally draws per-step noise from the seeded generator. The output
-    is clamped to [0, 1].
-    """
-    if mode not in ("ddpm", "ddim"):
-        raise ConfigError(f"unknown sampling mode: {mode!r}")
-    rng = None
-    if init is not None:
-        _check_t(init.t, sched)
-        z = init.z.data.copy()
-        t_start = init.t
-        if mode == "ddpm" and t_start > 1:
-            if seed is None:
-                raise ConfigError("ddpm sampling needs a seed for per-step noise")
-            rng = seeding.rng(seed)
-    else:
-        if shape is None or seed is None:
-            raise ConfigError("sampling from noise requires a shape and a seed")
-        rng = seeding.rng(seed)
-        z = rng.standard_normal(shape)
-        t_start = sched.timesteps
-    for t in range(t_start, 0, -1):
+def sample(d, sched: NoiseSchedule, cond: Tensor | None,
+           init: LatentState) -> ImageSample:
+    """Run DDIM (eta = 0, no noise drawn) from the start state ``init`` back
+    to step zero; the output is clamped to [0, 1]."""
+    _check_t(init.t, sched)
+    z = init.z.data.copy()
+    for t in range(init.t, 0, -1):
         eps_hat = d.predict_noise(LatentState(Tensor(z), t), cond).data
         ab_t = sched.alpha_bar[t]
         ab_prev = sched.alpha_bar[t - 1]
-        if mode == "ddim":
-            x0 = (z - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
-            z = np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps_hat
-        else:
-            coef = sched.beta[t] / np.sqrt(1.0 - ab_t)
-            mean = (z - coef * eps_hat) / np.sqrt(sched.alpha[t])
-            if t > 1:
-                mean = mean + np.sqrt(sched.beta[t]) * rng.standard_normal(z.shape)
-            z = mean
+        x0 = (z - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
+        z = np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps_hat
     return ImageSample.from_tensor(Tensor(np.clip(z, 0.0, 1.0)))

@@ -90,4 +90,4 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
                                        content.width)))
     start = q_sample(content.to_tensor(), t0, eps, sched)
     cond = assemble_condition(seq, ssam_forward(entry.i_m.value, entry.ssam))
-    return sample(d, sched, cond, mode="ddim", init=start)
+    return sample(d, sched, cond, start)

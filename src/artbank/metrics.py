@@ -20,7 +20,7 @@ import numpy as np
 from . import seeding
 from .bank import DEFAULT_VOCAB_SEED, create_entry
 from .data_io import ImageSample
-from .diffusion import (Denoiser, NoiseSchedule, StepRecord, encoder_builder,
+from .diffusion import (Denoiser, NoiseSchedule, encoder_builder,
                         ispb_eval_loss, train_ispb)
 from .errors import ConfigError, DimensionError
 from .tensor import im2col
@@ -129,32 +129,41 @@ class ConvergenceReport:
     median_iters: int | None
 
 
-def iterations_to_threshold(trace: Sequence[float], threshold_frac: float,
-                            window: int = MOVING_AVG_WINDOW,
-                            initial_loss: float | None = None) -> int | None:
-    """First iteration whose trailing moving-average loss drops below
-    ``threshold_frac`` times the initial loss.
+def _crossing_detector(threshold: float) -> Callable[[float], bool]:
+    """A function fed one step's loss per call, in order, that returns
+    ``True`` once the trailing ``MOVING_AVG_WINDOW``-step mean loss is below
+    ``threshold``. The only copy of the crossing rule: ``train_ispb``'s hook
+    and ``iterations_to_threshold`` both run it."""
+    csum = [0.0]
+    k = MOVING_AVG_WINDOW
 
-    ``initial_loss`` should be a probe evaluation of the untrained entry;
-    when omitted, the first window's mean stands in for it. A crossing in
-    the first full window is censored (the true one may lie earlier), so it
-    is returned as ``window`` with a ``RuntimeWarning``.
+    def crossed(loss: float) -> bool:
+        csum.append(csum[-1] + loss)
+        n = len(csum) - 1
+        return n >= k and (csum[n] - csum[n - k]) / k < threshold
+
+    return crossed
+
+
+def iterations_to_threshold(trace: Sequence[float], threshold_frac: float,
+                            initial_loss: float) -> int | None:
+    """First iteration whose trailing moving-average loss drops below
+    ``threshold_frac`` times ``initial_loss``, a probe evaluation of the
+    untrained entry.
+
+    A crossing in the first full window is censored (the true one may lie
+    earlier), so it is returned as the window length with a
+    ``RuntimeWarning``.
     """
-    if len(trace) < window:
-        return None
-    arr = np.asarray(trace, dtype=np.float64)
-    csum = np.concatenate([[0.0], np.cumsum(arr)])
-    moving = (csum[window:] - csum[:-window]) / window
-    initial = moving[0] if initial_loss is None else initial_loss
-    below = np.nonzero(moving < threshold_frac * initial)[0]
-    if below.size == 0:
-        return None
-    if below[0] == 0:
+    crossed = _crossing_detector(threshold_frac * initial_loss)
+    step = next((i for i, loss in enumerate(trace, start=1) if crossed(loss)),
+                None)  # 1-based iteration index
+    if step == MOVING_AVG_WINDOW:
         warnings.warn(
             f"loss is already below {threshold_frac} x initial in the first "
-            f"{window}-step window; the crossing is censored at {window}",
+            f"{step}-step window; the crossing is censored at {step}",
             RuntimeWarning, stacklevel=2)
-    return int(below[0]) + window  # 1-based iteration index
+    return step
 
 
 def _median_or_none(values: list[int | None]) -> int | None:
@@ -169,25 +178,6 @@ def _median_or_none(values: list[int | None]) -> int | None:
     return (lo + hi) // 2
 
 
-def _crossing_detector(threshold: float) -> Callable[[StepRecord], bool]:
-    """A ``train_ispb`` hook that stops training at the first step whose
-    trailing ``MOVING_AVG_WINDOW``-step mean loss is below ``threshold``.
-
-    It keeps the prefix sums ``iterations_to_threshold`` computes, added in
-    the same order as ``np.cumsum``, so it stops exactly at the step that
-    function reports for the full trace.
-    """
-    csum = [0.0]
-    k = MOVING_AVG_WINDOW
-
-    def on_step(record: StepRecord) -> bool:
-        csum.append(csum[-1] + record.loss)
-        n = len(csum) - 1
-        return n >= k and (csum[n] - csum[n - k]) / k < threshold
-
-    return on_step
-
-
 def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
                sched: NoiseSchedule, variant: str, seed: int,
                loss_threshold: float, max_iters: int, channels: int,
@@ -196,11 +186,11 @@ def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
                          seed=seeding.derive_seed(seed, f"bench-entry-{variant}"))
     initial = ispb_eval_loss(d, entry, collection, sched, seed=seed,
                              vocab_seed=vocab_seed, variant=variant)
+    crossed = _crossing_detector(loss_threshold * initial)
     trace = train_ispb(d, entry, collection, sched, max_iters, seed=seed,
                        lr=lr, vocab_seed=vocab_seed, variant=variant,
-                       on_step=_crossing_detector(loss_threshold * initial))
-    return iterations_to_threshold(trace, loss_threshold,
-                                   initial_loss=initial)
+                       on_step=lambda r: crossed(r.loss))
+    return iterations_to_threshold(trace, loss_threshold, initial)
 
 
 def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],

@@ -13,17 +13,9 @@ from .tensor import Parameter, Tensor
 
 Array = np.ndarray
 
-
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -36,24 +28,25 @@ class AdamState:
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState,
-              hyper: AdamConfig | None = None) -> AdamState:
+              lr: float = 1e-3) -> AdamState:
     """Apply one Adam update in place; deterministic given identical inputs."""
-    hyper = hyper or AdamConfig()
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ConfigError(f"lr must be finite and positive, got {lr}")
     state.step_count += 1
     t = state.step_count
-    bias1 = 1.0 - hyper.beta1 ** t
-    bias2 = 1.0 - hyper.beta2 ** t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
     for p in params:
         g = p.value.grad
         if g is None:
             raise MissingGradError(f"parameter '{p.name}' has no gradient")
         m = state.m.setdefault(p.name, np.zeros_like(p.value.data))
         v = state.v.setdefault(p.name, np.zeros_like(p.value.data))
-        m += (1.0 - hyper.beta1) * (g - m)
-        v += (1.0 - hyper.beta2) * (g * g - v)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
         m_hat = m / bias1
         v_hat = v / bias2
-        p.value.data -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return state
 
 

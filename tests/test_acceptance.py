@@ -187,8 +187,8 @@ def test_criterion_05_sampler_and_inversion_identities(desk):
     for t0 in (1, 7, 23, 50, 77, 100):
         eps = rng.standard_normal(z0.shape)
         state = q_sample(Tensor(z0), t0, Tensor(eps), sched)
-        out = sample(_TrueNoiseOracle(eps), sched, cond, mode="ddim",
-                     init=LatentState(state.z, t0))
+        out = sample(_TrueNoiseOracle(eps), sched, cond,
+                     LatentState(state.z, t0))
         worst = max(worst, float(np.abs(out.pixels.transpose(2, 0, 1) - z0).max()))
     recon_ok = worst <= 1e-6
 
@@ -199,10 +199,10 @@ def test_criterion_05_sampler_and_inversion_identities(desk):
                                           content, cfg, cond)
     invert_ok = np.array_equal(eps_pred.data, probe) and t_start == 60
 
-    s1 = sample(desk.backbone, sched, cond, mode="ddim", shape=(3, 16, 16),
-                seed=23)
-    s2 = sample(desk.backbone, sched, cond, mode="ddim", shape=(3, 16, 16),
-                seed=23)
+    noise = np.random.default_rng(23).standard_normal((3, 16, 16))
+    start = LatentState(Tensor(noise), sched.timesteps)
+    s1 = sample(desk.backbone, sched, cond, start)
+    s2 = sample(desk.backbone, sched, cond, start)
     ddim_ok = np.array_equal(s1.pixels, s2.pixels)
 
     _criterion(5, "oracle reconstruction, probe identity, ddim repeatability",

@@ -268,6 +268,18 @@ def test_missing_file_nonzero_exit(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_eval_empty_directories_exit_2(tmp_path, capsys):
+    content, stylized = tmp_path / "c", tmp_path / "s"
+    content.mkdir()
+    stylized.mkdir()
+    out = tmp_path / "e.csv"
+    code = run(["eval", "--content", str(content), "--stylized",
+                str(stylized), "--out", str(out)])
+    assert code == 2
+    assert f"no .ppm/.pgm images under {content}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runs_print_config_and_seed(tmp_path, capsys):
     path = tmp_path / "cfgbank.ispb"
     save_bank(StyleBank(), path)

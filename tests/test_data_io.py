@@ -15,6 +15,13 @@ class TestImageSample:
         with pytest.raises(ConfigError):
             ImageSample.from_array(np.full((2, 2, 3), 1.5))
 
+    def test_nan_pixels_rejected(self):
+        one_nan = np.full((8, 8, 3), 0.5)
+        one_nan[3, 4, 1] = np.nan
+        for pixels in (np.full((8, 8, 3), np.nan), one_nan):
+            with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+                ImageSample.from_array(pixels)
+
     def test_tensor_round_trip(self):
         img = gen_content_image("photo", 8, seed=1)
         back = ImageSample.from_tensor(img.to_tensor())

@@ -1,11 +1,14 @@
 """The desk rig's determinism and the experiment scripts that build on it."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
 from artbank import desk
 from artbank.bank import bank_bytes
+from artbank.desk import contents
 from artbank.diffusion import checkpoint_bytes
+from artbank.inversion import stylize
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -24,6 +27,41 @@ def test_tiny_builds_are_byte_identical():
     assert bank_bytes(a.bank) == bank_bytes(b.bank)
     assert [e.style_id for e in a.bank.entries()] == [
         desk.TARGET_STYLE_ID, f"{desk.TARGET_STYLE_ID}-droptext"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_fixture_artifacts_pinned(desk):
+    """The session rig's checkpoint, bank and stylized pixels, by SHA-256.
+
+    The values hold for numpy 2.4.6 with the scipy-openblas 0.3.31 BLAS on
+    x86-64; another numpy or BLAS build may round differently. Identical
+    seeds must give byte-identical artifacts (ROADMAP), so a change that
+    moves any of these values must say so and pin the new ones.
+    """
+    assert _sha256(checkpoint_bytes(desk.backbone)) == (
+        "472ac8a898aa05dd89838f76e6a4d233bb9c98ba8e396501e49038f3aece6558")
+    assert _sha256(bank_bytes(desk.bank)) == (
+        "ee8c70f68b5032c614444a76a86ccae37c0612b682327f8aad4b5f8a05acf02b")
+    [(content, cfg)] = contents(1)
+    stylized = {
+        (style_id, inverted): _sha256(stylize(
+            desk.backbone, desk.sched, desk.bank, style_id, content, cfg,
+            use_inversion=inverted).pixels.tobytes())
+        for style_id in ("rosetta", "rosetta-droptext")
+        for inverted in (True, False)}
+    assert stylized == {
+        ("rosetta", True):
+            "efbd6266230ec63a0a25f4546008a99b46c65f9ca1bb289d8ca47079c5240601",
+        ("rosetta", False):
+            "0df27df1953806d8810385994697d44182cbaf2ce144adfee35c2a1e7de37bd7",
+        ("rosetta-droptext", True):
+            "d0d743bba7a3d0859d4cb76d671d18411f9e43fe3c827a79a2c3996fc35da54c",
+        ("rosetta-droptext", False):
+            "7d20717c4e50c9ac722508d5a68851921facfb13b53acf03c4dcc0084fd99522",
+    }
 
 
 def test_convergence_script_runs(tmp_path, capsys):

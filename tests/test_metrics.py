@@ -135,7 +135,8 @@ class TestGramScores:
 
 class TestConvergenceMachinery:
     def test_too_short_trace_not_converged(self):
-        assert iterations_to_threshold([1.0] * 50, 0.85) is None
+        # below the threshold throughout, but no full 100-step window
+        assert iterations_to_threshold([1.0] * 99, 0.85, initial_loss=10.0) is None
 
     def test_first_crossing_with_probe_initial(self):
         trace = [1.0] * 150 + [0.1] * 250

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from artbank.errors import (DimensionError, MissingGradError, NumericError)
-from artbank.optim import AdamConfig, AdamState, adam_step, grad_check, zero_grads
+from artbank.optim import AdamState, adam_step, grad_check, zero_grads
 from artbank.tensor import (Parameter, Tensor, channel_norm, clamp_min,
                             concat_rows, conv2d, gelu, matmul, mean_all,
                             reshape, softmax_rows, sqrt, sum_all, transpose)
@@ -201,18 +201,17 @@ class TestAdam:
     def test_first_step_magnitude(self):
         p = Parameter("x", Tensor(np.asarray(0.0)))
         p.value.grad = np.asarray(1.0)  # gradient of f(x) = x
-        adam_step([p], AdamState(), AdamConfig(lr=0.001))
+        adam_step([p], AdamState(), lr=0.001)
         assert abs(float(p.value.data) + 0.001) < 1e-9
 
     def test_converges_on_quadratic(self):
         p = Parameter("x", Tensor(np.asarray(0.0)))
         state = AdamState()
-        hyper = AdamConfig(lr=0.1)
         for _ in range(200):
             zero_grads([p])
             loss = mean_all((p.value - 2.0) * (p.value - 2.0))
             loss.backward()
-            adam_step([p], state, hyper)
+            adam_step([p], state, lr=0.1)
         assert abs(float(p.value.data) - 2.0) < 0.5
 
     def test_missing_grad_names_parameter(self):
@@ -228,7 +227,7 @@ class TestAdam:
                 zero_grads([p])
                 loss = mean_all(p.value * p.value * p.value - p.value)
                 loss.backward()
-                adam_step([p], state, AdamConfig(lr=0.01))
+                adam_step([p], state, lr=0.01)
             return p.value.data.copy()
 
         np.testing.assert_array_equal(run(), run())
