@@ -1,11 +1,12 @@
 """Self-attention encoders that map a trainable style matrix to pseudo-token
 embeddings.
 
-``ssam_forward`` augments plain statistical self-attention with learnable
-per-row/per-column weightings of the attention map and blends them with a
-learnable scalar; the attention-weighted mean and standard deviation then
-scale-and-shift the channel-normalized input. ``adaattn_forward`` and
-``sanet_forward`` are the two baseline encoders used for ablations.
+All three share one core: ``_attention_map`` is the row-softmax map of the
+query/key projections, and ``_statistical`` scales and shifts the
+channel-normalized input by the value projection's mean and std under a map.
+``ssam_forward`` reweights the map spatially first, ``adaattn_forward`` (the
+statistical baseline) uses it raw, and ``sanet_forward`` (the residual
+baseline) adds attended values back onto the style matrix.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import (Parameter, Tensor, channel_norm, clamp_min, matmul, mul,
-                     softmax_rows, sqrt, transpose)
-
-DEFAULT_EPS = 1e-8
+from .tensor import (EPS, Parameter, Tensor, channel_norm, clamp_min, matmul,
+                     mul, softmax_rows, sqrt, transpose)
 
 
 @dataclass
@@ -81,31 +80,37 @@ def init_output_proj(channels: int, rng: np.random.Generator) -> Parameter:
                                                size=(channels, channels))))
 
 
-def _check_style_matrix(i_m: Tensor, channels: int, positions: int) -> None:
-    if i_m.data.ndim != 2:
+def check_style_matrix(i_m: Tensor, channels: int,
+                       positions: int | None = None) -> None:
+    """Refuse a style matrix that is not 2-d with ``channels`` rows and, when
+    ``positions`` is given, that many columns."""
+    shape = i_m.data.shape
+    if len(shape) != 2:
         raise DimensionError("style matrix must be 2-d (C x N)")
-    if i_m.data.shape != (channels, positions):
+    if shape[0] != channels or positions not in (None, shape[1]):
         raise DimensionError(
-            f"style matrix shape {i_m.data.shape} does not match "
-            f"encoder dims ({channels}, {positions})")
+            f"style matrix shape {shape} does not match encoder dims "
+            f"({channels}, {'N' if positions is None else positions})")
 
 
-def _attention_stats(v: Tensor, weights_t: Tensor,
-                     eps: float) -> tuple[Tensor, Tensor]:
-    """Attention-weighted mean and standard deviation of the value matrix.
-
-    ``weights_t`` is the transposed attention map; the variance argument is
-    clamped at zero and shifted by ``eps`` before the square root so the
-    result stays real even when the weighting rows are not normalized.
-    """
-    attn_mean = matmul(v, weights_t)
-    second_moment = matmul(mul(v, v), weights_t)
-    variance = clamp_min(second_moment - mul(attn_mean, attn_mean), 0.0)
-    attn_std = sqrt(variance + eps)
-    return attn_mean, attn_std
+def _attention_map(src: Tensor, w_q: Parameter, w_k: Parameter) -> Tensor:
+    """The N x N row-softmax map of ``src``'s query/key projections."""
+    return softmax_rows(matmul(transpose(matmul(w_q.value, src)),
+                               matmul(w_k.value, src)))
 
 
-def ssam_forward(i_m: Tensor, p: SsamParams, eps: float = DEFAULT_EPS) -> Tensor:
+def _statistical(i_m: Tensor, w_v: Parameter, weights: Tensor) -> Tensor:
+    """Scale and shift ``channel_norm(i_m)`` by the mean and std of the
+    values ``w_v i_m`` under the rows of ``weights``; the variance is clamped
+    at zero and shifted by ``EPS``, so unnormalized rows stay real."""
+    v = matmul(w_v.value, i_m)
+    weights_t = transpose(weights)
+    mean = matmul(v, weights_t)
+    variance = clamp_min(matmul(mul(v, v), weights_t) - mul(mean, mean), 0.0)
+    return mul(sqrt(variance + EPS), channel_norm(i_m)) + mean
+
+
+def ssam_forward(i_m: Tensor, p: SsamParams) -> Tensor:
     """Encode a C x N style matrix into a C x N embedding block.
 
     Pipeline: project to query/key/value, form the N x N row-softmax
@@ -113,50 +118,28 @@ def ssam_forward(i_m: Tensor, p: SsamParams, eps: float = DEFAULT_EPS) -> Tensor
     blend with ``alpha``, then shift/scale the channel-normalized input by
     the attention-weighted mean/std.
     """
-    _check_style_matrix(i_m, p.channels, p.positions)
-    q = matmul(p.w_q.value, i_m)
-    k = matmul(p.w_k.value, i_m)
-    v = matmul(p.w_v.value, i_m)
-    attn = softmax_rows(matmul(transpose(q), k))
+    check_style_matrix(i_m, p.channels, p.positions)
+    attn = _attention_map(i_m, p.w_q, p.w_k)
     # Same as alpha*(A*w_col) + (1-alpha)*(A*w_row), but exactly A at
     # all-ones weights for any alpha (the reduction to the baseline).
     weighted = mul(attn, 1.0 + p.alpha.value * (p.w_col.value - 1.0)
                    + (1.0 - p.alpha.value) * (p.w_row.value - 1.0))
-    attn_mean, attn_std = _attention_stats(v, transpose(weighted), eps)
-    return mul(attn_std, channel_norm(i_m, eps)) + attn_mean
-
-
-def _check_channels(i_m: Tensor, channels: int) -> None:
-    if i_m.data.ndim != 2:
-        raise DimensionError("style matrix must be 2-d (C x N)")
-    if i_m.data.shape[0] != channels:
-        raise DimensionError(
-            f"style matrix has {i_m.data.shape[0]} channels, encoder expects "
-            f"{channels}")
+    return _statistical(i_m, p.w_v, weighted)
 
 
 def adaattn_forward(i_m: Tensor, w_q: Parameter, w_k: Parameter,
-                    w_v: Parameter, eps: float = DEFAULT_EPS) -> Tensor:
+                    w_v: Parameter) -> Tensor:
     """Statistical baseline: like ``ssam_forward`` with the raw attention
     map (no spatial weighting, no blend)."""
-    _check_channels(i_m, w_q.value.data.shape[0])
-    q = matmul(w_q.value, i_m)
-    k = matmul(w_k.value, i_m)
-    v = matmul(w_v.value, i_m)
-    attn = softmax_rows(matmul(transpose(q), k))
-    attn_mean, attn_std = _attention_stats(v, transpose(attn), eps)
-    return mul(attn_std, channel_norm(i_m, eps)) + attn_mean
+    check_style_matrix(i_m, w_q.value.data.shape[0])
+    return _statistical(i_m, w_v, _attention_map(i_m, w_q, w_k))
 
 
 def sanet_forward(i_m: Tensor, w_q: Parameter, w_k: Parameter,
-                  w_v: Parameter, w_o: Parameter,
-                  eps: float = DEFAULT_EPS) -> Tensor:
+                  w_v: Parameter, w_o: Parameter) -> Tensor:
     """Residual baseline: attention over the normalized input, projected and
     added back onto the raw style matrix."""
-    _check_channels(i_m, w_q.value.data.shape[0])
-    normed = channel_norm(i_m, eps)
-    q = matmul(w_q.value, normed)
-    k = matmul(w_k.value, normed)
+    check_style_matrix(i_m, w_q.value.data.shape[0])
+    attn = _attention_map(channel_norm(i_m), w_q, w_k)
     v = matmul(w_v.value, i_m)
-    attn = softmax_rows(matmul(transpose(q), k))
     return i_m + matmul(w_o.value, matmul(v, transpose(attn)))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container, seeding
-from .attention import SsamParams, init_ssam_params
+from .attention import SsamParams, check_style_matrix, init_ssam_params
 from .errors import (ArtBankError, ConfigError, DimensionError,
                      DuplicateStyleError, MalformedHeaderError, TemplateError,
                      UnknownStyleError)
@@ -61,11 +61,7 @@ class StyleBankEntry:
 
     def __post_init__(self) -> None:
         _validate_template(self.template)
-        c, n = self.ssam.channels, self.ssam.positions
-        if self.i_m.value.data.shape != (c, n):
-            raise DimensionError(
-                f"style matrix shape {self.i_m.value.data.shape} does not "
-                f"match encoder dims ({c}, {n})")
+        check_style_matrix(self.i_m.value, self.channels, self.positions)
 
     @property
     def channels(self) -> int:

@@ -213,26 +213,30 @@ def load_checkpoint(path) -> Denoiser:
     return d
 
 
-def _prepare_text_conditions(prompts: Sequence[str], vocab_seed: int,
-                             width: int) -> list[Tensor | None]:
-    cache: dict[str, Tensor | None] = {}
-    conds = []
-    for prompt in prompts:
-        if prompt not in cache:
-            seq = encode_prompt(prompt, "", vocab_seed, width)
-            cache[prompt] = assemble_condition(seq, None)
-        conds.append(cache[prompt])
-    return conds
+def _image_tensors(d: Denoiser, images: Sequence[ImageSample]) -> list[Tensor]:
+    """The images as (C, H, W) tensors; refuses any image whose channel count
+    is not the denoiser's, before a step runs."""
+    for i, img in enumerate(images):
+        if img.channels != d.in_channels:
+            raise DimensionError(
+                f"image {i} has {img.channels} channels, the denoiser takes "
+                f"in_channels={d.in_channels}")
+    return [img.to_tensor() for img in images]
+
+
+def _noise_loss(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
+                cond: Tensor | None, sched: NoiseSchedule) -> Tensor:
+    """Mean squared error between ``eps`` and the denoiser's prediction for
+    ``x0`` noised to ``t`` with it."""
+    diff = eps - d.predict_noise(q_sample(x0, t, eps, sched), cond)
+    return mean_all(diff * diff)
 
 
 def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
                 cond: Tensor | None, sched: NoiseSchedule,
                 params: list[Parameter], state: AdamState, lr: float) -> float:
-    """One Adam update of ``params`` on the squared error between ``eps``
-    and its prediction for ``x0`` noised to ``t``; returns the loss."""
-    pred = d.predict_noise(q_sample(x0, t, eps, sched), cond)
-    diff = eps - pred
-    loss = mean_all(diff * diff)
+    """One Adam update of ``params`` on ``_noise_loss``; returns the loss."""
+    loss = _noise_loss(d, x0, t, eps, cond, sched)
     zero_grads(params)
     loss.backward()
     adam_step(params, state, lr)
@@ -256,11 +260,13 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
         raise ConfigError("training requires a non-empty image set")
     if d.frozen:
         raise ContractError("cannot run naive training on a frozen denoiser")
-    prompts = list(prompts) or ["an image *"]
-    conds = _prepare_text_conditions(
-        [prompts[i % len(prompts)] for i in range(len(images))],
-        vocab_seed, d.cond_dim)
-    tensors = [img.to_tensor() for img in images]
+    tensors = _image_tensors(d, images)
+    # Image i trains under prompt i, cycling; prompts past the last image
+    # are never used.
+    prompts = list(prompts)[:len(images)] or ["an image *"]
+    conds = {p: assemble_condition(encode_prompt(p, "", vocab_seed, d.cond_dim),
+                                   None)
+             for p in dict.fromkeys(prompts)}
     rng = seeding.rng(seed)
     params = d.parameters()
     state = AdamState()
@@ -269,7 +275,8 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
         idx = int(rng.integers(len(tensors)))
         t = int(rng.integers(1, sched.timesteps + 1))
         eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
-        trace.append(_noise_step(d, tensors[idx], t, eps, conds[idx], sched,
+        trace.append(_noise_step(d, tensors[idx], t, eps,
+                                 conds[prompts[idx % len(prompts)]], sched,
                                  params, state, lr))
     return trace
 
@@ -362,7 +369,7 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
         raise ConfigError("training requires a non-empty style collection")
     params, encode = encoder_builder(variant)(entry, seed)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
-    tensors = [img.to_tensor() for img in style_images]
+    tensors = _image_tensors(d, style_images)
     rng = seeding.rng(seed)
     state = AdamState()
     trace: list[float] = []
@@ -401,18 +408,15 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
         raise ConfigError("evaluation requires a non-empty style collection")
     _, encode = encoder_builder(variant)(entry, seed)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
-    tensors = [img.to_tensor() for img in style_images]
+    tensors = _image_tensors(d, style_images)
     rng = seeding.rng_for(seed, "ispb-probe")
     cond = assemble_condition(seq, encode().detach())
     total = 0.0
     for draw in range(PROBE_DRAWS):
         idx = draw % len(tensors)
         t = (draw % sched.timesteps) + 1
-        eps = rng.standard_normal(tensors[idx].data.shape)
-        noisy = q_sample(tensors[idx], t, Tensor(eps), sched)
-        pred = d.predict_noise(noisy, cond)
-        diff = eps - pred.data
-        total += float(np.mean(diff * diff))
+        eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
+        total += _noise_loss(d, tensors[idx], t, eps, cond, sched).item()
     return total / PROBE_DRAWS
 
 

@@ -60,8 +60,7 @@ def stochastic_invert(d, sched: NoiseSchedule, content: ImageSample,
     t0 = start_timestep(cfg, sched)
     probe = probe_noise(cfg, (content.channels, content.height, content.width))
     state = q_sample(content.to_tensor(), t0, Tensor(probe), sched)
-    eps_pred = d.predict_noise(state, cond)
-    return Tensor(eps_pred.data), t0
+    return d.predict_noise(state, cond).detach(), t0
 
 
 def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
@@ -82,12 +81,9 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     """
     entry = bank.get(style_id)
     seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
-    if use_inversion:
-        eps, t0 = stochastic_invert(d, sched, content, cfg, None)
-    else:
-        t0 = start_timestep(cfg, sched)
-        eps = Tensor(probe_noise(cfg, (content.channels, content.height,
-                                       content.width)))
-    start = q_sample(content.to_tensor(), t0, eps, sched)
+    x0 = content.to_tensor()
+    eps = (stochastic_invert(d, sched, content, cfg, None)[0] if use_inversion
+           else Tensor(probe_noise(cfg, x0.data.shape)))
+    start = q_sample(x0, start_timestep(cfg, sched), eps, sched)
     cond = assemble_condition(seq, ssam_forward(entry.i_m.value, entry.ssam))
     return sample(d, sched, cond, start)

@@ -23,7 +23,7 @@ from .data_io import ImageSample
 from .diffusion import (Denoiser, NoiseSchedule, encoder_builder,
                         ispb_eval_loss, train_ispb)
 from .errors import ConfigError, DimensionError
-from .tensor import im2col
+from .tensor import Tensor, clamp_min, conv2d
 
 SSIM_WINDOW = 8
 SSIM_C1 = 0.01 ** 2
@@ -64,7 +64,7 @@ def ssim(a: ImageSample, b: ImageSample) -> float:
 
 
 @functools.cache
-def _gram_convs() -> tuple[np.ndarray, np.ndarray]:
+def _gram_convs() -> tuple[Tensor, Tensor]:
     """The feature bank: two frozen random 3x3 conv layers drawn from
     ``GRAM_BANK_SEED``, (GRAM_CHANNELS, 3, 3, 3) then
     (GRAM_CHANNELS, GRAM_CHANNELS, 3, 3)."""
@@ -73,22 +73,23 @@ def _gram_convs() -> tuple[np.ndarray, np.ndarray]:
                        size=(GRAM_CHANNELS, 3, 3, 3))
     conv2 = rng.normal(0.0, 1.0 / math.sqrt(GRAM_CHANNELS * 9),
                        size=(GRAM_CHANNELS, GRAM_CHANNELS, 3, 3))
-    return conv1, conv2
-
-
-def _conv_valid(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    cout, cin, kh, kw = w.shape
-    cols, (oh, ow) = im2col(x, kh, kw, pad=0)
-    return (w.reshape(cout, cin * kh * kw) @ cols).reshape(cout, oh, ow)
+    return Tensor(conv1), Tensor(conv2)
 
 
 def _gram_vector(img: ImageSample) -> np.ndarray:
+    """Vectorized Gram matrix of the feature bank's rectified responses.
+    Two valid 3x3 convolutions leave no feature position below 5x5."""
+    if min(img.height, img.width) < 5:
+        raise DimensionError(
+            f"Gram features need an image of at least 5x5 pixels, got "
+            f"{img.width}x{img.height}")
     conv1, conv2 = _gram_convs()
-    x = np.ascontiguousarray(img.pixels.transpose(2, 0, 1))
-    if x.shape[0] == 1:
-        x = np.repeat(x, 3, axis=0)
-    f = np.maximum(_conv_valid(x, conv1), 0.0)
-    f = np.maximum(_conv_valid(f, conv2), 0.0)
+    x = img.to_tensor()
+    if img.channels == 1:
+        x = Tensor(np.repeat(x.data, 3, axis=0))
+    zero = Tensor(np.zeros(GRAM_CHANNELS))
+    f = clamp_min(conv2d(x, conv1, zero, pad=0), 0.0)
+    f = clamp_min(conv2d(f, conv2, zero, pad=0), 0.0).data
     flat = f.reshape(f.shape[0], -1)
     gram = (flat @ flat.T) / flat.shape[1]
     return gram.reshape(-1)

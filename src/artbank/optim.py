@@ -52,7 +52,7 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
 
 def zero_grads(params: Sequence[Parameter]) -> None:
     for p in params:
-        p.zero_grad()
+        p.value.grad = None
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],

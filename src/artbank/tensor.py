@@ -22,6 +22,7 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+EPS = 1e-8  # the variance guard of every sqrt(var + EPS)
 
 
 def _check_finite(data: Array, step: str) -> None:
@@ -250,11 +251,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _from_op(y, (a,), backward, "softmax_rows")
 
 
-def channel_norm(a: Tensor, eps: float = 1e-8) -> Tensor:
+def channel_norm(a: Tensor) -> Tensor:
     """Normalize each row to mean 0 / variance 1 across its positions.
 
     Uses the population variance (divisor N) and the guard
-    ``sqrt(var + eps)``, so a single-position input maps to zeros.
+    ``sqrt(var + EPS)``, so a single-position input maps to zeros.
     """
     if a.data.ndim != 2:
         raise DimensionError("channel_norm requires a 2-d tensor")
@@ -263,10 +264,10 @@ def channel_norm(a: Tensor, eps: float = 1e-8) -> Tensor:
     mu = a.data.mean(axis=1, keepdims=True)
     centered = a.data - mu
     # A second pass removes the rounding residue of the first, which
-    # 1/sqrt(var + eps) would otherwise magnify on near-constant rows.
+    # 1/sqrt(var + EPS) would otherwise magnify on near-constant rows.
     centered -= centered.mean(axis=1, keepdims=True)
     var = (centered * centered).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + EPS)
     y = centered * inv
 
     def backward(g: Array) -> None:
@@ -390,6 +391,3 @@ class Parameter:
 
     def __post_init__(self) -> None:
         self.value.requires_grad = True
-
-    def zero_grad(self) -> None:
-        self.value.grad = None

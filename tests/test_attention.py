@@ -7,7 +7,7 @@ from artbank.attention import (SsamParams, adaattn_forward, init_output_proj,
                                init_ssam_params, sanet_forward, ssam_forward)
 from artbank.errors import DimensionError
 from artbank.optim import grad_check
-from artbank.tensor import Parameter, Tensor, mean_all
+from artbank.tensor import EPS, Parameter, Tensor, mean_all
 
 from oracles import adaattn_ref, random_ssam_instance, sanet_ref, ssam_ref
 
@@ -70,14 +70,13 @@ class TestSsamForward:
 
     def test_std_entries_above_eps_floor(self):
         rng = np.random.default_rng(23)
-        eps = 1e-8
-        floor = np.sqrt(eps) * (1.0 - 1e-12)
+        floor = np.sqrt(EPS) * (1.0 - 1e-12)
         for _ in range(50):
             c = int(rng.integers(1, 5))
             n = int(rng.integers(1, 7))
             inst = random_ssam_instance(rng, c, n, scale=2.0)
             i_m, p = params_from_instance(inst)
-            out = ssam_forward(i_m, p, eps=eps)
+            out = ssam_forward(i_m, p)
             # recover the std factor: (out - mean term) / norm term where
             # norm is nonzero; easier to recheck via the oracle pieces.
             q = inst["w_q"] @ inst["i_m"]
@@ -88,7 +87,7 @@ class TestSsamForward:
             a_hat = (inst["alpha"] * a * inst["w_col"]
                      + (1 - inst["alpha"]) * a * inst["w_row"])
             m_hat = v @ a_hat.T
-            s_hat = np.sqrt(np.maximum((v * v) @ a_hat.T - m_hat ** 2, 0) + eps)
+            s_hat = np.sqrt(np.maximum((v * v) @ a_hat.T - m_hat ** 2, 0) + EPS)
             assert np.all(s_hat >= floor)
             assert np.all(np.isfinite(out.data))
 

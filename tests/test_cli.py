@@ -280,6 +280,22 @@ def test_eval_empty_directories_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_style_score_below_5x5_exits_2(tmp_path, capsys):
+    dirs = {name: tmp_path / name for name in ("c", "s", "style")}
+    for d in dirs.values():
+        d.mkdir()
+    write_ppm(gen_content_image("shapes", 4, seed=1), dirs["c"] / "a.ppm")
+    write_ppm(gen_content_image("photo", 4, seed=2), dirs["s"] / "a.ppm")
+    write_ppm(gen_content_image("photo", 4, seed=3), dirs["style"] / "b.ppm")
+    out = tmp_path / "e.csv"
+    code = run(["eval", "--content", str(dirs["c"]), "--stylized",
+                str(dirs["s"]), "--style-dir", str(dirs["style"]),
+                "--out", str(out)])
+    assert code == 2
+    assert "at least 5x5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runs_print_config_and_seed(tmp_path, capsys):
     path = tmp_path / "cfgbank.ispb"
     save_bank(StyleBank(), path)

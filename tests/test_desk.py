@@ -5,10 +5,12 @@ import importlib.util
 from pathlib import Path
 
 from artbank import desk
-from artbank.bank import bank_bytes
+from artbank.bank import bank_bytes, create_entry
+from artbank.data_io import gen_content_image
 from artbank.desk import contents
-from artbank.diffusion import checkpoint_bytes
+from artbank.diffusion import checkpoint_bytes, ispb_eval_loss
 from artbank.inversion import stylize
+from artbank.metrics import gram_style_score, signature_of
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -62,6 +64,30 @@ def test_fixture_artifacts_pinned(desk):
         ("rosetta-droptext", False):
             "7d20717c4e50c9ac722508d5a68851921facfb13b53acf03c4dcc0084fd99522",
     }
+
+
+def test_probe_and_gram_values_pinned(desk):
+    """The probe loss of each encoder and the Gram signature and scores on
+    the session rig, bit for bit.
+
+    Like ``test_fixture_artifacts_pinned``, the values hold for numpy 2.4.6
+    with the scipy-openblas 0.3.31 BLAS on x86-64.
+    """
+    probe = {variant: ispb_eval_loss(
+        desk.backbone, create_entry("probe", "x", 64, 16, seed=8),
+        desk.style_collection, desk.sched, seed=0, variant=variant).hex()
+        for variant in ("ssam", "adaattn", "sanet")}
+    assert probe == {"ssam": "0x1.0e83133cc93d9p-2",
+                     "adaattn": "0x1.0e83133cc93d9p-2",
+                     "sanet": "0x1.0c1132899c257p-2"}
+    signature = signature_of(desk.style_collection)
+    assert _sha256(signature.tobytes()) == (
+        "97ef9c177d7940a76cfc562b0e5fc010f1deca47d1edc72077d3c001c7fe8c73")
+    [(content, _)] = contents(1)
+    gray = gen_content_image("shapes", 9, seed=4, channels=1)
+    assert [gram_style_score(img, signature).value.hex()
+            for img in (content, gray)] == [
+        "0x1.926ee0462d773p-1", "0x1.a7662fe8521c8p-1"]
 
 
 def test_convergence_script_runs(tmp_path, capsys):

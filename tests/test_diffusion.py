@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import artbank.diffusion as diffusion
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
                           create_entry, encode_prompt)
 from artbank.data_io import gen_content_image
@@ -16,7 +17,7 @@ from artbank.diffusion import (BETA_END, BETA_START, CHECKPOINT_MAGIC,
                                q_sample, sample, save_checkpoint, train_ispb,
                                train_naive)
 from artbank.errors import (BadMagicError, ConfigError, ContractError,
-                            FormatError, MalformedHeaderError,
+                            DimensionError, FormatError, MalformedHeaderError,
                             TruncatedFileError, VersionMismatchError)
 from artbank.optim import grad_check
 from artbank.seeding import derive_seed
@@ -215,6 +216,36 @@ class TestTrainNaive:
             return checkpoint_bytes(d)
 
         assert run() == run()
+
+
+@pytest.mark.parametrize("trainer", ["naive", "ispb"])
+def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
+    # six RGB images and one gray one, as in a dataset of P6 and P5 files
+    images = [gen_content_image("photo", 8, seed=i) for i in range(6)]
+    images.append(gen_content_image("shapes", 8, seed=6, channels=1))
+    d = Denoiser(3, 8, 16, seed=12)
+    entry = create_entry("mixed", "mixed", 16, 4, seed=0)
+    sched = make_schedule(10)
+    steps = []
+    real_step = diffusion._noise_step
+    monkeypatch.setattr(diffusion, "_noise_step",
+                        lambda *a: steps.append(a[2]) or real_step(*a))
+    if trainer == "naive":
+        params = d.parameters()
+        run = lambda: train_naive(d, images, ["a photo *"], sched, 20, seed=0)
+    else:
+        d.freeze()
+        params = entry.trainable_params()
+        run = lambda: train_ispb(d, entry, images, sched, 20, seed=0)
+    before = [p.value.data.copy() for p in params]
+    message = "image 6 has 1 channels, the denoiser takes in_channels=3"
+    with pytest.raises(DimensionError, match=message):
+        run()
+    assert steps == []
+    assert all(np.array_equal(p.value.data, b) for p, b in zip(params, before))
+    if trainer == "ispb":
+        with pytest.raises(DimensionError, match=message):
+            ispb_eval_loss(d, entry, images, sched, seed=0)
 
 
 class TestTrainIspb:

@@ -74,6 +74,21 @@ class TestGramScores:
         b = gram_style_score(img, sig)
         assert a.value == b.value
 
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_below_5x5_rejected(self, size):
+        # two valid 3x3 convolutions leave no feature position
+        img = gen_content_image("shapes", size, seed=1)
+        with pytest.raises(DimensionError, match="at least 5x5"):
+            signature_of([img])
+        with pytest.raises(DimensionError, match="at least 5x5"):
+            gram_style_score(img, np.ones(metrics.GRAM_CHANNELS ** 2))
+
+    def test_5x5_scores(self):
+        img = gen_content_image("shapes", 5, seed=1)
+        sig = signature_of([img])
+        assert np.all(np.isfinite(sig))
+        assert gram_style_score(img, sig).value == pytest.approx(1.0)
+
     def test_own_family_scores_higher(self):
         specs = default_style_specs()
         size = 24

@@ -99,10 +99,9 @@ class TestChannelNorm:
         np.testing.assert_array_equal(out.data, np.zeros((2, 1)))
 
     def test_two_point_population_variance(self):
-        out = channel_norm(Tensor([[1.0, 3.0]]), eps=0.0)
-        np.testing.assert_array_equal(out.data, [[-1.0, 1.0]])
-        out_eps = channel_norm(Tensor([[1.0, 3.0]]))
-        np.testing.assert_allclose(out_eps.data, [[-1.0, 1.0]], atol=1e-7)
+        # divisor N gives +-1; divisor N-1 would give +-0.707
+        out = channel_norm(Tensor([[1.0, 3.0]]))
+        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-7)
 
     def test_moments(self):
         rng = np.random.default_rng(13)
