@@ -30,6 +30,9 @@ DEFAULT_TEMPLATE = "a painting by {artist} *"
 DEFAULT_CHANNELS = 64
 DEFAULT_POSITIONS = 16
 DEFAULT_VOCAB_SEED = 97
+# The tape keeps several arrays of an entry's largest size alive per step,
+# so one such array may take only a fraction of a desk machine's memory.
+MAX_ARRAY_BYTES = 1 << 28
 
 BANK_MAGIC = b"ISPB"
 BANK_VERSION = 1
@@ -139,6 +142,14 @@ def create_entry(style_id: str, artist: str, channels: int = DEFAULT_CHANNELS,
     """Deterministically initialize a fresh bank entry."""
     if channels < 1 or positions < 1:
         raise ConfigError("entry dimensions must be positive")
+    # The attention map is N x N, the projections C x C and the style matrix C x N.
+    largest = 8 * max(positions * positions, channels * channels,
+                      channels * positions)
+    if largest > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"an entry with channels={channels} and positions={positions} "
+            f"needs a {largest / 2**30:.1f} GiB array; the limit is "
+            f"{MAX_ARRAY_BYTES / 2**20:g} MiB per array")
     rng = seeding.rng(seed)
     i_m = Parameter("i_m", Tensor(rng.normal(0.0, 0.02,
                                              size=(channels, positions))))

@@ -165,15 +165,23 @@ def _load_pool(root: Path) -> tuple[list[data_io.ImageSample], list[str]]:
     return images, prompts
 
 
-def _record_loss(trace: list[float], path: str) -> float:
-    """Write the per-step losses to ``path`` if set; return the final loss."""
+def _record_loss(trace: list[float], path: str) -> str:
+    """Write the per-step losses to ``path`` if set; return the summary
+    clause: the final loss, and a warning when every loss of the last
+    window lies above the loss of step 1, the only one taken before any
+    update (a run that blows up at once has no clean first window)."""
     if path:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss"])
             for i, loss in enumerate(trace, start=1):
                 writer.writerow([i, repr(loss)])
-    return trace[-1]
+    summary = f"final loss {trace[-1]:.4f}"
+    window = min(metrics.MOVING_AVG_WINDOW, len(trace) - 1)
+    if window and min(trace[-window:]) > trace[0]:
+        summary += (f"; training diverged: each of the last {window} losses "
+                    f"is above the step-1 loss {trace[0]:.4g}")
+    return summary
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
@@ -191,9 +199,9 @@ def cmd_pretrain(cfg: RunConfig) -> int:
                                   seed=derive_seed(cfg.seed, "pretrain"),
                                   lr=cfg.lr, vocab_seed=cfg.vocab_seed)
     diffusion.save_checkpoint(d, cfg.checkpoint_path)
-    final = _record_loss(trace, cfg.loss_csv)
+    summary = _record_loss(trace, cfg.loss_csv)
     print(f"pretrained {cfg.steps} steps on {len(images)} images; "
-          f"final loss {final:.4f}; checkpoint -> {cfg.checkpoint_path}")
+          f"{summary}; checkpoint -> {cfg.checkpoint_path}")
     return 0
 
 
@@ -221,10 +229,9 @@ def cmd_train_bank(cfg: RunConfig) -> int:
                                  lr=cfg.lr, vocab_seed=cfg.vocab_seed,
                                  variant=cfg.attention)
     bank_mod.save_bank(bank, cfg.bank_path)
-    final = _record_loss(trace, cfg.loss_csv)
+    summary = _record_loss(trace, cfg.loss_csv)
     print(f"trained entry '{cfg.style_id}' for {cfg.steps} steps on "
-          f"{len(images)} images; final loss {final:.4f}; "
-          f"bank -> {cfg.bank_path}")
+          f"{len(images)} images; {summary}; bank -> {cfg.bank_path}")
     return 0
 
 

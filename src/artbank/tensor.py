@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 from .errors import ContractError, DimensionError, NumericError
@@ -334,18 +335,20 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def im2col(x: Array, kh: int, kw: int, pad: int) -> tuple[Array, tuple[int, int]]:
-    """Unfold a (C, H, W) array into (C*kh*kw, out_h*out_w) patch columns."""
+    """Unfold a (C, H, W) array into (C*kh*kw, out_h*out_w) patch columns.
+
+    The columns are always a fresh array of their own, never a view of ``x``.
+    """
     c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp[:, pad:pad + h, pad:pad + w] = x
     out_h = h + 2 * pad - kh + 1
     out_w = w + 2 * pad - kw + 1
-    cols = np.empty((c, kh * kw, out_h * out_w), dtype=np.float64)
-    k = 0
-    for dy in range(kh):
-        for dx in range(kw):
-            cols[:, k, :] = x[:, dy:dy + out_h, dx:dx + out_w].reshape(c, -1)
-            k += 1
+    sc, sh, sw = xp.strides
+    shape = (c, kh, kw, out_h, out_w)
+    windows = as_strided(xp, shape, (sc, sh, sw, sh, sw), writeable=False)
+    cols = np.empty(shape, dtype=np.float64)
+    cols[...] = windows
     return cols.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)
 
 
@@ -359,6 +362,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
         raise DimensionError(f"conv2d channel mismatch: {cin} vs {cin_w}")
     if b.data.shape != (cout,):
         raise DimensionError("conv2d bias must have one entry per output channel")
+    if kh > h + 2 * pad or kw > ww + 2 * pad:
+        raise DimensionError(
+            f"conv2d kernel {kh}x{kw} exceeds the {h}x{ww} input padded by {pad}")
     cols, (oh, ow) = im2col(x.data, kh, kw, pad)
     w_mat = w.data.reshape(cout, cin * kh * kw)
     data = (w_mat @ cols + b.data[:, None]).reshape(cout, oh, ow)

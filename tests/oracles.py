@@ -96,3 +96,19 @@ def uniform_ssim_ref(a_val: float, b_val: float,
     lum = (2.0 * a_val * b_val + c1) / (a_val ** 2 + b_val ** 2 + c1)
     struct = c2 / c2
     return lum * struct
+
+
+def im2col_ref(x: np.ndarray, kh: int, kw: int, pad: int):
+    """Patch columns by one slice copy per kernel offset."""
+    c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    out_h = h + 2 * pad - kh + 1
+    out_w = w + 2 * pad - kw + 1
+    cols = np.empty((c, kh * kw, out_h * out_w), dtype=np.float64)
+    k = 0
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, k, :] = x[:, dy:dy + out_h, dx:dx + out_w].reshape(c, -1)
+            k += 1
+    return cols.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)

@@ -208,6 +208,37 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train-bank", "bench-attn"])
+def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
+                                  capsys, command):
+    # The 100000 x 100000 attention map alone would need 74.5 GiB.
+    out = tmp_path / "never"
+    target = {"train-bank": ["--bank", str(out), "--steps", "1"],
+              "bench-attn": ["--out", str(out), "--bench-seeds", "3",
+                             "--max-iters", "100"]}[command]
+    code = run([command, "--data", str(dataset), "--checkpoint",
+                str(untrained_checkpoint), "--style-id", "checks",
+                "--channels", "12", "--positions", "100000", *target])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("artbank: error:")
+    assert "74.5 GiB" in err[0] and "256 MiB per array" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr, diverged", [("1e10", True), ("1e-3", False)])
+def test_pretrain_summary_says_when_training_diverged(dataset, tmp_path,
+                                                      capsys, lr, diverged):
+    ck = tmp_path / "ck.abdn"
+    code = run(["pretrain", "--data", str(dataset), "--checkpoint", str(ck),
+                "--steps", "20", "--width", "8", "--channels", "12",
+                "--timesteps", "20", "--seed", "7", "--lr", lr])
+    assert code == 0 and ck.is_file()
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert ("training diverged: each of the last 19 losses is above the "
+            "step-1 loss" in summary) is diverged
+
+
 def test_undecodable_config_file_exits_2(dataset, untrained_checkpoint,
                                          tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"

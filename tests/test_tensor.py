@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from artbank.errors import (DimensionError, MissingGradError, NumericError)
 from artbank.optim import AdamState, adam_step, grad_check, zero_grads
 from artbank.tensor import (Parameter, Tensor, channel_norm, clamp_min,
-                            concat_rows, conv2d, gelu, matmul, mean_all,
-                            reshape, softmax_rows, sqrt, sum_all, transpose)
+                            concat_rows, conv2d, gelu, im2col, matmul,
+                            mean_all, reshape, softmax_rows, sqrt, sum_all,
+                            transpose)
 
-from oracles import channel_norm_ref, matmul_loops, softmax_rows_ref
+from oracles import (channel_norm_ref, im2col_ref, matmul_loops,
+                     softmax_rows_ref)
 
 
 def finite_matrices(max_side=6, lo=-1e6, hi=1e6):
@@ -124,6 +126,49 @@ class TestChannelNorm:
             return
         out = channel_norm(Tensor(x))
         assert np.all(np.abs(out.data.mean(axis=1)) <= 1e-9)
+
+
+@st.composite
+def conv_inputs(draw):
+    """(x, kh, kw, pad) with x a (C, H, W) float64 array that is contiguous,
+    a transposed view or a step-sliced view, and the kernel no larger than
+    the padded input."""
+    c, h, w = (draw(st.integers(1, 5)), draw(st.integers(1, 9)),
+               draw(st.integers(1, 9)))
+    kh, kw = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 3]))
+    pad = draw(st.sampled_from([0, 1]))
+    assume(kh <= h + 2 * pad and kw <= w + 2 * pad)
+    layout = draw(st.sampled_from(["contiguous", "transposed", "sliced"]))
+    base_shape = {"contiguous": (c, h, w), "transposed": (c, w, h),
+                  "sliced": (c, 2 * h, 2 * w)}[layout]
+    base = draw(arrays(np.float64, base_shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    x = {"contiguous": base, "transposed": base.transpose(0, 2, 1),
+         "sliced": base[:, ::2, ::2]}[layout]
+    return x, kh, kw, pad
+
+
+class TestConv2d:
+    @settings(max_examples=200, deadline=None)
+    @given(conv_inputs())
+    @example((np.arange(9.0).reshape(1, 3, 3), 1, 1, 0))
+    def test_im2col_matches_slice_oracle(self, case):
+        x, kh, kw, pad = case
+        cols, out_hw = im2col(x, kh, kw, pad)
+        ref, ref_hw = im2col_ref(x, kh, kw, pad)
+        assert out_hw == ref_hw
+        assert cols.shape == ref.shape
+        assert cols.tobytes() == ref.tobytes()
+        # conv2d's backward keeps the columns, so they must be its own.
+        assert not np.shares_memory(cols, x)
+        assert cols.flags.writeable
+
+    def test_kernel_larger_than_padded_input_rejected(self):
+        x = Tensor(np.ones((2, 1, 1)))
+        w = Tensor(np.ones((4, 2, 3, 3)))
+        with pytest.raises(DimensionError, match=r"3x3 .* 1x1 input"):
+            conv2d(x, w, Tensor(np.zeros(4)), pad=0)
+        assert conv2d(x, w, Tensor(np.zeros(4)), pad=1).data.shape == (4, 1, 1)
 
 
 class TestGradCheck:
