@@ -9,9 +9,9 @@ structure.
 
 from .attention import (SsamParams, adaattn_forward, init_output_proj,
                         init_ssam_params, sanet_forward, ssam_forward)
-from .bank import (DEFAULT_TEMPLATE, DEFAULT_VOCAB_SEED, StyleBank,
-                   StyleBankEntry, TokenEmbeddingSeq, assemble_condition,
-                   create_entry, encode_prompt, load_bank, save_bank)
+from .bank import (DEFAULT_TEMPLATE, StyleBank, StyleBankEntry,
+                   TokenEmbeddingSeq, assemble_condition, create_entry,
+                   encode_prompt, load_bank, save_bank)
 from .data_io import (ImageSample, StyleSpec, default_style_specs,
                       gen_content_image, gen_style_collection, read_ppm,
                       write_ppm)
@@ -21,7 +21,7 @@ from .diffusion import (Denoiser, LatentState, NoiseSchedule,
 from .inversion import InversionConfig, stochastic_invert, stylize
 from .metrics import (ConvergenceReport, StyleScore, convergence_benchmark,
                       gram_style_score, signature_of, ssim)
-from .optim import AdamState, adam_step, grad_check
+from .optim import AdamState, adam_step
 from .tensor import Parameter, Tensor, channel_norm, matmul, softmax_rows
 
 __version__ = "0.1.0"

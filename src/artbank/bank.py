@@ -29,8 +29,8 @@ PLACEHOLDER = "*"
 DEFAULT_TEMPLATE = "a painting by {artist} *"
 DEFAULT_CHANNELS = 64
 DEFAULT_POSITIONS = 16
-DEFAULT_VOCAB_SEED = 97
-# The tape keeps several arrays of an entry's largest size alive per step,
+VOCAB_SEED = 97  # seeds the frozen token-embedding table; fixed, not a setting
+# The tape keeps several arrays of a model's largest size alive per step,
 # so one such array may take only a fraction of a desk machine's memory.
 MAX_ARRAY_BYTES = 1 << 28
 
@@ -94,23 +94,20 @@ def _token_id(token: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _embedding_row(token_id: int, vocab_seed: int, width: int) -> np.ndarray:
+def _embedding_row(token_id: int, width: int) -> np.ndarray:
     mixed = hashlib.sha256(
-        vocab_seed.to_bytes(8, "little", signed=False)
+        VOCAB_SEED.to_bytes(8, "little", signed=False)
         + token_id.to_bytes(8, "little", signed=False)).digest()
     rng = seeding.rng(int.from_bytes(mixed[:8], "little"))
     return rng.uniform(-1.0, 1.0, size=width) / np.sqrt(width)
 
 
-def encode_prompt(template: str, artist: str, vocab_seed: int = DEFAULT_VOCAB_SEED,
+def encode_prompt(template: str, artist: str,
                   width: int = DEFAULT_CHANNELS) -> TokenEmbeddingSeq:
     """Tokenize a prompt template and embed every token deterministically."""
-    if not 0 <= vocab_seed < 2**64:
-        raise ConfigError(f"vocab_seed must lie in [0, 2**64): {vocab_seed}")
     text = template.replace("{artist}", artist)
     tokens = _validate_template(text)
-    table = np.stack([_embedding_row(_token_id(t), vocab_seed, width)
-                      for t in tokens])
+    table = np.stack([_embedding_row(_token_id(t), width) for t in tokens])
     return TokenEmbeddingSeq(tokens=tokens, embeddings=table,
                              placeholder_index=tokens.index(PLACEHOLDER))
 
@@ -136,6 +133,15 @@ def assemble_condition(seq: TokenEmbeddingSeq,
     return concat_rows([Tensor(before), transpose(v_m), Tensor(after)])
 
 
+def check_array_size(values: int, what: str,
+                     error: type[ArtBankError] = ConfigError) -> None:
+    """Refuse ``what`` if its largest float64 array, ``values`` long, is
+    over ``MAX_ARRAY_BYTES``."""
+    if 8 * values > MAX_ARRAY_BYTES:
+        raise error(f"{what} needs a {8 * values / 2**30:.1f} GiB array; the "
+                    f"limit is {MAX_ARRAY_BYTES / 2**20:g} MiB per array")
+
+
 def create_entry(style_id: str, artist: str, channels: int = DEFAULT_CHANNELS,
                  positions: int = DEFAULT_POSITIONS, seed: int = 0,
                  template: str = DEFAULT_TEMPLATE) -> StyleBankEntry:
@@ -143,13 +149,8 @@ def create_entry(style_id: str, artist: str, channels: int = DEFAULT_CHANNELS,
     if channels < 1 or positions < 1:
         raise ConfigError("entry dimensions must be positive")
     # The attention map is N x N, the projections C x C and the style matrix C x N.
-    largest = 8 * max(positions * positions, channels * channels,
-                      channels * positions)
-    if largest > MAX_ARRAY_BYTES:
-        raise ConfigError(
-            f"an entry with channels={channels} and positions={positions} "
-            f"needs a {largest / 2**30:.1f} GiB array; the limit is "
-            f"{MAX_ARRAY_BYTES / 2**20:g} MiB per array")
+    check_array_size(max(channels, positions) ** 2,
+                     f"an entry with channels={channels} and positions={positions}")
     rng = seeding.rng(seed)
     i_m = Parameter("i_m", Tensor(rng.normal(0.0, 0.02,
                                              size=(channels, positions))))

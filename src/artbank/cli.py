@@ -44,11 +44,9 @@ class RunConfig:
     steps: int = 1000
     lr: float = 1e-3
     seed: int = 0
-    vocab_seed: int = bank_mod.DEFAULT_VOCAB_SEED
     strength: float = 0.6
     no_inversion: bool = False
     attention: str = "ssam"
-    drop_text: bool = False
     variants: str = "ssam,sanet,adaattn"
     bench_seeds: int = 5
     threshold: float = 0.85
@@ -196,8 +194,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
                            cond_dim=cfg.channels,
                            seed=derive_seed(cfg.seed, "denoiser-init"))
     trace = diffusion.train_naive(d, images, prompts, sched, cfg.steps,
-                                  seed=derive_seed(cfg.seed, "pretrain"),
-                                  lr=cfg.lr, vocab_seed=cfg.vocab_seed)
+                                  seed=derive_seed(cfg.seed, "pretrain"), lr=cfg.lr)
     diffusion.save_checkpoint(d, cfg.checkpoint_path)
     summary = _record_loss(trace, cfg.loss_csv)
     print(f"pretrained {cfg.steps} steps on {len(images)} images; "
@@ -219,15 +216,13 @@ def cmd_train_bank(cfg: RunConfig) -> int:
             "not fit the bank format")
     bank = (bank_mod.load_bank(cfg.bank_path)
             if Path(cfg.bank_path).is_file() else bank_mod.StyleBank())
-    template = "*" if cfg.drop_text else cfg.template
     entry = bank_mod.create_entry(
         cfg.style_id, cfg.artist or cfg.style_id, cfg.channels, cfg.positions,
-        seed=derive_seed(cfg.seed, f"entry:{cfg.style_id}"), template=template)
+        seed=derive_seed(cfg.seed, f"entry:{cfg.style_id}"), template=cfg.template)
     bank.add(entry)  # refuses a duplicate id before any training step
     trace = diffusion.train_ispb(d, entry, images, diffusion.make_schedule(cfg.timesteps),
                                  cfg.steps, seed=derive_seed(cfg.seed, "train-bank"),
-                                 lr=cfg.lr, vocab_seed=cfg.vocab_seed,
-                                 variant=cfg.attention)
+                                 lr=cfg.lr, variant=cfg.attention)
     bank_mod.save_bank(bank, cfg.bank_path)
     summary = _record_loss(trace, cfg.loss_csv)
     print(f"trained entry '{cfg.style_id}' for {cfg.steps} steps on "
@@ -251,7 +246,6 @@ def cmd_stylize(cfg: RunConfig) -> int:
         strength=cfg.strength, seed=derive_seed(cfg.seed, "stylize"))
     result = inversion.stylize(d, diffusion.make_schedule(cfg.timesteps), bank,
                                cfg.style_id, content, inv_cfg,
-                               vocab_seed=cfg.vocab_seed,
                                use_inversion=not cfg.no_inversion)
     data_io.write_ppm(result, cfg.out_path)
     print(f"stylized {cfg.content_path} with '{cfg.style_id}' -> {cfg.out_path}")
@@ -266,7 +260,7 @@ def cmd_bench_attn(cfg: RunConfig) -> int:
     reports = metrics.convergence_benchmark(
         d, images, variants, seeds, cfg.threshold, cfg.max_iters,
         sched=diffusion.make_schedule(cfg.timesteps), channels=cfg.channels,
-        positions=cfg.positions, lr=cfg.lr, vocab_seed=cfg.vocab_seed)
+        positions=cfg.positions, lr=cfg.lr)
     if cfg.out_path:
         metrics.write_convergence_csv(reports, cfg.out_path)
     print(metrics.format_convergence_table(reports))
@@ -345,7 +339,7 @@ COMMANDS: dict[str, Command] = {
     "train-bank": Command(
         cmd_train_bank, "train one bank entry",
         "data_root checkpoint_path bank_path style_id artist template steps "
-        "channels positions timesteps lr attention drop_text loss_csv"),
+        "channels positions timesteps lr attention loss_csv"),
     "stylize": Command(
         cmd_stylize, "render a content image in a style",
         "checkpoint_path bank_path style_id content_path out_path strength "
@@ -366,9 +360,9 @@ COMMANDS: dict[str, Command] = {
 
 def _add_commands(parser: argparse.ArgumentParser, dest: str,
                   table: dict[str, Command]) -> None:
-    """Add one subparser per table entry. Each takes ``--config``, ``--seed``,
-    ``--vocab-seed`` and its entry's fields; a field's flag is its name minus
-    a ``_path``/``_root`` suffix, dashed, and takes the field's type."""
+    """Add one subparser per table entry. Each takes ``--config``, ``--seed``
+    and its entry's fields; a field's flag is its name minus a
+    ``_path``/``_root`` suffix, dashed, and takes the field's type."""
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, command in table.items():
         p = sub.add_parser(name, help=command.help)
@@ -376,7 +370,7 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str,
             _add_commands(p, f"{name}_command", command.handler)
             continue
         p.add_argument("--config", help="key = value config file")
-        for field in ["seed", "vocab_seed"] + command.fields.split():
+        for field in ["seed"] + command.fields.split():
             kind = type(getattr(RunConfig, field))
             opts: dict = {"dest": field, "help": (
                 "root seed (default 0)" if field == "seed" else None)}

@@ -19,7 +19,7 @@ import numpy as np
 from . import container, seeding
 from .attention import (adaattn_forward, init_output_proj, sanet_forward,
                         ssam_forward)
-from .bank import (DEFAULT_VOCAB_SEED, StyleBankEntry, assemble_condition,
+from .bank import (StyleBankEntry, assemble_condition, check_array_size,
                    encode_prompt)
 from .data_io import ImageSample
 from .errors import (ArtBankError, ConfigError, ContractError,
@@ -82,6 +82,9 @@ def _check_config(in_channels: int, width: int, cond_dim: int,
         raise error("in_channels must be 1 or 3")
     if width < 2 or cond_dim < 1:
         raise error("width must be >= 2 and cond_dim >= 1")
+    # The largest weights: conv2/conv3, conv1/conv4 or the key/value projections.
+    check_array_size(width * max(9 * width, 9 * in_channels, cond_dim),
+                     f"a denoiser with width={width} and cond_dim={cond_dim}", error)
 
 
 def _param_shapes(in_channels: int, width: int,
@@ -245,27 +248,25 @@ def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
 
 def train_naive(d: Denoiser, images: Sequence[ImageSample],
                 prompts: Sequence[str], sched: NoiseSchedule, steps: int,
-                seed: int, lr: float = 1e-3,
-                vocab_seed: int = DEFAULT_VOCAB_SEED) -> list[float]:
+                seed: int, lr: float = 1e-3) -> list[float]:
     """Fine-tune every denoiser parameter on noise prediction.
 
     Each step draws (image, t ~ uniform{1..T}, unit-normal noise) from the
     seeded generator and minimizes the per-element squared error between the
-    true and predicted noise under the image's text-only condition. Returns
-    the per-step loss trace; the denoiser is updated in place.
+    true and predicted noise under the text-only condition of the image's
+    prompt. Returns the per-step loss trace; the denoiser is updated in place.
     """
     if steps < 1:
         raise ConfigError(f"steps must be at least 1, got {steps}")
     if not images:
         raise ConfigError("training requires a non-empty image set")
+    if len(prompts) != len(images):
+        raise ConfigError(f"training needs one prompt per image, got "
+                          f"{len(prompts)} prompts for {len(images)} images")
     if d.frozen:
         raise ContractError("cannot run naive training on a frozen denoiser")
     tensors = _image_tensors(d, images)
-    # Image i trains under prompt i, cycling; prompts past the last image
-    # are never used.
-    prompts = list(prompts)[:len(images)] or ["an image *"]
-    conds = {p: assemble_condition(encode_prompt(p, "", vocab_seed, d.cond_dim),
-                                   None)
+    conds = {p: assemble_condition(encode_prompt(p, "", d.cond_dim), None)
              for p in dict.fromkeys(prompts)}
     rng = seeding.rng(seed)
     params = d.parameters()
@@ -275,9 +276,8 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
         idx = int(rng.integers(len(tensors)))
         t = int(rng.integers(1, sched.timesteps + 1))
         eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
-        trace.append(_noise_step(d, tensors[idx], t, eps,
-                                 conds[prompts[idx % len(prompts)]], sched,
-                                 params, state, lr))
+        trace.append(_noise_step(d, tensors[idx], t, eps, conds[prompts[idx]],
+                                 sched, params, state, lr))
     return trace
 
 
@@ -340,7 +340,6 @@ def encoder_builder(variant: str) -> EncoderBuilder:
 def train_ispb(d: Denoiser, entry: StyleBankEntry,
                style_images: Sequence[ImageSample], sched: NoiseSchedule,
                steps: int, seed: int, lr: float = 1e-3,
-               vocab_seed: int = DEFAULT_VOCAB_SEED,
                variant: str = "ssam",
                on_step: Callable[[StepRecord], bool] | None = None
                ) -> list[float]:
@@ -368,7 +367,7 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
     if not style_images:
         raise ConfigError("training requires a non-empty style collection")
     params, encode = encoder_builder(variant)(entry, seed)
-    seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
+    seq = encode_prompt(entry.template, entry.artist, entry.channels)
     tensors = _image_tensors(d, style_images)
     rng = seeding.rng(seed)
     state = AdamState()
@@ -395,8 +394,7 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
 
 def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
                    style_images: Sequence[ImageSample], sched: NoiseSchedule,
-                   seed: int, vocab_seed: int = DEFAULT_VOCAB_SEED,
-                   variant: str = "ssam") -> float:
+                   seed: int, variant: str = "ssam") -> float:
     """Noise-prediction loss of an entry on a fixed probe set (no training).
 
     Averages ``PROBE_DRAWS`` draws, deterministic given the seed; timesteps
@@ -407,7 +405,7 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
     if not style_images:
         raise ConfigError("evaluation requires a non-empty style collection")
     _, encode = encoder_builder(variant)(entry, seed)
-    seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
+    seq = encode_prompt(entry.template, entry.artist, entry.channels)
     tensors = _image_tensors(d, style_images)
     rng = seeding.rng_for(seed, "ispb-probe")
     cond = assemble_condition(seq, encode().detach())

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ssam_forward
-from .bank import (DEFAULT_VOCAB_SEED, StyleBank, assemble_condition,
-                   encode_prompt)
+from .bank import StyleBank, assemble_condition, encode_prompt
 from .data_io import ImageSample
 from .diffusion import NoiseSchedule, q_sample, sample
 from .errors import ConfigError, ContractError
@@ -47,25 +46,20 @@ def probe_noise(cfg: InversionConfig, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def stochastic_invert(d, sched: NoiseSchedule, content: ImageSample,
-                      cfg: InversionConfig,
-                      cond: Tensor | None) -> tuple[Tensor, int]:
-    """Predict the noise the denoiser sees in the noised content image.
-
-    Returns the prediction and the start timestep. ``cond`` should carry no
-    style: ``stylize`` passes the empty condition (``None``), since prompt
-    text such as an artist token can name a style the backbone learned.
-    """
+                      cfg: InversionConfig) -> tuple[Tensor, int]:
+    """Predict the noise the denoiser sees in the noised content image under
+    the empty condition (prompt text such as an artist token can name a
+    style the backbone learned); return it with the start timestep."""
     if not getattr(d, "frozen", True):
         raise ContractError("inversion requires a frozen denoiser")
     t0 = start_timestep(cfg, sched)
     probe = probe_noise(cfg, (content.channels, content.height, content.width))
     state = q_sample(content.to_tensor(), t0, Tensor(probe), sched)
-    return d.predict_noise(state, cond).detach(), t0
+    return d.predict_noise(state, None).detach(), t0
 
 
 def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
             content: ImageSample, cfg: InversionConfig,
-            vocab_seed: int = DEFAULT_VOCAB_SEED,
             use_inversion: bool = True) -> ImageSample:
     """Render the content image in a bank entry's style.
 
@@ -80,9 +74,9 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     reduces exactly to that baseline.
     """
     entry = bank.get(style_id)
-    seq = encode_prompt(entry.template, entry.artist, vocab_seed, entry.channels)
+    seq = encode_prompt(entry.template, entry.artist, entry.channels)
     x0 = content.to_tensor()
-    eps = (stochastic_invert(d, sched, content, cfg, None)[0] if use_inversion
+    eps = (stochastic_invert(d, sched, content, cfg)[0] if use_inversion
            else Tensor(probe_noise(cfg, x0.data.shape)))
     start = q_sample(x0, start_timestep(cfg, sched), eps, sched)
     cond = assemble_condition(seq, ssam_forward(entry.i_m.value, entry.ssam))

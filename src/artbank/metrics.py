@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import seeding
-from .bank import DEFAULT_VOCAB_SEED, create_entry
+from .bank import create_entry
 from .data_io import ImageSample
 from .diffusion import (Denoiser, NoiseSchedule, encoder_builder,
                         ispb_eval_loss, train_ispb)
@@ -182,15 +182,13 @@ def _median_or_none(values: list[int | None]) -> int | None:
 def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
                sched: NoiseSchedule, variant: str, seed: int,
                loss_threshold: float, max_iters: int, channels: int,
-               positions: int, lr: float, vocab_seed: int) -> int | None:
+               positions: int, lr: float) -> int | None:
     entry = create_entry(f"bench-{variant}", "benchmark", channels, positions,
                          seed=seeding.derive_seed(seed, f"bench-entry-{variant}"))
-    initial = ispb_eval_loss(d, entry, collection, sched, seed=seed,
-                             vocab_seed=vocab_seed, variant=variant)
+    initial = ispb_eval_loss(d, entry, collection, sched, seed=seed, variant=variant)
     crossed = _crossing_detector(loss_threshold * initial)
     trace = train_ispb(d, entry, collection, sched, max_iters, seed=seed,
-                       lr=lr, vocab_seed=vocab_seed, variant=variant,
-                       on_step=lambda r: crossed(r.loss))
+                       lr=lr, variant=variant, on_step=lambda r: crossed(r.loss))
     return iterations_to_threshold(trace, loss_threshold, initial)
 
 
@@ -198,8 +196,7 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
                           variants: Sequence[str], seeds: Sequence[int],
                           loss_threshold: float, max_iters: int, *,
                           sched: NoiseSchedule, channels: int = 64,
-                          positions: int = 16, lr: float = 1e-3,
-                          vocab_seed: int = DEFAULT_VOCAB_SEED
+                          positions: int = 16, lr: float = 1e-3
                           ) -> list[ConvergenceReport]:
     """Train a fresh entry per (variant, seed) and report how many
     iterations each needs to cross the relative loss threshold.
@@ -224,8 +221,7 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     reports = []
     for variant in variants:
         iters = [_bench_one(d, collection, sched, variant, seed,
-                            loss_threshold, max_iters, channels, positions,
-                            lr, vocab_seed)
+                            loss_threshold, max_iters, channels, positions, lr)
                  for seed in seeds]
         reports.append(ConvergenceReport(
             variant=variant, seeds=list(seeds), iterations_to_threshold=iters,

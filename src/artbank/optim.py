@@ -1,15 +1,15 @@
-"""Adam updates and a central-difference gradient checker."""
+"""Adam updates."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MissingGradError, NumericError
-from .tensor import Parameter, Tensor
+from .errors import ConfigError, MissingGradError
+from .tensor import Parameter
 
 Array = np.ndarray
 
@@ -54,49 +54,3 @@ def zero_grads(params: Sequence[Parameter]) -> None:
     for p in params:
         p.value.grad = None
 
-
-def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
-               h: float = 1e-5) -> float:
-    """Compare reverse-mode gradients of a scalar function against
-    central differences.
-
-    Returns the maximum over all parameter elements of
-    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``. The function is
-    re-evaluated at perturbed points, so it must be deterministic.
-    """
-    zero_grads(params)
-    out = f()
-    if out.data.size != 1:
-        raise NumericError("grad_check requires a scalar-valued function")
-    out.backward()
-    analytic = {
-        p.name: (np.zeros_like(p.value.data) if p.value.grad is None
-                 else p.value.grad.copy())
-        for p in params
-    }
-    zero_grads(params)
-
-    worst = 0.0
-    for p in params:
-        flat = p.value.data.reshape(-1)
-        ana = analytic[p.name].reshape(-1)
-        for idx in range(flat.size):
-            saved = flat[idx]
-            try:
-                flat[idx] = saved + h
-                f_plus = f().item()
-                flat[idx] = saved - h
-                f_minus = f().item()
-            except NumericError as exc:
-                raise NumericError(
-                    f"grad check failed while perturbing '{p.name}': {exc}") from exc
-            finally:
-                flat[idx] = saved
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise NumericError(
-                    f"grad check: non-finite evaluation while perturbing '{p.name}'")
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(ana[idx] - numeric) / max(1.0, abs(ana[idx]), abs(numeric))
-            if rel > worst:
-                worst = rel
-    return worst

@@ -3,10 +3,18 @@
 Everything here is written directly against the defining formulas with
 plain numpy (no autodiff, none of the library's op helpers), so a test that
 compares library output against these functions is a genuine dual-route
-check.
+check. The one exception, ``grad_check``, runs the library's tape once and
+compares its gradients against central differences of the forward pass.
 """
 
+import math
+from typing import Callable, Sequence
+
 import numpy as np
+
+from artbank.errors import NumericError
+from artbank.optim import zero_grads
+from artbank.tensor import Parameter, Tensor
 
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,3 +120,50 @@ def im2col_ref(x: np.ndarray, kh: int, kw: int, pad: int):
             cols[:, k, :] = x[:, dy:dy + out_h, dx:dx + out_w].reshape(c, -1)
             k += 1
     return cols.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)
+
+
+def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
+               h: float = 1e-5) -> float:
+    """Compare reverse-mode gradients of a scalar function against
+    central differences.
+
+    Returns the maximum over all parameter elements of
+    ``|analytic - numeric| / max(1, |analytic|, |numeric|)``. The function is
+    re-evaluated at perturbed points, so it must be deterministic.
+    """
+    zero_grads(params)
+    out = f()
+    if out.data.size != 1:
+        raise NumericError("grad_check requires a scalar-valued function")
+    out.backward()
+    analytic = {
+        p.name: (np.zeros_like(p.value.data) if p.value.grad is None
+                 else p.value.grad.copy())
+        for p in params
+    }
+    zero_grads(params)
+
+    worst = 0.0
+    for p in params:
+        flat = p.value.data.reshape(-1)
+        ana = analytic[p.name].reshape(-1)
+        for idx in range(flat.size):
+            saved = flat[idx]
+            try:
+                flat[idx] = saved + h
+                f_plus = f().item()
+                flat[idx] = saved - h
+                f_minus = f().item()
+            except NumericError as exc:
+                raise NumericError(
+                    f"grad check failed while perturbing '{p.name}': {exc}") from exc
+            finally:
+                flat[idx] = saved
+            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                raise NumericError(
+                    f"grad check: non-finite evaluation while perturbing '{p.name}'")
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            rel = abs(ana[idx] - numeric) / max(1.0, abs(ana[idx]), abs(numeric))
+            if rel > worst:
+                worst = rel
+    return worst

@@ -22,11 +22,10 @@ from artbank.diffusion import (Denoiser, LatentState, checkpoint_bytes,
                                sample, save_checkpoint, train_ispb)
 from artbank.inversion import InversionConfig, probe_noise, stochastic_invert, stylize
 from artbank.metrics import convergence_benchmark, gram_style_score, signature_of, ssim
-from artbank.optim import grad_check
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all, softmax_rows
 
-from oracles import random_ssam_instance, ssam_ref
+from oracles import grad_check, random_ssam_instance, ssam_ref
 from test_attention import params_from_instance
 
 
@@ -87,7 +86,7 @@ def test_criterion_02_gradient_integrity():
     inst = _healthy_instance(rng, c_dim, n_pos)
     i_m_t, sp = params_from_instance(inst)
     i_m = Parameter("i_m", i_m_t)
-    seq = encode_prompt("a painting by {artist} *", "probe", 7, c_dim)
+    seq = encode_prompt("a painting by {artist} *", "probe", c_dim)
     z0 = Tensor(rng.uniform(0.1, 0.9, size=(1, 8, 8)))
     eps = rng.standard_normal((1, 8, 8))
     state = q_sample(z0, 37, Tensor(eps), sched)
@@ -180,7 +179,7 @@ class _TrueNoiseOracle:
 def test_criterion_05_sampler_and_inversion_identities(desk):
     sched = desk.sched
     rng = np.random.default_rng(derive_seed(ROOT_SEED, "accept-sampler"))
-    cond = assemble_condition(encode_prompt("a photo *", "", 7, 64), None)
+    cond = assemble_condition(encode_prompt("a photo *", "", 64), None)
 
     worst = 0.0
     z0 = rng.uniform(0.1, 0.9, size=(3, 8, 8))
@@ -196,7 +195,7 @@ def test_criterion_05_sampler_and_inversion_identities(desk):
     cfg = InversionConfig(strength=0.6, seed=17)
     probe = probe_noise(cfg, (3, 16, 16))
     eps_pred, t_start = stochastic_invert(_TrueNoiseOracle(probe), sched,
-                                          content, cfg, cond)
+                                          content, cfg)
     invert_ok = np.array_equal(eps_pred.data, probe) and t_start == 60
 
     noise = np.random.default_rng(23).standard_normal((3, 16, 16))

@@ -6,10 +6,10 @@ import pytest
 from artbank.attention import (SsamParams, adaattn_forward, init_output_proj,
                                init_ssam_params, sanet_forward, ssam_forward)
 from artbank.errors import DimensionError
-from artbank.optim import grad_check
 from artbank.tensor import EPS, Parameter, Tensor, mean_all
 
-from oracles import adaattn_ref, random_ssam_instance, sanet_ref, ssam_ref
+from oracles import (adaattn_ref, grad_check, random_ssam_instance, sanet_ref,
+                     ssam_ref)
 
 
 def params_from_instance(inst) -> tuple[Tensor, SsamParams]:

@@ -41,31 +41,18 @@ class TestEncodePrompt:
         assert seq.embeddings.shape == (6, 64)
 
     def test_deterministic(self):
-        a = encode_prompt("a painting by {artist} *", "Van Gogh", 7, 16)
-        b = encode_prompt("a painting by {artist} *", "Van Gogh", 7, 16)
+        a = encode_prompt("a painting by {artist} *", "Van Gogh", 16)
+        b = encode_prompt("a painting by {artist} *", "Van Gogh", 16)
         assert np.array_equal(a.embeddings, b.embeddings)
         assert a.tokens == b.tokens
 
     def test_artists_differ_only_at_artist_rows(self):
-        a = encode_prompt("a painting by {artist} *", "Monet", 7, 16)
-        b = encode_prompt("a painting by {artist} *", "Manet", 7, 16)
+        a = encode_prompt("a painting by {artist} *", "Monet", 16)
+        b = encode_prompt("a painting by {artist} *", "Manet", 16)
         same = [0, 1, 2, 4]  # 'a painting by', '*'
         for i in same:
             assert np.array_equal(a.embeddings[i], b.embeddings[i])
         assert not np.array_equal(a.embeddings[3], b.embeddings[3])
-
-    def test_vocab_seed_changes_table(self):
-        a = encode_prompt("a painting by {artist} *", "Monet", 7, 16)
-        b = encode_prompt("a painting by {artist} *", "Monet", 8, 16)
-        assert not np.array_equal(a.embeddings, b.embeddings)
-
-    def test_vocab_seed_range(self):
-        # The vocab seed is hashed as an unsigned 64-bit integer.
-        encode_prompt("a *", "x", 0, 4)
-        encode_prompt("a *", "x", 2**64 - 1, 4)
-        for bad in (-1, 2**64):
-            with pytest.raises(ConfigError, match="vocab_seed"):
-                encode_prompt("a *", "x", bad, 4)
 
     def test_placeholder_count_errors(self):
         with pytest.raises(TemplateError):
@@ -74,7 +61,7 @@ class TestEncodePrompt:
             encode_prompt("two * stars *", "x")
 
     def test_embedding_scale(self):
-        seq = encode_prompt("a painting by {artist} *", "Monet", 7, 64)
+        seq = encode_prompt("a painting by {artist} *", "Monet", 64)
         assert np.all(np.abs(seq.embeddings) <= 1.0 / 8.0)
 
 
@@ -85,7 +72,7 @@ class TestAssembleCondition:
         ("*", 0, 0),
     ], ids=["first", "middle", "alone"])
     def test_splices_style_rows_at_placeholder(self, template, before, after):
-        seq = encode_prompt(template, "Van Gogh", 7, 8)
+        seq = encode_prompt(template, "Van Gogh", 8)
         assert seq.placeholder_index == before
         v_m = Tensor(np.random.default_rng(0).normal(size=(8, 4)),
                      requires_grad=True)
@@ -100,7 +87,7 @@ class TestAssembleCondition:
 
     def test_row_arithmetic_and_tags(self):
         # Text rows before the placeholder, then the style rows, in place.
-        seq = encode_prompt("a painting by {artist} *", "Van Gogh", 7, 8)
+        seq = encode_prompt("a painting by {artist} *", "Van Gogh", 8)
         v_m = Tensor(np.random.default_rng(0).normal(size=(8, 4)))
         cond = assemble_condition(seq, v_m)
         assert cond.data.shape == (9, 8)
@@ -108,7 +95,7 @@ class TestAssembleCondition:
         np.testing.assert_array_equal(cond.data[5:], v_m.data.T)
 
     def test_gradient_flows_into_style_block(self):
-        seq = encode_prompt("a painting *", "X", 7, 4)
+        seq = encode_prompt("a painting *", "X", 4)
         v_m = Tensor(np.random.default_rng(2).normal(size=(4, 2)),
                      requires_grad=True)
         cond = assemble_condition(seq, v_m)
@@ -118,17 +105,17 @@ class TestAssembleCondition:
                                    rtol=1e-12)
 
     def test_without_style_drops_placeholder(self):
-        seq = encode_prompt("a painting by {artist} *", "Van Gogh", 7, 8)
+        seq = encode_prompt("a painting by {artist} *", "Van Gogh", 8)
         cond = assemble_condition(seq, None)
         assert cond.data.shape == (5, 8)
         np.testing.assert_array_equal(cond.data, seq.embeddings[:5])
 
     def test_bare_placeholder_without_style_is_empty(self):
-        seq = encode_prompt("*", "X", 7, 6)
+        seq = encode_prompt("*", "X", 6)
         assert assemble_condition(seq, None) is None
 
     def test_width_mismatch(self):
-        seq = encode_prompt("a *", "X", 7, 6)
+        seq = encode_prompt("a *", "X", 6)
         with pytest.raises(DimensionError):
             assemble_condition(seq, Tensor(np.zeros((5, 3))))
 
@@ -160,7 +147,7 @@ class TestCreateEntry:
 
     def test_encoding_is_deterministic_function_of_entry(self):
         e = create_entry("s", "Van Gogh", 8, 4, seed=3)
-        seq = encode_prompt(e.template, e.artist, 7, 8)
+        seq = encode_prompt(e.template, e.artist, 8)
 
         def build():
             return assemble_condition(seq, ssam_forward(e.i_m.value, e.ssam))

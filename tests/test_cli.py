@@ -45,15 +45,17 @@ def test_config_file_rejects_garbage(tmp_path):
 
 def test_config_values_take_field_types(tmp_path):
     cfg = tmp_path / "typed.cfg"
-    cfg.write_text("steps = 12\nlr = 0.01\ndrop_text = yes\n"
-                   "no_inversion = off\ntemplate = a photo *\n")
+    cfg.write_text("steps = 12\nlr = 0.01\nno_inversion = yes\n"
+                   "template = a photo *\n")
     args = build_parser().parse_args(["bank", "inspect", "--config", str(cfg)])
     resolved = build_config(args)
     assert resolved.steps == 12 and type(resolved.steps) is int
     assert resolved.lr == 0.01 and type(resolved.lr) is float
-    assert resolved.drop_text is True and resolved.no_inversion is False
+    assert resolved.no_inversion is True
     assert resolved.template == "a photo *"
-    for bad in ("steps = 1.5", "lr = fast", "drop_text = maybe"):
+    cfg.write_text("no_inversion = off\n")
+    assert build_config(args).no_inversion is False
+    for bad in ("steps = 1.5", "lr = fast", "no_inversion = maybe"):
         cfg.write_text(bad + "\n")
         with pytest.raises(ConfigError, match="cannot parse"):
             build_config(args)
@@ -63,7 +65,6 @@ def test_config_values_take_field_types(tmp_path):
 _COMMON_FLAGS = [
     (("--config",), "config", "str", None),
     (("--seed",), "seed", "int", None),
-    (("--vocab-seed",), "vocab_seed", "int", None),
 ]
 _FLAG_SURFACE = {
     "pretrain": [
@@ -89,7 +90,6 @@ _FLAG_SURFACE = {
         (("--timesteps",), "timesteps", "int", None),
         (("--lr",), "lr", "float", None),
         (("--attention",), "attention", "str", ("ssam", "adaattn", "sanet")),
-        (("--drop-text",), "drop_text", "const=True", None),
         (("--loss-csv",), "loss_csv", "str", None),
     ],
     "stylize": [
@@ -155,16 +155,6 @@ def test_flag_surface():
                        for path, rows in _FLAG_SURFACE.items()}
 
 
-@pytest.mark.parametrize("vocab_seed", ["-1", str(2**64)])
-def test_out_of_range_vocab_seed_exits_2(dataset, tmp_path, capsys, vocab_seed):
-    ck = tmp_path / "never.abdn"
-    code = run(["pretrain", "--data", str(dataset), "--checkpoint", str(ck),
-                "--steps", "1", "--width", "8", "--vocab-seed", vocab_seed])
-    assert code == 2
-    assert "vocab_seed must lie in" in capsys.readouterr().err
-    assert not ck.exists()
-
-
 @pytest.fixture(scope="module")
 def untrained_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ck") / "untrained.abdn"
@@ -208,21 +198,29 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train-bank", "bench-attn"])
-def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
-                                  capsys, command):
+@pytest.mark.parametrize("command, size, gib", [
     # The 100000 x 100000 attention map alone would need 74.5 GiB.
+    pytest.param("train-bank", ["--positions", "100000"], "74.5", id="train-bank"),
+    pytest.param("bench-attn", ["--positions", "100000"], "74.5", id="bench-attn"),
+    # conv2's 200000 x 200000 x 3 x 3 kernel, and the 8 x 1e11 key projection.
+    pytest.param("pretrain", ["--width", "200000"], "2682.2", id="pretrain-width"),
+    pytest.param("pretrain", ["--width", "8", "--channels", "100000000000"],
+                 "5960.5", id="pretrain-channels"),
+])
+def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
+                                  capsys, command, size, gib):
     out = tmp_path / "never"
-    target = {"train-bank": ["--bank", str(out), "--steps", "1"],
-              "bench-attn": ["--out", str(out), "--bench-seeds", "3",
-                             "--max-iters", "100"]}[command]
-    code = run([command, "--data", str(dataset), "--checkpoint",
-                str(untrained_checkpoint), "--style-id", "checks",
-                "--channels", "12", "--positions", "100000", *target])
+    entry = ["--checkpoint", str(untrained_checkpoint), "--style-id", "checks",
+             "--channels", "12"]
+    target = {"train-bank": [*entry, "--bank", str(out), "--steps", "1"],
+              "bench-attn": [*entry, "--out", str(out), "--bench-seeds", "3",
+                             "--max-iters", "100"],
+              "pretrain": ["--checkpoint", str(out), "--steps", "1"]}[command]
+    code = run([command, "--data", str(dataset), *target, *size])
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("artbank: error:")
-    assert "74.5 GiB" in err[0] and "256 MiB per array" in err[0]
+    assert f"{gib} GiB" in err[0] and "256 MiB per array" in err[0]
     assert not out.exists()
 
 
@@ -287,7 +285,11 @@ def test_bank_inspect_corrupt_string_exits_2(tmp_path, capsys):
 
 
 def test_unknown_flag_nonzero_exit(capsys):
-    assert run(["stylize", "--frobnicate"]) != 0
+    # The vocabulary is fixed and ``train-bank --template '*'`` makes the
+    # drop-text entry, so neither has a flag.
+    for argv in (["stylize", "--frobnicate"], ["pretrain", "--vocab-seed", "5"],
+                 ["train-bank", "--drop-text"]):
+        assert run(argv) == 2
 
 
 def test_missing_file_nonzero_exit(tmp_path, capsys):
@@ -418,6 +420,28 @@ class TestPipeline:
         assert code == 2
         assert "does not fit the bank format" in capsys.readouterr().err
         assert not bank_path.exists()
+
+    def test_drop_text_entry_from_bare_template(self, dataset, tmp_path,
+                                                capsys):
+        # The text ablation: an entry whose prompt is the placeholder alone.
+        ck = tmp_path / "b7.abdn"
+        bank_path = tmp_path / "s7.ispb"
+        out = tmp_path / "x.ppm"
+        common = ["--seed", "7", "--channels", "12", "--timesteps", "10"]
+        assert run(["pretrain", "--data", str(dataset), "--checkpoint",
+                    str(ck), "--steps", "5", "--width", "8"] + common) == 0
+        assert run(["train-bank", "--data", str(dataset), "--checkpoint",
+                    str(ck), "--bank", str(bank_path), "--style-id", "checks",
+                    "--template", "*", "--steps", "2",
+                    "--positions", "4"] + common) == 0
+        capsys.readouterr()
+        assert run(["bank", "inspect", "--bank", str(bank_path)]) == 0
+        assert "checks: artist='checks' template='*'" in capsys.readouterr().out
+        assert run(["stylize", "--checkpoint", str(ck), "--bank",
+                    str(bank_path), "--style-id", "checks", "--content",
+                    str(dataset / "content.ppm"), "--out", str(out),
+                    "--seed", "7", "--timesteps", "10"]) == 0
+        assert read_ppm(out).width == 8
 
     def test_stylize_unknown_style_id(self, dataset, tmp_path, capsys):
         ck = tmp_path / "b2.abdn"

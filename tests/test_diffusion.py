@@ -19,9 +19,10 @@ from artbank.diffusion import (BETA_END, BETA_START, CHECKPOINT_MAGIC,
 from artbank.errors import (BadMagicError, ConfigError, ContractError,
                             DimensionError, FormatError, MalformedHeaderError,
                             TruncatedFileError, VersionMismatchError)
-from artbank.optim import grad_check
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all
+
+from oracles import grad_check
 
 
 class OracleDenoiser:
@@ -37,7 +38,7 @@ class OracleDenoiser:
 
 
 def text_cond(width=64):
-    return assemble_condition(encode_prompt("a photo *", "", 7, width), None)
+    return assemble_condition(encode_prompt("a photo *", "", width), None)
 
 
 def noise_start(sched, seed):
@@ -147,7 +148,7 @@ class TestDenoiser:
     def test_empty_condition_skips_cross_attention(self):
         d = Denoiser(3, 8, 16, seed=2)
         state = LatentState(Tensor(np.zeros((3, 4, 4))), 1)
-        empty = assemble_condition(encode_prompt("*", "", 7, 16), None)
+        empty = assemble_condition(encode_prompt("*", "", 16), None)
         assert empty is None
         out = d.predict_noise(state, empty)
         assert out.data.shape == (3, 4, 4)
@@ -158,7 +159,7 @@ class TestDenoiser:
         d.conv4_w.value.data[...] = rng.normal(size=d.conv4_w.value.data.shape) * 0.3
         d.conv4_b.value.data[...] = rng.normal(size=d.conv4_b.value.data.shape) * 0.1
         d.freeze()
-        seq = encode_prompt("a painting *", "", 7, 5)
+        seq = encode_prompt("a painting *", "", 5)
         v_m = Parameter("v_m", Tensor(rng.normal(size=(5, 3))))
         z = Tensor(rng.normal(size=(1, 6, 6)))
 
@@ -205,6 +206,22 @@ class TestTrainNaive:
         smoothed = trace[-100:].mean()
         assert smoothed < 0.8 * initial
 
+    @pytest.mark.parametrize("n_prompts", [0, 1, 3])
+    def test_prompt_count_mismatch_refused_before_any_step(self, monkeypatch,
+                                                           n_prompts):
+        # Two images need exactly two prompts: none is cycled or dropped.
+        d = Denoiser(3, 8, 16, seed=10)
+        before = checkpoint_bytes(d)
+        imgs = [gen_content_image("photo", 8, seed=i) for i in range(2)]
+        steps = []
+        monkeypatch.setattr(diffusion, "_noise_step", lambda *a: steps.append(a))
+        message = f"one prompt per image, got {n_prompts} prompts for 2 images"
+        with pytest.raises(ConfigError, match=message):
+            train_naive(d, imgs, ["a photo *"] * n_prompts, make_schedule(10),
+                        5, seed=0)
+        assert steps == []
+        assert checkpoint_bytes(d) == before
+
     def test_deterministic_given_seed(self):
         imgs = [gen_content_image("photo", 8, seed=4),
                 gen_content_image("shapes", 8, seed=5)]
@@ -232,7 +249,8 @@ def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
                         lambda *a: steps.append(a[2]) or real_step(*a))
     if trainer == "naive":
         params = d.parameters()
-        run = lambda: train_naive(d, images, ["a photo *"], sched, 20, seed=0)
+        run = lambda: train_naive(d, images, ["a photo *"] * len(images), sched,
+                                  20, seed=0)
     else:
         d.freeze()
         params = entry.trainable_params()
@@ -461,6 +479,21 @@ class TestCheckpoint:
             path.write_bytes(bytes(raw))
             with pytest.raises(MalformedHeaderError):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset, value, gib", [
+        (10, 6000, "2.4"),  # width: conv2's 6000 x 6000 x 3 x 3 kernel
+        (14, 2**32 - 1, "128.0"),  # cond_dim: the 4 x (2**32 - 1) key projection
+    ])
+    def test_header_over_array_limit_rejected(self, tmp_path, offset, value,
+                                              gib):
+        # The size check, not the stale value count, must refuse these.
+        path = tmp_path / "huge.abdn"
+        raw = bytearray(checkpoint_bytes(Denoiser(1, 4, 4, seed=0)))
+        struct.pack_into("<I", raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedHeaderError,
+                           match=f"needs a {gib} GiB array; the limit is 256 MiB"):
+            load_checkpoint(path)
 
     def test_oversized_header_allocates_little(self, tmp_path):
         # A 3,518-byte file whose width field says 800: the network that

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-import artbank.inversion as inversion
-
+from artbank.attention import ssam_forward
 from artbank.bank import StyleBank, assemble_condition, create_entry, encode_prompt
 from artbank.data_io import gen_content_image
 from artbank.desk import contents
@@ -24,10 +23,6 @@ class FixedNoiseDenoiser:
 
     def predict_noise(self, state, cond):
         return Tensor(self.eps)
-
-
-def text_cond(width=64):
-    return assemble_condition(encode_prompt("a photo *", "", 7, width), None)
 
 
 class TestConfig:
@@ -52,17 +47,15 @@ class TestStochasticInvert:
         cfg = InversionConfig(strength=0.6, seed=5)
         probe = probe_noise(cfg, (3, 16, 16))
         oracle = FixedNoiseDenoiser(probe)
-        eps_pred, t0 = stochastic_invert(oracle, sched, content, cfg, text_cond())
+        eps_pred, t0 = stochastic_invert(oracle, sched, content, cfg)
         assert t0 == 60
         assert np.array_equal(eps_pred.data, probe)
 
     def test_deterministic(self, desk):
         content = gen_content_image("shapes", 16, seed=2)
         cfg = InversionConfig(strength=0.6, seed=7)
-        a, t_a = stochastic_invert(desk.backbone, desk.sched, content, cfg,
-                                   text_cond())
-        b, t_b = stochastic_invert(desk.backbone, desk.sched, content, cfg,
-                                   text_cond())
+        a, t_a = stochastic_invert(desk.backbone, desk.sched, content, cfg)
+        b, t_b = stochastic_invert(desk.backbone, desk.sched, content, cfg)
         assert t_a == t_b
         assert np.array_equal(a.data, b.data)
 
@@ -74,7 +67,7 @@ class TestStochasticInvert:
         d.freeze()
         content = gen_content_image("photo", 8, seed=3)
         cfg = InversionConfig(strength=0.5, seed=9)
-        eps_pred, _ = stochastic_invert(d, sched, content, cfg, text_cond())
+        eps_pred, _ = stochastic_invert(d, sched, content, cfg)
         np.testing.assert_array_equal(eps_pred.data, np.zeros((3, 8, 8)))
 
 
@@ -115,21 +108,25 @@ class TestStylize:
         # The full entry's template has text ("a painting by rosetta"),
         # which the backbone learned as a style; inverting under it pulls
         # the noise estimate toward that style instead of the content.
-        assert len(desk.entry_full.template.split()) > 1
+        entry = desk.entry_full
+        assert len(entry.template.split()) > 1
         seen = []
-        real = inversion.stochastic_invert
+        real = Denoiser.predict_noise
 
-        def spy(d, sched, content, cfg, cond):
+        def spy(d, state, cond):
             seen.append(cond)
-            return real(d, sched, content, cfg, cond)
+            return real(d, state, cond)
 
-        monkeypatch.setattr(inversion, "stochastic_invert", spy)
+        monkeypatch.setattr(Denoiser, "predict_noise", spy)
         content = gen_content_image("shapes", 16, seed=8)
-        stylize(desk.backbone, desk.sched, desk.bank,
-                desk.entry_full.style_id, content,
-                InversionConfig(strength=0.6, seed=17))
-        assert len(seen) == 1
+        cfg = InversionConfig(strength=0.6, seed=17)
+        stylize(desk.backbone, desk.sched, desk.bank, entry.style_id, content, cfg)
+        full = assemble_condition(
+            encode_prompt(entry.template, entry.artist, entry.channels),
+            ssam_forward(entry.i_m.value, entry.ssam))
+        assert len(seen) == 1 + start_timestep(cfg, desk.sched)
         assert seen[0] is None
+        assert all(np.array_equal(c.data, full.data) for c in seen[1:])
 
     def test_inversion_beats_random_init_on_structure(self, desk):
         with_inv, without_inv = [], []

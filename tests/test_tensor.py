@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from artbank.errors import (DimensionError, MissingGradError, NumericError)
-from artbank.optim import AdamState, adam_step, grad_check, zero_grads
+from artbank.optim import AdamState, adam_step, zero_grads
 from artbank.tensor import (Parameter, Tensor, channel_norm, clamp_min,
                             concat_rows, conv2d, gelu, im2col, matmul,
                             mean_all, reshape, softmax_rows, sqrt, sum_all,
                             transpose)
 
-from oracles import (channel_norm_ref, im2col_ref, matmul_loops,
+from oracles import (channel_norm_ref, grad_check, im2col_ref, matmul_loops,
                      softmax_rows_ref)
 
 
