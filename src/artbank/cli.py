@@ -12,6 +12,7 @@ import argparse
 import csv
 import re
 import sys
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -55,8 +56,7 @@ class RunConfig:
     stylized_path: str = ""
 
     def describe(self, keys: list[str]) -> str:
-        parts = [f"{k}={getattr(self, k)!r}" for k in sorted(set(keys + ['seed']))]
-        return "config: " + " ".join(parts)
+        return "config: " + " ".join(f"{k}={getattr(self, k)!r}" for k in sorted(keys))
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -131,14 +131,17 @@ def _load_dir_images(root: Path) -> list[data_io.ImageSample]:
     return [data_io.read_ppm(p) for p in _image_files(root)]
 
 
-def _load_backbone(cfg: RunConfig) -> diffusion.Denoiser:
-    """The frozen checkpoint, checked against the configured bank width."""
+def _load_backbone(cfg: RunConfig, width: int,
+                   mismatch: str = "checkpoint expects condition width "
+                                   "{cond_dim} but channels={width} was "
+                                   "requested") -> diffusion.Denoiser:
+    """The frozen checkpoint. A condition width other than ``width`` is a
+    ``ConfigError`` with ``mismatch``, formatted with ``width`` and the
+    checkpoint's ``cond_dim``."""
     d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
     d.freeze()
-    if d.cond_dim != cfg.channels:
-        raise ConfigError(
-            f"checkpoint expects condition width {d.cond_dim} but "
-            f"channels={cfg.channels} was requested")
+    if d.cond_dim != width:
+        raise ConfigError(mismatch.format(width=width, cond_dim=d.cond_dim))
     return d
 
 
@@ -203,7 +206,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 
 def cmd_train_bank(cfg: RunConfig) -> int:
-    d = _load_backbone(cfg)
+    d = _load_backbone(cfg, cfg.channels)
     if not cfg.style_id:
         raise ConfigError("train-bank requires --style-id")
     if not cfg.bank_path:
@@ -231,17 +234,14 @@ def cmd_train_bank(cfg: RunConfig) -> int:
 
 
 def cmd_stylize(cfg: RunConfig) -> int:
-    d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
-    d.freeze()
     bank = bank_mod.load_bank(_require(cfg.bank_path, "bank"))
     content = data_io.read_ppm(_require(cfg.content_path, "content image"))
     if not cfg.out_path:
         raise ConfigError("stylize requires an output path")
     entry = bank.get(cfg.style_id)
-    if entry.channels != d.cond_dim:
-        raise ConfigError(
-            f"bank entry width {entry.channels} does not match checkpoint "
-            f"condition width {d.cond_dim}")
+    d = _load_backbone(cfg, entry.channels,
+                       "bank entry width {width} does not match checkpoint "
+                       "condition width {cond_dim}")
     inv_cfg = inversion.InversionConfig(
         strength=cfg.strength, seed=derive_seed(cfg.seed, "stylize"))
     result = inversion.stylize(d, diffusion.make_schedule(cfg.timesteps), bank,
@@ -253,17 +253,23 @@ def cmd_stylize(cfg: RunConfig) -> int:
 
 
 def cmd_bench_attn(cfg: RunConfig) -> int:
-    d = _load_backbone(cfg)
+    d = _load_backbone(cfg, cfg.channels)
     images = _load_style_images(cfg)
     variants = [v.strip() for v in cfg.variants.split(",") if v.strip()]
     seeds = [derive_seed(cfg.seed, f"bench:{i}") for i in range(cfg.bench_seeds)]
+    t0 = time.perf_counter()
     reports = metrics.convergence_benchmark(
         d, images, variants, seeds, cfg.threshold, cfg.max_iters,
         sched=diffusion.make_schedule(cfg.timesteps), channels=cfg.channels,
         positions=cfg.positions, lr=cfg.lr)
+    wall = time.perf_counter() - t0
     if cfg.out_path:
         metrics.write_convergence_csv(reports, cfg.out_path)
     print(metrics.format_convergence_table(reports))
+    jobs = len(variants) * len(seeds)
+    workers = metrics.job_workers(jobs)
+    where = "in-process" if workers == 1 else f"on {workers} worker processes"
+    print(f"{jobs} jobs {where} in {wall:.2f} s ({jobs / wall:.2f} jobs/s)")
     return 0
 
 
@@ -325,7 +331,8 @@ def cmd_bank_inspect(cfg: RunConfig) -> int:
 
 class Command(NamedTuple):
     """A subcommand's handler (or table of nested subcommands), help line
-    and the ``RunConfig`` fields it takes as flags."""
+    and the ``RunConfig`` fields it takes as flags. A command lists ``seed``
+    only if it draws randomness; its config line always shows the seed."""
 
     handler: Callable[[RunConfig], int] | dict[str, Command]
     help: str
@@ -335,19 +342,20 @@ class Command(NamedTuple):
 COMMANDS: dict[str, Command] = {
     "pretrain": Command(
         cmd_pretrain, "train the denoiser backbone",
-        "data_root checkpoint_path steps width channels timesteps lr loss_csv"),
+        "seed data_root checkpoint_path steps width channels timesteps lr "
+        "loss_csv"),
     "train-bank": Command(
         cmd_train_bank, "train one bank entry",
-        "data_root checkpoint_path bank_path style_id artist template steps "
-        "channels positions timesteps lr attention loss_csv"),
+        "seed data_root checkpoint_path bank_path style_id artist template "
+        "steps channels positions timesteps lr attention loss_csv"),
     "stylize": Command(
         cmd_stylize, "render a content image in a style",
-        "checkpoint_path bank_path style_id content_path out_path strength "
-        "timesteps no_inversion"),
+        "seed checkpoint_path bank_path style_id content_path out_path "
+        "strength timesteps no_inversion"),
     "bench-attn": Command(
         cmd_bench_attn, "attention-encoder convergence benchmark",
-        "data_root checkpoint_path style_id variants bench_seeds threshold "
-        "max_iters channels positions timesteps lr out_path"),
+        "seed data_root checkpoint_path style_id variants bench_seeds "
+        "threshold max_iters channels positions timesteps lr out_path"),
     "eval": Command(
         cmd_eval, "SSIM and style scores for image pairs",
         "content_path stylized_path style_dir out_path"),
@@ -360,9 +368,9 @@ COMMANDS: dict[str, Command] = {
 
 def _add_commands(parser: argparse.ArgumentParser, dest: str,
                   table: dict[str, Command]) -> None:
-    """Add one subparser per table entry. Each takes ``--config``, ``--seed``
-    and its entry's fields; a field's flag is its name minus a
-    ``_path``/``_root`` suffix, dashed, and takes the field's type."""
+    """Add one subparser per table entry. Each takes ``--config`` and its
+    entry's fields; a field's flag is its name minus a ``_path``/``_root``
+    suffix, dashed, and takes the field's type."""
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, command in table.items():
         p = sub.add_parser(name, help=command.help)
@@ -370,7 +378,8 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str,
             _add_commands(p, f"{name}_command", command.handler)
             continue
         p.add_argument("--config", help="key = value config file")
-        for field in ["seed"] + command.fields.split():
+        names = command.fields.split()
+        for field in names:
             kind = type(getattr(RunConfig, field))
             opts: dict = {"dest": field, "help": (
                 "root seed (default 0)" if field == "seed" else None)}
@@ -382,7 +391,7 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str,
                 opts["type"] = kind
             flag = re.sub(r"_(path|root)$", "", field).replace("_", "-")
             p.add_argument("--" + flag, **opts)
-        p.set_defaults(func=command.handler)
+        p.set_defaults(func=command.handler, flag_fields=names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,9 +408,8 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        provided = [k for k in (f.name for f in fields(RunConfig))
-                    if getattr(args, k, None) is not None]
-        print(cfg.describe(provided))
+        print(cfg.describe([k for k in args.flag_fields
+                            if k == "seed" or getattr(args, k) is not None]))
         return args.func(cfg)
     except (ArtBankError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

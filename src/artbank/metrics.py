@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +34,10 @@ SSIM_C2 = 0.03 ** 2
 GRAM_BANK_SEED = 2718
 GRAM_CHANNELS = 16
 MOVING_AVG_WINDOW = 100
+
+# OpenBLAS takes its thread count from the first of these that holds a
+# positive count, in this order, and otherwise starts one thread per core.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _window_means(x: np.ndarray, k: int) -> np.ndarray:
@@ -182,14 +188,74 @@ def _median_or_none(values: list[int | None]) -> int | None:
 def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
                sched: NoiseSchedule, variant: str, seed: int,
                loss_threshold: float, max_iters: int, channels: int,
-               positions: int, lr: float) -> int | None:
+               positions: int, lr: float) -> tuple[float, list[float]]:
+    """One job: a fresh entry's initial probe loss and its loss trace,
+    trained up to its crossing."""
     entry = create_entry(f"bench-{variant}", "benchmark", channels, positions,
                          seed=seeding.derive_seed(seed, f"bench-entry-{variant}"))
     initial = ispb_eval_loss(d, entry, collection, sched, seed=seed, variant=variant)
     crossed = _crossing_detector(loss_threshold * initial)
     trace = train_ispb(d, entry, collection, sched, max_iters, seed=seed,
                        lr=lr, variant=variant, on_step=lambda r: crossed(r.loss))
-    return iterations_to_threshold(trace, loss_threshold, initial)
+    return initial, trace
+
+
+def _workers(jobs: int, environ: Mapping[str, str], cores: int) -> int:
+    """Processes to run ``jobs`` independent jobs on ``cores`` usable cores
+    when each process starts the BLAS threads ``environ`` asks OpenBLAS for:
+    one per ``cores // threads``, so no core runs two spinning BLAS threads.
+    A count that is not a positive integer is unset, as OpenBLAS reads it
+    (``atoi``), and OpenBLAS starts no more threads than cores."""
+    threads = cores
+    for key in BLAS_THREAD_VARS:
+        count = re.match(r"\s*\+?(\d+)", environ.get(key, ""))
+        if count and int(count[1]) > 0:
+            threads = min(int(count[1]), cores)
+            break
+    return min(jobs, cores // threads)
+
+
+def job_workers(jobs: int) -> int:
+    """Processes ``convergence_benchmark`` runs ``jobs`` jobs on: 1, meaning
+    in this process, where ``fork`` is unavailable, else the ``_workers``
+    rule for this process's environment and usable cores."""
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return _workers(jobs, os.environ, cores)
+
+
+# The jobs of the running pool. A forked worker reads them from its copy of
+# the parent's memory, so nothing is pickled on the way in; set only while
+# ``_map_jobs`` forks and waits.
+_JOBS: list[Callable[[], tuple[float, list[float]]]] = []
+
+
+def _run_job(index: int) -> tuple[float, list[float]]:
+    return _JOBS[index]()
+
+
+def _map_jobs(jobs: list[Callable[[], tuple[float, list[float]]]]
+              ) -> list[tuple[float, list[float]]]:
+    """Each job's result, in job order, from ``job_workers`` forked
+    processes, or from this process when that is 1. An error a job raises
+    reaches the caller with its type; a worker that dies raises
+    ``BrokenProcessPool``."""
+    global _JOBS
+    workers = job_workers(len(jobs))
+    if workers == 1:
+        return [job() for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    _JOBS = jobs
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_job, range(len(jobs))))
+    finally:
+        _JOBS = []
 
 
 def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
@@ -204,6 +270,11 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     Each job stops at its crossing, which later steps cannot change, so
     ``max_iters`` is a ceiling, not a cost: only a job that never crosses
     trains all of it. The reports are those of full-budget runs.
+
+    The jobs are independent and fully seeded, so they run on
+    ``job_workers`` forked processes; the crossings, and the warning for a
+    censored one, are worked out here, in job order, from the traces the
+    workers return, so the reports do not depend on the worker count.
     """
     if not variants:
         raise ConfigError("variants must name at least one encoder")
@@ -218,11 +289,14 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
             f"moving-average window, got {max_iters}")
     for v in variants:  # reject an unknown name before any job trains
         encoder_builder(v)
+    results = _map_jobs([
+        functools.partial(_bench_one, d, collection, sched, variant, seed,
+                          loss_threshold, max_iters, channels, positions, lr)
+        for variant in variants for seed in seeds])
     reports = []
-    for variant in variants:
-        iters = [_bench_one(d, collection, sched, variant, seed,
-                            loss_threshold, max_iters, channels, positions, lr)
-                 for seed in seeds]
+    for k, variant in enumerate(variants):
+        iters = [iterations_to_threshold(trace, loss_threshold, initial)
+                 for initial, trace in results[k * len(seeds):(k + 1) * len(seeds)]]
         reports.append(ConvergenceReport(
             variant=variant, seeds=list(seeds), iterations_to_threshold=iters,
             threshold=loss_threshold, median_iters=_median_or_none(iters)))

@@ -1,15 +1,18 @@
 """End-to-end CLI behavior with a tiny on-disk dataset."""
 
 import argparse
+import re
 
 import numpy as np
 import pytest
 
 import artbank.diffusion as diffusion
+from artbank import metrics
 from artbank.bank import StyleBank, bank_bytes, create_entry, save_bank
 from artbank.cli import build_config, build_parser, parse_config_file, run
-from artbank.data_io import (default_style_specs, gen_content_image,
-                             gen_style_collection, read_ppm, write_ppm)
+from artbank.data_io import (ImageSample, default_style_specs,
+                             gen_content_image, gen_style_collection, read_ppm,
+                             write_ppm)
 from artbank.errors import ConfigError
 
 
@@ -64,10 +67,11 @@ def test_config_values_take_field_types(tmp_path):
 # Every subcommand's flags as (option strings, dest, type or const, choices).
 _COMMON_FLAGS = [
     (("--config",), "config", "str", None),
-    (("--seed",), "seed", "int", None),
 ]
+_SEED = (("--seed",), "seed", "int", None)
 _FLAG_SURFACE = {
     "pretrain": [
+        _SEED,
         (("--data",), "data_root", "str", None),
         (("--checkpoint",), "checkpoint_path", "str", None),
         (("--steps",), "steps", "int", None),
@@ -78,6 +82,7 @@ _FLAG_SURFACE = {
         (("--loss-csv",), "loss_csv", "str", None),
     ],
     "train-bank": [
+        _SEED,
         (("--data",), "data_root", "str", None),
         (("--checkpoint",), "checkpoint_path", "str", None),
         (("--bank",), "bank_path", "str", None),
@@ -93,6 +98,7 @@ _FLAG_SURFACE = {
         (("--loss-csv",), "loss_csv", "str", None),
     ],
     "stylize": [
+        _SEED,
         (("--checkpoint",), "checkpoint_path", "str", None),
         (("--bank",), "bank_path", "str", None),
         (("--style-id",), "style_id", "str", None),
@@ -103,6 +109,7 @@ _FLAG_SURFACE = {
         (("--no-inversion",), "no_inversion", "const=True", None),
     ],
     "bench-attn": [
+        _SEED,
         (("--data",), "data_root", "str", None),
         (("--checkpoint",), "checkpoint_path", "str", None),
         (("--style-id",), "style_id", "str", None),
@@ -257,6 +264,7 @@ def test_bank_inspect_empty_bank(tmp_path, capsys):
     code = run(["bank", "inspect", "--bank", str(path)])
     out = capsys.readouterr().out
     assert code == 0
+    assert out.splitlines()[0] == f"config: bank_path={str(path)!r}"  # no seed
     assert "0 entries" in out
 
 
@@ -286,9 +294,11 @@ def test_bank_inspect_corrupt_string_exits_2(tmp_path, capsys):
 
 def test_unknown_flag_nonzero_exit(capsys):
     # The vocabulary is fixed and ``train-bank --template '*'`` makes the
-    # drop-text entry, so neither has a flag.
+    # drop-text entry, so neither has a flag; ``eval`` and ``bank inspect``
+    # draw no randomness, so they take no seed.
     for argv in (["stylize", "--frobnicate"], ["pretrain", "--vocab-seed", "5"],
-                 ["train-bank", "--drop-text"]):
+                 ["train-bank", "--drop-text"], ["eval", "--seed", "5"],
+                 ["bank", "inspect", "--seed", "42"]):
         assert run(argv) == 2
 
 
@@ -329,12 +339,55 @@ def test_eval_style_score_below_5x5_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_runs_print_config_and_seed(tmp_path, capsys):
-    path = tmp_path / "cfgbank.ispb"
-    save_bank(StyleBank(), path)
-    run(["bank", "inspect", "--bank", str(path), "--seed", "42"])
-    out = capsys.readouterr().out
-    assert "config:" in out and "seed=42" in out
+def test_runs_print_config_and_seed(dataset, tmp_path, capsys):
+    pretrain = ["pretrain", "--data", str(dataset), "--checkpoint",
+                str(tmp_path / "ck.abdn"), "--steps", "1", "--width", "8",
+                "--channels", "12"]
+    for seed, shown in ((["--seed", "42"], "seed=42"), ([], "seed=0")):
+        assert run([*pretrain, *seed]) == 0
+        config = capsys.readouterr().out.splitlines()[0]
+        assert config.startswith("config:") and shown in config.split()
+
+
+def _bench_attn(dataset, checkpoint, out):
+    return run(["bench-attn", "--data", str(dataset), "--checkpoint",
+                str(checkpoint), "--style-id", "checks", "--channels", "12",
+                "--positions", "4", "--bench-seeds", "3", "--max-iters", "300",
+                "--threshold", "1.0", "--variants", "ssam,sanet", "--seed", "7",
+                "--out", str(out)])
+
+
+def test_bench_attn_csv_same_bytes_pooled_and_in_process(
+        dataset, untrained_checkpoint, tmp_path, capsys, monkeypatch):
+    csv = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(metrics, "_workers",
+                            lambda jobs, environ, cores: min(jobs, workers))
+        csv[workers] = tmp_path / f"bench-{workers}.csv"
+        assert _bench_attn(dataset, untrained_checkpoint, csv[workers]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        where = "in-process" if workers == 1 else "on 2 worker processes"
+        assert re.fullmatch(rf"6 jobs {where} in [0-9.]+ s \([0-9.]+ jobs/s\)",
+                            summary)
+    assert csv[2].read_bytes() == csv[1].read_bytes()
+    assert "ssam,4877073297239533922,117,1," in csv[1].read_text()
+
+
+def test_bench_attn_worker_error_exits_2(untrained_checkpoint, tmp_path,
+                                         capsys, monkeypatch):
+    gray = tmp_path / "gray" / "checks"
+    gray.mkdir(parents=True)
+    spec = default_style_specs()["checks"]
+    for i, img in enumerate(gen_style_collection(spec, 3, 8, seed=3)):
+        write_ppm(ImageSample.from_array(img.pixels.mean(axis=2)),
+                  gray / f"img_{i}.pgm")
+    monkeypatch.setattr(metrics, "_workers",
+                        lambda jobs, environ, cores: min(jobs, 2))
+    out = tmp_path / "never.csv"
+    assert _bench_attn(gray.parent, untrained_checkpoint, out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("artbank: error: image 0 has 1")
+    assert not out.exists()
 
 
 class TestPipeline:

@@ -1,5 +1,6 @@
 """SSIM, Gram-feature style scores, and the convergence report machinery."""
 
+import os
 import warnings
 
 import numpy as np
@@ -192,35 +193,46 @@ class TestEarlyStop:
     must be those of jobs trained for the whole budget."""
 
     @staticmethod
-    def _run(desk, monkeypatch, variants, threshold, max_iters, full_budget):
-        lengths = []
+    def _run(desk, monkeypatch, tmp_path, variants, threshold, max_iters,
+             full_budget):
+        # Jobs may train in forked workers, whose memory the test cannot
+        # read, so each call appends its job and trace length to a file.
+        log = tmp_path / f"lengths-{full_budget}.txt"
 
         def counted(*args, on_step=None, **kwargs):
             trace = diffusion.train_ispb(
                 *args, on_step=None if full_budget else on_step, **kwargs)
-            lengths.append(len(trace))
+            with open(log, "a") as fh:
+                fh.write(f"{kwargs['variant']} {kwargs['seed']} {len(trace)}\n")
             return trace
 
+        seeds = [0, 1, 2]
         monkeypatch.setattr(metrics, "train_ispb", counted)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             reports = convergence_benchmark(
-                desk.backbone, desk.style_collection, variants, [0, 1, 2],
+                desk.backbone, desk.style_collection, variants, seeds,
                 loss_threshold=threshold, max_iters=max_iters,
                 sched=desk.sched, lr=3e-4)
         censored = sum("censored" in str(w.message) for w in caught)
+        calls = [line.split() for line in log.read_text().splitlines()]
+        by_job = {(v, int(s)): int(n) for v, s, n in calls}
+        assert len(by_job) == len(calls)  # each job trained once
+        lengths = [by_job.pop((v, s)) for v in variants for s in seeds]
+        assert not by_job
         return reports, lengths, censored
 
     @pytest.mark.parametrize("variants, threshold, max_iters, crosses", [
         (["ssam", "sanet"], 0.75, 200, True),  # at and after the window
         (["ssam"], 0.01, MOVING_AVG_WINDOW, False),
     ])
-    def test_same_reports_as_full_budget(self, desk, monkeypatch, variants,
-                                         threshold, max_iters, crosses):
+    def test_same_reports_as_full_budget(self, desk, monkeypatch, tmp_path,
+                                         variants, threshold, max_iters,
+                                         crosses):
         early, early_len, early_censored = self._run(
-            desk, monkeypatch, variants, threshold, max_iters, False)
+            desk, monkeypatch, tmp_path, variants, threshold, max_iters, False)
         full, full_len, full_censored = self._run(
-            desk, monkeypatch, variants, threshold, max_iters, True)
+            desk, monkeypatch, tmp_path, variants, threshold, max_iters, True)
         assert early == full
         iters = [it for r in early for it in r.iterations_to_threshold]
         assert full_len == [max_iters] * len(iters)
@@ -232,3 +244,61 @@ class TestEarlyStop:
             assert max(it for it in iters if it is not None) > MOVING_AVG_WINDOW
         else:
             assert iters == [None] * len(iters)
+
+
+class TestJobPool:
+    """``convergence_benchmark`` runs its jobs on forked workers, as many as
+    ``metrics._workers`` allows."""
+
+    @staticmethod
+    def _bench(desk, monkeypatch, workers, collection=None):
+        monkeypatch.setattr(metrics, "_workers",
+                            lambda jobs, environ, cores: min(jobs, workers))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = convergence_benchmark(
+                desk.backbone, collection or desk.style_collection,
+                ["ssam", "sanet"], [0, 1, 2], loss_threshold=0.75,
+                max_iters=200, sched=desk.sched, lr=3e-4)
+        return reports, [str(w.message) for w in caught]
+
+    def test_pooled_reports_equal_in_process(self, desk, monkeypatch, tmp_path):
+        pids = tmp_path / "pids.txt"
+
+        def logged(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return diffusion.train_ispb(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "train_ispb", logged)
+        pooled = self._bench(desk, monkeypatch, 2)
+        ran_in = set(pids.read_text().split())
+        assert os.getpid() not in map(int, ran_in) and len(ran_in) <= 2
+        assert pooled == self._bench(desk, monkeypatch, 1)
+        assert any("censored" in m for m in pooled[1])
+
+    def test_worker_error_reaches_caller_with_its_type(self, desk, monkeypatch):
+        gray = [ImageSample.from_array(img.pixels.mean(axis=2))
+                for img in desk.style_collection]
+        with pytest.raises(DimensionError, match="1 channels"):
+            self._bench(desk, monkeypatch, 2, collection=gray)
+
+    @pytest.mark.parametrize("environ, cores, jobs, workers", [
+        ({}, 2, 6, 1),  # OpenBLAS's default: one thread per core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 6, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 6, 6),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 6, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 6, 4),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 8, 6, 2),
+        ({"OPENBLAS_NUM_THREADS": "64"}, 8, 6, 1),  # capped at the cores
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 6, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 2, 6, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 6, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "GOTO_NUM_THREADS": "1"}, 2, 6, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 2, 6, 1),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 6, 2),
+        ({"OMP_NUM_THREADS": "1"}, 4, 6, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4096, 10 ** 6, 4096),  # starts none
+    ])
+    def test_worker_count_rule(self, environ, cores, jobs, workers):
+        assert metrics._workers(jobs, environ, cores) == workers
