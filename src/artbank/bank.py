@@ -12,6 +12,7 @@ the columns of an encoded style matrix, or dropped when there is none.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,12 +95,16 @@ def _token_id(token: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+@functools.lru_cache(maxsize=1024)
 def _embedding_row(token_id: int, width: int) -> np.ndarray:
+    """The token's frozen embedding row, read-only: callers share it."""
     mixed = hashlib.sha256(
         VOCAB_SEED.to_bytes(8, "little", signed=False)
         + token_id.to_bytes(8, "little", signed=False)).digest()
     rng = seeding.rng(int.from_bytes(mixed[:8], "little"))
-    return rng.uniform(-1.0, 1.0, size=width) / np.sqrt(width)
+    row = rng.uniform(-1.0, 1.0, size=width) / np.sqrt(width)
+    row.flags.writeable = False
+    return row
 
 
 def encode_prompt(template: str, artist: str,

@@ -92,12 +92,17 @@ def _coerce(key: str, raw: str):
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The defaults, overridden by the ``--config`` file's keys, overridden by
+    the flags given. A file key must be a field the command takes as a flag."""
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             if key not in known:
                 raise ConfigError(f"unknown config key: {key!r}")
+            if key not in args.flag_fields:
+                raise ConfigError(f"config key {key!r} is not a setting of "
+                                  f"'{args.command_name}'")
             setattr(cfg, key, _coerce(key, raw))
     for key in known:
         value = getattr(args, key, None)
@@ -185,6 +190,10 @@ def _record_loss(trace: list[float], path: str) -> str:
     return summary
 
 
+def _throughput(steps: int, wall: float) -> str:
+    return f"in {wall:.2f} s ({steps / wall:.1f} steps/s)"
+
+
 def cmd_pretrain(cfg: RunConfig) -> int:
     root = Path(_require(cfg.data_root, "dataset root", Path.is_dir))
     if not cfg.checkpoint_path:
@@ -196,12 +205,15 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     d = diffusion.Denoiser(in_channels=images[0].channels, width=cfg.width,
                            cond_dim=cfg.channels,
                            seed=derive_seed(cfg.seed, "denoiser-init"))
+    t0 = time.perf_counter()
     trace = diffusion.train_naive(d, images, prompts, sched, cfg.steps,
                                   seed=derive_seed(cfg.seed, "pretrain"), lr=cfg.lr)
+    wall = time.perf_counter() - t0
     diffusion.save_checkpoint(d, cfg.checkpoint_path)
     summary = _record_loss(trace, cfg.loss_csv)
     print(f"pretrained {cfg.steps} steps on {len(images)} images; "
-          f"{summary}; checkpoint -> {cfg.checkpoint_path}")
+          f"{summary}; checkpoint -> {cfg.checkpoint_path}; "
+          f"{_throughput(len(trace), wall)}")
     return 0
 
 
@@ -223,13 +235,16 @@ def cmd_train_bank(cfg: RunConfig) -> int:
         cfg.style_id, cfg.artist or cfg.style_id, cfg.channels, cfg.positions,
         seed=derive_seed(cfg.seed, f"entry:{cfg.style_id}"), template=cfg.template)
     bank.add(entry)  # refuses a duplicate id before any training step
+    t0 = time.perf_counter()
     trace = diffusion.train_ispb(d, entry, images, diffusion.make_schedule(cfg.timesteps),
                                  cfg.steps, seed=derive_seed(cfg.seed, "train-bank"),
                                  lr=cfg.lr, variant=cfg.attention)
+    wall = time.perf_counter() - t0
     bank_mod.save_bank(bank, cfg.bank_path)
     summary = _record_loss(trace, cfg.loss_csv)
     print(f"trained entry '{cfg.style_id}' for {cfg.steps} steps on "
-          f"{len(images)} images; {summary}; bank -> {cfg.bank_path}")
+          f"{len(images)} images; {summary}; bank -> {cfg.bank_path}; "
+          f"{_throughput(len(trace), wall)}")
     return 0
 
 
@@ -367,7 +382,7 @@ COMMANDS: dict[str, Command] = {
 
 
 def _add_commands(parser: argparse.ArgumentParser, dest: str,
-                  table: dict[str, Command]) -> None:
+                  table: dict[str, Command], prefix: str = "") -> None:
     """Add one subparser per table entry. Each takes ``--config`` and its
     entry's fields; a field's flag is its name minus a ``_path``/``_root``
     suffix, dashed, and takes the field's type."""
@@ -375,7 +390,7 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str,
     for name, command in table.items():
         p = sub.add_parser(name, help=command.help)
         if isinstance(command.handler, dict):
-            _add_commands(p, f"{name}_command", command.handler)
+            _add_commands(p, f"{name}_command", command.handler, f"{prefix}{name} ")
             continue
         p.add_argument("--config", help="key = value config file")
         names = command.fields.split()
@@ -391,7 +406,8 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str,
                 opts["type"] = kind
             flag = re.sub(r"_(path|root)$", "", field).replace("_", "-")
             p.add_argument("--" + flag, **opts)
-        p.set_defaults(func=command.handler, flag_fields=names)
+        p.set_defaults(func=command.handler, flag_fields=names,
+                       command_name=prefix + name)
 
 
 def build_parser() -> argparse.ArgumentParser:

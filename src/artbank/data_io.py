@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
+from .bank import check_array_size
 from .errors import (ConfigError, DimensionError, MalformedHeaderError,
                      TruncatedFileError, UnsupportedFormatError)
 from .tensor import Tensor
@@ -297,6 +298,7 @@ def read_ppm(path) -> ImageSample:
         raise UnsupportedFormatError(f"unsupported maxval: {maxval}")
     channels = 3 if magic == "P6" else 1
     expected = width * height * channels
+    check_array_size(expected, f"a {width}x{height} image", UnsupportedFormatError)
     payload = raw[offset:offset + expected]
     if len(payload) < expected:
         raise TruncatedFileError(

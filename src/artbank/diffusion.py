@@ -132,6 +132,8 @@ class Denoiser:
             self._freqs = np.exp(-np.log(10000.0) * np.arange(half) / (half - 1))
         else:
             self._freqs = np.ones(max(half, 1))
+        self._temb: dict[int, Tensor] = {}  # each timestep's feature map
+        self._attn_scale = Tensor(1.0 / np.sqrt(width))
 
     def parameters(self) -> list[Parameter]:
         return [getattr(self, name) for name in self._param_names]
@@ -145,12 +147,16 @@ class Denoiser:
             p.value.requires_grad = False
             p.value.grad = None
 
-    def _time_features(self, t: int) -> np.ndarray:
-        ang = float(t) * self._freqs
-        emb = np.concatenate([np.sin(ang), np.cos(ang)])
-        if emb.size < self.width:
-            emb = np.concatenate([emb, np.zeros(self.width - emb.size)])
-        return emb[:self.width]
+    def _time_features(self, t: int) -> Tensor:
+        """The (width, 1, 1) sinusoidal features of timestep ``t``."""
+        temb = self._temb.get(t)
+        if temb is None:
+            ang = float(t) * self._freqs
+            emb = np.concatenate([np.sin(ang), np.cos(ang)])
+            if emb.size < self.width:
+                emb = np.concatenate([emb, np.zeros(self.width - emb.size)])
+            temb = self._temb[t] = Tensor(emb[:self.width].reshape(self.width, 1, 1))
+        return temb
 
     def predict_noise(self, state: LatentState, cond: Tensor | None) -> Tensor:
         z = state.z
@@ -159,8 +165,8 @@ class Denoiser:
                 f"latent shape {z.data.shape} does not match in_channels="
                 f"{self.in_channels}")
         _, h, w_img = z.data.shape
-        temb = Tensor(self._time_features(state.t).reshape(self.width, 1, 1))
-        x = gelu(conv2d(z, self.conv1_w.value, self.conv1_b.value) + temb)
+        x = gelu(conv2d(z, self.conv1_w.value, self.conv1_b.value)
+                 + self._time_features(state.t))
         x = gelu(conv2d(x, self.conv2_w.value, self.conv2_b.value))
         feats = reshape(x, (self.width, h * w_img))
         if cond is not None:
@@ -172,7 +178,7 @@ class Denoiser:
             keys = matmul(self.attn_wk.value, cond_t)
             values = matmul(self.attn_wv.value, cond_t)
             queries = matmul(self.attn_wq.value, feats)
-            scores = matmul(transpose(queries), keys) * (1.0 / np.sqrt(self.width))
+            scores = matmul(transpose(queries), keys) * self._attn_scale
             attn = softmax_rows(scores)
             attended = matmul(values, transpose(attn))
             feats = feats + matmul(self.attn_wo.value, attended)
@@ -216,14 +222,24 @@ def load_checkpoint(path) -> Denoiser:
     return d
 
 
+def check_image_size(d: Denoiser, img: ImageSample, what: str) -> None:
+    """Refuse an image whose largest activation in ``d``, a conv's 9 * C * H * W
+    im2col columns, is over the array budget (``ConfigError``)."""
+    check_array_size(9 * max(d.width, d.in_channels) * img.height * img.width,
+                     f"{what} of {img.width}x{img.height} pixels at denoiser "
+                     f"width={d.width}")
+
+
 def _image_tensors(d: Denoiser, images: Sequence[ImageSample]) -> list[Tensor]:
     """The images as (C, H, W) tensors; refuses any image whose channel count
-    is not the denoiser's, before a step runs."""
+    is not the denoiser's, or whose activations are too large, before a step
+    runs."""
     for i, img in enumerate(images):
         if img.channels != d.in_channels:
             raise DimensionError(
                 f"image {i} has {img.channels} channels, the denoiser takes "
                 f"in_channels={d.in_channels}")
+        check_image_size(d, img, f"image {i}")
     return [img.to_tensor() for img in images]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .attention import ssam_forward
 from .bank import StyleBank, assemble_condition, encode_prompt
 from .data_io import ImageSample
-from .diffusion import NoiseSchedule, q_sample, sample
+from .diffusion import NoiseSchedule, check_image_size, q_sample, sample
 from .errors import ConfigError, ContractError
 from .seeding import rng_for
 from .tensor import Tensor
@@ -74,6 +74,7 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     reduces exactly to that baseline.
     """
     entry = bank.get(style_id)
+    check_image_size(d, content, "the content image")
     seq = encode_prompt(entry.template, entry.artist, entry.channels)
     x0 = content.to_tensor()
     eps = (stochastic_invert(d, sched, content, cfg)[0] if use_inversion

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MissingGradError
+from .errors import ConfigError, ContractError, MissingGradError
 from .tensor import Parameter
 
 Array = np.ndarray
@@ -20,37 +20,69 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment buffers keyed by parameter name."""
+    """First/second moment buffers over one parameter list, flat in its
+    order; allocated by the first step."""
 
     step_count: int = 0
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
+    m: Array | None = None
+    v: Array | None = None
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState,
               lr: float = 1e-3) -> AdamState:
-    """Apply one Adam update in place; deterministic given identical inputs."""
+    """Apply one Adam update in place; deterministic given identical inputs.
+
+    The update runs once over the gradients raveled and concatenated in
+    ``params`` order, so ``state`` serves that list alone.
+    """
     if not (math.isfinite(lr) and lr > 0.0):
         raise ConfigError(f"lr must be finite and positive, got {lr}")
-    state.step_count += 1
-    t = state.step_count
-    bias1 = 1.0 - ADAM_BETA1 ** t
-    bias2 = 1.0 - ADAM_BETA2 ** t
+    grads = []
     for p in params:
         g = p.value.grad
         if g is None:
             raise MissingGradError(f"parameter '{p.name}' has no gradient")
-        m = state.m.setdefault(p.name, np.zeros_like(p.value.data))
-        v = state.v.setdefault(p.name, np.zeros_like(p.value.data))
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if g.shape != p.value.data.shape:
+            raise ContractError(f"parameter '{p.name}' has shape "
+                                f"{p.value.data.shape} but its gradient {g.shape}")
+        grads.append(g.ravel())
+    g = np.concatenate(grads) if grads else np.zeros(0)
+    if state.m is None:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
+    elif state.m.size != g.size:
+        raise ContractError(f"the Adam state holds {state.m.size} values but the "
+                            f"parameters have {g.size}")
+    state.step_count += 1
+    t = state.step_count
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
+    m, v = state.m, state.v
+    # In place, with one scratch array besides g. Each line is one
+    # elementwise step of m += (1 - b1) * (g - m), v += (1 - b2) * (g * g - v)
+    # and lr * (m / bias1) / (sqrt(v / bias2) + eps), in their order, so the
+    # result is bit-identical to those expressions.
+    tmp = g - m
+    tmp *= 1.0 - ADAM_BETA1
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp -= v
+    tmp *= 1.0 - ADAM_BETA2
+    v += tmp
+    update = np.divide(m, bias1, out=g)
+    update *= lr
+    np.divide(v, bias2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    update /= tmp
+    offset = 0
+    for p in params:
+        data = p.value.data
+        data -= update[offset:offset + data.size].reshape(data.shape)
+        offset += data.size
     return state
 
 
 def zero_grads(params: Sequence[Parameter]) -> None:
     for p in params:
         p.value.grad = None
-

@@ -115,12 +115,22 @@ def _wrap(value) -> Tensor:
 
 
 def _from_op(data: Array, parents: tuple[Tensor, ...],
-             backward: Callable[[Array], None], step: str) -> Tensor:
-    _check_finite(data, step)
+             backward: Callable[[Array], None], step: str,
+             checked: bool = True) -> Tensor:
+    """Record an op's output on the tape. ``checked=False`` skips the
+    finiteness sum: only an op whose output is finite whenever its inputs
+    are may pass it, so that a parameter an update left non-finite is
+    still caught by the first checked op that reads it."""
+    if checked:
+        _check_finite(data, step)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = False
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            break
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
@@ -149,8 +159,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _from_op(data, (a, b), backward, "add")
 
@@ -159,8 +171,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(g: Array) -> None:
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _from_op(data, (a, b), backward, "sub")
 
@@ -169,8 +183,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g: Array) -> None:
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _from_op(data, (a, b), backward, "mul")
 
@@ -192,8 +208,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g: Array) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _from_op(data, (a, b), backward, "matmul")
 
@@ -205,7 +223,9 @@ def transpose(a: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         _accum(a, g.T)
 
-    return _from_op(np.ascontiguousarray(a.data.T), (a,), backward, "transpose")
+    # Unchecked: moves values only.
+    return _from_op(np.ascontiguousarray(a.data.T), (a,), backward, "transpose",
+                    checked=False)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -214,7 +234,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g: Array) -> None:
         _accum(a, g.reshape(a.data.shape))
 
-    return _from_op(data, (a,), backward, "reshape")
+    # Unchecked: moves values only.
+    return _from_op(data, (a,), backward, "reshape", checked=False)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -232,7 +253,8 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[lo:hi])
 
-    return _from_op(data, tuple(parts), backward, "concat_rows")
+    # Unchecked: moves values only.
+    return _from_op(data, tuple(parts), backward, "concat_rows", checked=False)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -249,7 +271,9 @@ def softmax_rows(a: Tensor) -> Tensor:
         dot = (g * y).sum(axis=1, keepdims=True)
         _accum(a, y * (g - dot))
 
-    return _from_op(y, (a,), backward, "softmax_rows")
+    # Unchecked: every value lies in [0, 1]. The shift and the clamp keep exp
+    # finite, and each row sums to at least the exp(0) = 1 of its maximum.
+    return _from_op(y, (a,), backward, "softmax_rows", checked=False)
 
 
 def channel_norm(a: Tensor) -> Tensor:
@@ -305,14 +329,18 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     y = x * cdf
 
     def backward(g: Array) -> None:
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
         _accum(a, g * (cdf + x * pdf))
 
-    return _from_op(y, (a,), backward, "gelu")
+    # Unchecked: |y| <= |x|.
+    return _from_op(y, (a,), backward, "gelu", checked=False)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -367,7 +395,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
             f"conv2d kernel {kh}x{kw} exceeds the {h}x{ww} input padded by {pad}")
     cols, (oh, ow) = im2col(x.data, kh, kw, pad)
     w_mat = w.data.reshape(cout, cin * kh * kw)
-    data = (w_mat @ cols + b.data[:, None]).reshape(cout, oh, ow)
+    data = w_mat @ cols
+    data += b.data[:, None]
+    data = data.reshape(cout, oh, ow)
 
     def backward(g: Array) -> None:
         g_mat = g.reshape(cout, oh * ow)

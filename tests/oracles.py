@@ -122,6 +122,26 @@ def im2col_ref(x: np.ndarray, kh: int, kw: int, pad: int):
     return cols.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)
 
 
+def adam_step_ref(params: Sequence[Parameter], state: dict, lr: float,
+                  beta1: float = 0.9, beta2: float = 0.999,
+                  eps: float = 1e-8) -> None:
+    """One Adam update, one parameter at a time, with the moments in
+    ``state["m"]``/``state["v"]`` keyed by name and the step in
+    ``state["t"]``."""
+    state["t"] = state.get("t", 0) + 1
+    bias1 = 1.0 - beta1 ** state["t"]
+    bias2 = 1.0 - beta2 ** state["t"]
+    for p in params:
+        g = p.value.grad
+        m = state.setdefault("m", {}).setdefault(p.name, np.zeros_like(p.value.data))
+        v = state.setdefault("v", {}).setdefault(p.name, np.zeros_like(p.value.data))
+        m += (1.0 - beta1) * (g - m)
+        v += (1.0 - beta2) * (g * g - v)
+        m_hat = m / bias1
+        v_hat = v / bias2
+        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
                h: float = 1e-5) -> float:
     """Compare reverse-mode gradients of a scalar function against

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import artbank.bank as bank_mod
 from artbank.attention import ssam_forward
 from artbank.bank import (BANK_MAGIC, StyleBank, assemble_condition,
                           bank_bytes, create_entry, encode_prompt, load_bank,
@@ -59,6 +60,21 @@ class TestEncodePrompt:
             encode_prompt("no placeholder here", "x")
         with pytest.raises(TemplateError):
             encode_prompt("two * stars *", "x")
+
+    def test_cached_rows_equal_uncached(self, monkeypatch):
+        prompts = [("a painting by {artist} *", "Monet", 16),
+                   ("a painting by {artist} *", "Monet", 8),
+                   ("a photo of a painting *", "", 16)]
+        # Twice, so the second pass reads rows the first one cached.
+        cached = [encode_prompt(*p).embeddings for p in prompts + prompts]
+        monkeypatch.setattr(bank_mod, "_embedding_row",
+                            bank_mod._embedding_row.__wrapped__)
+        uncached = [encode_prompt(*p).embeddings for p in prompts]
+        for i, table in enumerate(cached):
+            assert table.tobytes() == uncached[i % 3].tobytes()
+            assert table.shape == uncached[i % 3].shape
+            assert table.flags.writeable  # the caller's own copy
+        assert not bank_mod._embedding_row(1, 4).flags.writeable
 
     def test_embedding_scale(self):
         seq = encode_prompt("a painting by {artist} *", "Monet", 64)

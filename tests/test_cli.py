@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import artbank.bank as bank_mod
 import artbank.diffusion as diffusion
 from artbank import metrics
 from artbank.bank import StyleBank, bank_bytes, create_entry, save_bank
@@ -47,21 +48,40 @@ def test_config_file_rejects_garbage(tmp_path):
 
 
 def test_config_values_take_field_types(tmp_path):
+    # Each key is read through a command that takes it.
     cfg = tmp_path / "typed.cfg"
-    cfg.write_text("steps = 12\nlr = 0.01\nno_inversion = yes\n"
-                   "template = a photo *\n")
-    args = build_parser().parse_args(["bank", "inspect", "--config", str(cfg)])
-    resolved = build_config(args)
+    cfg.write_text("steps = 12\nlr = 0.01\ntemplate = a photo *\n")
+    train = build_parser().parse_args(["train-bank", "--config", str(cfg)])
+    resolved = build_config(train)
     assert resolved.steps == 12 and type(resolved.steps) is int
     assert resolved.lr == 0.01 and type(resolved.lr) is float
-    assert resolved.no_inversion is True
     assert resolved.template == "a photo *"
-    cfg.write_text("no_inversion = off\n")
-    assert build_config(args).no_inversion is False
-    for bad in ("steps = 1.5", "lr = fast", "no_inversion = maybe"):
-        cfg.write_text(bad + "\n")
+    flag_cfg = tmp_path / "flag.cfg"
+    stylize = build_parser().parse_args(["stylize", "--config", str(flag_cfg)])
+    flag_cfg.write_text("no_inversion = yes\n")
+    assert build_config(stylize).no_inversion is True
+    flag_cfg.write_text("no_inversion = off\n")
+    assert build_config(stylize).no_inversion is False
+    for args, path, bad in ((train, cfg, "steps = 1.5"), (train, cfg, "lr = fast"),
+                            (stylize, flag_cfg, "no_inversion = maybe")):
+        path.write_text(bad + "\n")
         with pytest.raises(ConfigError, match="cannot parse"):
             build_config(args)
+
+
+@pytest.mark.parametrize("argv, text, key, command", [
+    (["bank", "inspect"], "seed = 5\nsteps = 9\n", "seed", "bank inspect"),
+    (["eval"], "steps = 9\n", "steps", "eval"),
+    (["stylize"], "strength = 0.5\nlr = 0.1\n", "lr", "stylize"),
+])
+def test_config_key_the_command_does_not_take_exits_2(tmp_path, capsys, argv,
+                                                      text, key, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run([*argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"artbank: error: config key {key!r} is not a setting of "
+                   f"'{command}'"]
 
 
 # Every subcommand's flags as (option strings, dest, type or const, choices).
@@ -242,6 +262,45 @@ def test_pretrain_summary_says_when_training_diverged(dataset, tmp_path,
     summary = capsys.readouterr().out.splitlines()[-1]
     assert ("training diverged: each of the last 19 losses is above the "
             "step-1 loss" in summary) is diverged
+
+
+@pytest.mark.parametrize("command", ["pretrain", "train-bank"])
+def test_trainer_summary_ends_with_wall_time_and_rate(dataset, untrained_checkpoint,
+                                                      tmp_path, capsys, command):
+    out = tmp_path / "artifact"
+    target = {"pretrain": ["--checkpoint", str(out), "--width", "8"],
+              "train-bank": ["--checkpoint", str(untrained_checkpoint), "--bank",
+                             str(out), "--style-id", "checks", "--positions",
+                             "4"]}[command]
+    code = run([command, "--data", str(dataset), "--channels", "12", "--steps",
+                "3", "--timesteps", "20", *target])
+    assert code == 0 and out.is_file()
+    summary = capsys.readouterr().out.splitlines()[-1]
+    m = re.search(r"; in (\d+\.\d\d) s \((\d+\.\d) steps/s\)$", summary)
+    assert m and float(m[2]) > 0, summary
+    assert f"-> {out}; in " in summary
+
+
+@pytest.mark.parametrize("budget, what", [
+    (4096, "a 16x16 image"),  # under the content's 6,144 pixel bytes
+    (100_000, "the content image of 16x16 pixels at denoiser width=8"),
+])
+def test_oversized_content_image_exits_2(untrained_checkpoint, tmp_path, capsys,
+                                         monkeypatch, budget, what):
+    monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", budget)
+    bank = StyleBank()
+    bank.add(create_entry("checks", "checks", 12, 4, seed=0))
+    save_bank(bank, tmp_path / "b.ispb")
+    content = tmp_path / "big.ppm"
+    write_ppm(gen_content_image("photo", 16, seed=1), content)
+    out = tmp_path / "never.ppm"
+    code = run(["stylize", "--checkpoint", str(untrained_checkpoint), "--bank",
+                str(tmp_path / "b.ispb"), "--style-id", "checks", "--content",
+                str(content), "--out", str(out), "--timesteps", "10"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1, err
+    assert err[0].startswith(f"artbank: error: {what} needs a 0.0 GiB array")
+    assert not out.exists()
 
 
 def test_undecodable_config_file_exits_2(dataset, untrained_checkpoint,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import artbank.bank as bank_mod
 from artbank.data_io import (ImageSample, StyleSpec, default_style_specs,
                              gen_content_image, gen_style_collection,
                              read_ppm, write_ppm)
@@ -171,4 +172,19 @@ class TestPpmIo:
         path = tmp_path / "deep.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n\xff\xff\xff\xff\xff\xff")
         with pytest.raises(UnsupportedFormatError):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("channels, refused", [(3, True), (1, False)])
+    def test_image_over_array_budget_refused(self, tmp_path, monkeypatch,
+                                             channels, refused):
+        # 16 x 16 x 3 float64 pixels take 6,144 bytes, 16 x 16 x 1 take 2,048.
+        monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 4096)
+        path = tmp_path / "big.ppm"
+        write_ppm(gen_content_image("photo", 16, seed=1, channels=channels), path)
+        if not refused:
+            assert read_ppm(path).height == 16
+            return
+        with pytest.raises(UnsupportedFormatError,
+                           match="a 16x16 image needs a 0.0 GiB array; the "
+                                 "limit is 0.00390625 MiB per array"):
             read_ppm(path)

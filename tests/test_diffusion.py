@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import artbank.bank as bank_mod
 import artbank.diffusion as diffusion
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
                           create_entry, encode_prompt)
@@ -18,7 +19,9 @@ from artbank.diffusion import (BETA_END, BETA_START, CHECKPOINT_MAGIC,
                                train_naive)
 from artbank.errors import (BadMagicError, ConfigError, ContractError,
                             DimensionError, FormatError, MalformedHeaderError,
-                            TruncatedFileError, VersionMismatchError)
+                            NumericError, TruncatedFileError,
+                            VersionMismatchError)
+from artbank.inversion import InversionConfig, stylize
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all
 
@@ -145,6 +148,18 @@ class TestDenoiser:
         b = d.predict_noise(state, cond).data
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("name", list(diffusion._param_shapes(3, 8, 16)))
+    def test_non_finite_parameter_caught_by_first_reader(self, name):
+        # As a diverged Adam update would leave it: the op that first reads
+        # the parameter raises, under its own name.
+        d = Denoiser(3, 8, 16, seed=2)
+        getattr(d, name).value.data.flat[0] = np.inf
+        state = LatentState(Tensor(np.ones((3, 6, 6))), 4)
+        reader = "conv2d" if name.startswith("conv") else "matmul"
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match=f"^{reader}: non-finite"):
+                d.predict_noise(state, text_cond(16))
+
     def test_empty_condition_skips_cross_attention(self):
         d = Denoiser(3, 8, 16, seed=2)
         state = LatentState(Tensor(np.zeros((3, 4, 4))), 1)
@@ -264,6 +279,35 @@ def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
     if trainer == "ispb":
         with pytest.raises(DimensionError, match=message):
             ispb_eval_loss(d, entry, images, sched, seed=0)
+
+
+@pytest.mark.parametrize("caller", ["naive", "ispb", "probe", "stylize"])
+def test_oversized_image_refused_before_any_step(monkeypatch, caller):
+    # A budget under conv2's 9 * 8 * 16 * 16 float64 columns (147,456 bytes)
+    # but over the images' own pixels, so nothing large is allocated.
+    monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 100_000)
+    images = [gen_content_image("photo", 16, seed=i) for i in range(3)]
+    d = Denoiser(3, 8, 12, seed=12)
+    entry = create_entry("big", "big", 12, 4, seed=0)
+    sched = make_schedule(10)
+    calls = []
+    real_predict = Denoiser.predict_noise
+    monkeypatch.setattr(Denoiser, "predict_noise",
+                        lambda *a: calls.append(a[1].t) or real_predict(*a))
+    if caller == "naive":
+        run = lambda: train_naive(d, images, ["a photo *"] * 3, sched, 5, seed=0)
+    else:
+        d.freeze()
+        bank = StyleBank()
+        bank.add(entry)
+        run = {"ispb": lambda: train_ispb(d, entry, images, sched, 5, seed=0),
+               "probe": lambda: ispb_eval_loss(d, entry, images, sched, seed=0),
+               "stylize": lambda: stylize(d, sched, bank, "big", images[0],
+                                          InversionConfig())}[caller]
+    with pytest.raises(ConfigError, match="16x16 pixels at denoiser width=8 "
+                                          "needs a 0.0 GiB array; the limit is"):
+        run()
+    assert calls == []
 
 
 class TestTrainIspb:

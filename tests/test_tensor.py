@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from artbank.errors import (DimensionError, MissingGradError, NumericError)
+from artbank.errors import (ContractError, DimensionError, MissingGradError,
+                            NumericError)
 from artbank.optim import AdamState, adam_step, zero_grads
-from artbank.tensor import (Parameter, Tensor, channel_norm, clamp_min,
+from artbank.tensor import (Parameter, Tensor, add, channel_norm, clamp_min,
                             concat_rows, conv2d, gelu, im2col, matmul,
-                            mean_all, reshape, softmax_rows, sqrt, sum_all,
-                            transpose)
+                            mean_all, mul, reshape, softmax_rows, sqrt, sub,
+                            sum_all, transpose)
 
-from oracles import (channel_norm_ref, grad_check, im2col_ref, matmul_loops,
-                     softmax_rows_ref)
+from oracles import (adam_step_ref, channel_norm_ref, grad_check, im2col_ref,
+                     matmul_loops, softmax_rows_ref)
 
 
 def finite_matrices(max_side=6, lo=-1e6, hi=1e6):
@@ -275,6 +276,139 @@ class TestAdam:
             return p.value.data.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=st.lists(st.one_of(st.sampled_from([(), (1, 1), (5, 1), (1, 5)]),
+                                     array_shapes(min_dims=0, max_dims=3,
+                                                  min_side=0, max_side=4)),
+                           min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_flat_update_matches_per_parameter_oracle(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        init = [rng.normal(size=shape) for shape in shapes]
+        flat = [Parameter(f"p{i}", Tensor(x)) for i, x in enumerate(init)]
+        ref = [Parameter(f"p{i}", Tensor(x)) for i, x in enumerate(init)]
+        state, ref_state = AdamState(), {}
+        for _ in range(4):
+            for p, q in zip(flat, ref):
+                g = rng.normal(size=p.value.data.shape) * 10.0 ** rng.integers(-4, 4)
+                p.value.grad, q.value.grad = g, g.copy()
+            adam_step(flat, state, lr=0.05)
+            adam_step_ref(ref, ref_state, lr=0.05)
+            for p, q in zip(flat, ref):
+                assert p.value.data.shape == q.value.data.shape
+                assert p.value.data.tobytes() == q.value.data.tobytes()
+
+    def test_resized_parameter_list_on_used_state_refused(self):
+        a = Parameter("a", Tensor(np.ones((2, 3))))
+        b = Parameter("b", Tensor(np.ones(4)))
+        state = AdamState()
+        for p in (a, b):
+            p.value.grad = np.ones_like(p.value.data)
+        adam_step([a, b], state)
+        with pytest.raises(ContractError, match="holds 10 values but the "
+                                                "parameters have 6"):
+            adam_step([a], state)
+        assert state.step_count == 1
+        bigger = Parameter("b", Tensor(np.ones(5)))
+        bigger.value.grad = np.ones(5)
+        with pytest.raises(ContractError):
+            adam_step([a, bigger], state)
+
+    def test_gradient_of_another_shape_refused(self):
+        p = Parameter("w", Tensor(np.ones((1, 3))))
+        p.value.grad = np.ones(3)
+        with pytest.raises(ContractError, match="'w' has shape"):
+            adam_step([p], AdamState())
+
+
+# Operand shapes that broadcast against each other, in both orders.
+_BROADCAST_PAIRS = [((3, 4), (3, 4)), ((3, 4), (1, 4)), ((3, 4), (4,)),
+                    ((3, 1), (1, 4)), ((3, 4), ()), ((2, 3, 4), (3, 1))]
+
+
+def _grads(op, a_data, b_data, a_on, b_on):
+    """Gradients of sum(op(a, b) * c) for a fixed weighting c."""
+    a = Tensor(a_data, requires_grad=a_on)
+    b = Tensor(b_data, requires_grad=b_on)
+    out = op(a, b)
+    c = np.random.default_rng(3).normal(size=out.data.shape)
+    sum_all(mul(out, Tensor(c))).backward()
+    return a.grad, b.grad
+
+
+class TestOffTapeOperands:
+    """An operand off the tape gets no gradient, and the other operand's
+    gradient is the one it gets when both are on the tape."""
+
+    @pytest.mark.parametrize("op, a_shape, b_shape", [
+        *((op, a, b) for op in (add, sub, mul)
+          for pair in _BROADCAST_PAIRS for a, b in (pair, pair[::-1])),
+        (matmul, (3, 5), (5, 4)), (matmul, (1, 5), (5, 1))])
+    def test_one_operand_off_the_tape(self, op, a_shape, b_shape):
+        rng = np.random.default_rng(len(a_shape) + 7 * len(b_shape))
+        a_data, b_data = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        both = _grads(op, a_data, b_data, True, True)
+        only_a = _grads(op, a_data, b_data, True, False)
+        only_b = _grads(op, a_data, b_data, False, True)
+        assert only_a[1] is None and only_b[0] is None
+        assert only_a[0].shape == a_shape and only_b[1].shape == b_shape
+        assert only_a[0].tobytes() == both[0].tobytes()
+        assert only_b[1].tobytes() == both[1].tobytes()
+
+
+_EXTREMES = [1.7e308, -1.7e308, 5e-324, -5e-324, 2.2e-308, 0.0, 1.0, -745.0]
+
+
+def extreme_matrices(max_side=5):
+    """Finite matrices that mix the largest and the tiniest doubles."""
+    element = st.one_of(st.sampled_from(_EXTREMES),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    side = st.integers(1, max_side)
+    return side.flatmap(lambda m: side.flatmap(
+        lambda n: arrays(np.float64, (m, n), elements=element)))
+
+
+def _stacked_1e308() -> Tensor:
+    """A (2, 1) column of 1e308s, whose sum overflows."""
+    t = Tensor([[1e308]])
+    return concat_rows([t, t])
+
+
+class TestFiniteness:
+    """Five ops skip the finiteness sum because finite inputs give finite
+    outputs; every other op that can overflow still raises under its name."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=extreme_matrices())
+    def test_unchecked_ops_keep_finite_inputs_finite(self, x):
+        # Set after construction: the constructor's check sums its input,
+        # and a sum past 1.8e308 reads as non-finite.
+        t = Tensor(np.zeros_like(x))
+        t.data = x
+        for out in (transpose(t), reshape(t, (x.size,)), concat_rows([t, t]),
+                    gelu(t), softmax_rows(t)):
+            assert np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("name, run", [
+        ("add", lambda: add(Tensor([1.7e308]), Tensor([1.7e308]))),
+        ("sub", lambda: sub(Tensor([1.7e308]), Tensor([-1.7e308]))),
+        ("mul", lambda: mul(Tensor([1e200]), Tensor([1e200]))),
+        ("matmul", lambda: matmul(Tensor([[1e200]]), Tensor([[1e200]]))),
+        ("conv2d", lambda: conv2d(Tensor(np.full((1, 3, 3), 1e200)),
+                                  Tensor(np.full((1, 1, 3, 3), 1e200)),
+                                  Tensor(np.zeros(1)))),
+        # A finite tensor's sum overflows only once unchecked ops have
+        # stacked it, as here.
+        ("channel_norm", lambda: channel_norm(transpose(_stacked_1e308()))),
+        ("sum_all", lambda: sum_all(_stacked_1e308())),
+        ("mean_all", lambda: mean_all(_stacked_1e308())),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_checked_op_overflow_raises_under_its_name(self, name, run):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as info:
+                run()
+        assert str(info.value).startswith(f"{name}: ")
 
 
 class TestInvariants:
