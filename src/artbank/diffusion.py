@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ class NoiseSchedule:
 def make_schedule(timesteps: int = 100) -> NoiseSchedule:
     if timesteps < 1:
         raise ConfigError("timesteps must be at least 1")
+    check_array_size(timesteps + 1, f"a schedule of {timesteps} timesteps")
     beta = np.zeros(timesteps + 1)
     beta[1:] = np.linspace(BETA_START, BETA_END, timesteps)
     return NoiseSchedule(timesteps=timesteps, alpha_bar=np.cumprod(1.0 - beta))
@@ -231,9 +232,11 @@ def check_image_size(d: Denoiser, img: ImageSample, what: str) -> None:
 
 
 def _image_tensors(d: Denoiser, images: Sequence[ImageSample]) -> list[Tensor]:
-    """The images as (C, H, W) tensors; refuses any image whose channel count
-    is not the denoiser's, or whose activations are too large, before a step
-    runs."""
+    """The images as (C, H, W) tensors, for both trainers and the probe: the
+    one place that refuses an empty set, an image whose channel count is not
+    the denoiser's, or one whose activations are too large, before any draw."""
+    if not images:
+        raise ConfigError("the image set is empty")
     for i, img in enumerate(images):
         if img.channels != d.in_channels:
             raise DimensionError(
@@ -262,6 +265,61 @@ def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
     return loss.item()
 
 
+@dataclass(frozen=True)
+class StepRecord:
+    """What a trainer's ``on_step`` hook gets after an update: the 1-based
+    step, the timestep, the image's index in the collection and the step's
+    loss (the value appended to the trace)."""
+
+    step: int
+    t: int
+    image: int
+    loss: float
+
+
+def _train(d: Denoiser, images: Sequence[ImageSample], sched: NoiseSchedule,
+           steps: int, seed: int, lr: float, params: list[Parameter],
+           draws: Callable[..., Iterator[tuple[int, int]]],
+           condition: Callable[[int], Tensor | None],
+           on_step: Callable[[StepRecord], bool] | None = None) -> list[float]:
+    """Both trainers' step loop: from one seeded generator, ``draws`` gives
+    each step's (image, t), then its noise is drawn; ``on_step`` as in
+    ``train_ispb``. Returns the per-step loss trace."""
+    if steps < 1:
+        raise ConfigError(f"steps must be at least 1, got {steps}")
+    tensors = _image_tensors(d, images)
+    rng = seeding.rng(seed)
+    schedule = draws(rng, len(tensors), sched.timesteps)
+    state = AdamState()
+    trace: list[float] = []
+    for step in range(1, steps + 1):
+        idx, t = next(schedule)
+        eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
+        loss = _noise_step(d, tensors[idx], t, eps, condition(idx), sched,
+                           params, state, lr)
+        trace.append(loss)
+        if on_step is not None and on_step(StepRecord(step, t, idx, loss)):
+            break
+    return trace
+
+
+def _uniform_draws(rng: np.random.Generator, n_images: int, timesteps: int):
+    while True:
+        yield int(rng.integers(n_images)), int(rng.integers(1, timesteps + 1))
+
+
+def _balanced_draws(rng: np.random.Generator, n_images: int, timesteps: int):
+    """Images in shuffled epochs, timesteps in permuted blocks of 1..T."""
+    img_epoch, t_block = [], []
+    while True:
+        if not img_epoch:
+            img_epoch = [int(v) for v in rng.permutation(n_images)]
+        idx = img_epoch.pop()
+        if not t_block:
+            t_block = [int(v) for v in rng.permutation(np.arange(1, timesteps + 1))]
+        yield idx, t_block.pop()
+
+
 def train_naive(d: Denoiser, images: Sequence[ImageSample],
                 prompts: Sequence[str], sched: NoiseSchedule, steps: int,
                 seed: int, lr: float = 1e-3) -> list[float]:
@@ -272,41 +330,15 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
     true and predicted noise under the text-only condition of the image's
     prompt. Returns the per-step loss trace; the denoiser is updated in place.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be at least 1, got {steps}")
-    if not images:
-        raise ConfigError("training requires a non-empty image set")
     if len(prompts) != len(images):
         raise ConfigError(f"training needs one prompt per image, got "
                           f"{len(prompts)} prompts for {len(images)} images")
     if d.frozen:
         raise ContractError("cannot run naive training on a frozen denoiser")
-    tensors = _image_tensors(d, images)
     conds = {p: assemble_condition(encode_prompt(p, "", d.cond_dim), None)
              for p in dict.fromkeys(prompts)}
-    rng = seeding.rng(seed)
-    params = d.parameters()
-    state = AdamState()
-    trace: list[float] = []
-    for _ in range(steps):
-        idx = int(rng.integers(len(tensors)))
-        t = int(rng.integers(1, sched.timesteps + 1))
-        eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
-        trace.append(_noise_step(d, tensors[idx], t, eps, conds[prompts[idx]],
-                                 sched, params, state, lr))
-    return trace
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """What ``train_ispb`` hands its ``on_step`` hook after an update:
-    the 1-based step, the timestep, the image's index in the collection
-    and the step's loss (the value appended to the trace)."""
-
-    step: int
-    t: int
-    image: int
-    loss: float
+    return _train(d, images, sched, steps, seed, lr, d.parameters(),
+                  _uniform_draws, lambda idx: conds[prompts[idx]])
 
 
 # An encoder builder returns the parameters a variant trains and a closure
@@ -376,36 +408,13 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
     loss varies strongly with t and across images, and balanced blocks keep
     moving averages of the trace comparable across training stages.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be at least 1, got {steps}")
     if not d.frozen:
         raise ContractError("bank training requires a frozen denoiser")
-    if not style_images:
-        raise ConfigError("training requires a non-empty style collection")
     params, encode = encoder_builder(variant)(entry, seed)
     seq = encode_prompt(entry.template, entry.artist, entry.channels)
-    tensors = _image_tensors(d, style_images)
-    rng = seeding.rng(seed)
-    state = AdamState()
-    trace: list[float] = []
-    t_block: list[int] = []
-    img_epoch: list[int] = []
-    for step in range(1, steps + 1):
-        if not img_epoch:
-            img_epoch = [int(v) for v in rng.permutation(len(tensors))]
-        idx = img_epoch.pop()
-        if not t_block:
-            t_block = [int(v) for v in
-                       rng.permutation(np.arange(1, sched.timesteps + 1))]
-        t = t_block.pop()
-        eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
-        cond = assemble_condition(seq, encode())
-        loss = _noise_step(d, tensors[idx], t, eps, cond, sched, params,
-                           state, lr)
-        trace.append(loss)
-        if on_step is not None and on_step(StepRecord(step, t, idx, loss)):
-            break
-    return trace
+    return _train(d, style_images, sched, steps, seed, lr, params,
+                  _balanced_draws, lambda idx: assemble_condition(seq, encode()),
+                  on_step)
 
 
 def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
@@ -418,8 +427,6 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
     pre-training reference when measuring how fast an encoder variant
     converges; ``train_ispb`` with the same seed starts from the same encoder.
     """
-    if not style_images:
-        raise ConfigError("evaluation requires a non-empty style collection")
     _, encode = encoder_builder(variant)(entry, seed)
     seq = encode_prompt(entry.template, entry.artist, entry.channels)
     tensors = _image_tensors(d, style_images)

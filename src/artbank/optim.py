@@ -58,23 +58,9 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
     bias1 = 1.0 - ADAM_BETA1 ** t
     bias2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    # In place, with one scratch array besides g. Each line is one
-    # elementwise step of m += (1 - b1) * (g - m), v += (1 - b2) * (g * g - v)
-    # and lr * (m / bias1) / (sqrt(v / bias2) + eps), in their order, so the
-    # result is bit-identical to those expressions.
-    tmp = g - m
-    tmp *= 1.0 - ADAM_BETA1
-    m += tmp
-    np.multiply(g, g, out=tmp)
-    tmp -= v
-    tmp *= 1.0 - ADAM_BETA2
-    v += tmp
-    update = np.divide(m, bias1, out=g)
-    update *= lr
-    np.divide(v, bias2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPS
-    update /= tmp
+    m += (1.0 - ADAM_BETA1) * (g - m)
+    v += (1.0 - ADAM_BETA2) * (g * g - v)
+    update = lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     offset = 0
     for p in params:
         data = p.value.data

@@ -27,8 +27,16 @@ EPS = 1e-8  # the variance guard of every sqrt(var + EPS)
 
 
 def _check_finite(data: Array, step: str) -> None:
-    # Summing is a single fast pass; any NaN/Inf poisons the total.
-    if data.size and not math.isfinite(float(data.sum())):
+    # Summing is a single fast pass; any NaN/Inf poisons the total. Finite
+    # values can sum past the float64 range too, so a total that is not
+    # finite, or whose overflow warning is raised as an error, is confirmed
+    # value by value.
+    try:
+        if math.isfinite(float(data.sum())):
+            return
+    except (RuntimeWarning, FloatingPointError):
+        pass
+    if not np.isfinite(data).all():
         raise NumericError(f"{step}: non-finite values")
 
 
@@ -329,10 +337,7 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.data
-    cdf = x * _INV_SQRT2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     y = x * cdf
 
     def backward(g: Array) -> None:

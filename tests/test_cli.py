@@ -1,6 +1,7 @@
 """End-to-end CLI behavior with a tiny on-disk dataset."""
 
 import argparse
+import hashlib
 import re
 
 import numpy as np
@@ -233,6 +234,10 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     pytest.param("pretrain", ["--width", "200000"], "2682.2", id="pretrain-width"),
     pytest.param("pretrain", ["--width", "8", "--channels", "100000000000"],
                  "5960.5", id="pretrain-channels"),
+    # The noise schedule's 1e15 + 1 values.
+    *(pytest.param(command, ["--timesteps", "1000000000000000"], "7450580.6",
+                   id=f"{command}-timesteps")
+      for command in ("pretrain", "train-bank", "bench-attn")),
 ])
 def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
                                   capsys, command, size, gib):
@@ -481,6 +486,49 @@ class TestPipeline:
         assert run(style_args) == 0
         assert out_img.read_bytes() == first
         capsys.readouterr()
+
+    def test_pipeline_artifacts_pinned(self, dataset, tmp_path, capsys):
+        """The CLI chain's files, by SHA-256: checkpoint, bank, stylized PPM
+        and both trainers' loss CSVs.
+
+        Like ``tests/test_desk.py``'s pins, the values hold for numpy 2.4.6
+        with the scipy-openblas 0.3.31 BLAS on x86-64; another numpy or BLAS
+        build may round differently. A change that moves any of them must
+        say so and pin the new ones.
+        """
+        files = {name: tmp_path / name for name in (
+            "backbone.abdn", "styles.ispb", "styled.ppm", "pretrain.csv",
+            "bank.csv")}
+        common = ["--seed", "3", "--channels", "12", "--timesteps", "10"]
+        assert run(["pretrain", "--data", str(dataset), "--checkpoint",
+                    str(files["backbone.abdn"]), "--steps", "12", "--width",
+                    "8", "--loss-csv", str(files["pretrain.csv"])]
+                   + common) == 0
+        assert run(["train-bank", "--data", str(dataset), "--checkpoint",
+                    str(files["backbone.abdn"]), "--bank",
+                    str(files["styles.ispb"]), "--style-id", "stripes",
+                    "--steps", "8", "--positions", "4", "--loss-csv",
+                    str(files["bank.csv"])] + common) == 0
+        assert run(["stylize", "--checkpoint", str(files["backbone.abdn"]),
+                    "--bank", str(files["styles.ispb"]), "--style-id",
+                    "stripes", "--content", str(dataset / "content.ppm"),
+                    "--out", str(files["styled.ppm"]), "--strength", "0.5",
+                    "--seed", "3", "--timesteps", "10"]) == 0
+        capsys.readouterr()
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in files.items()}
+        assert digests == {
+            "backbone.abdn":
+                "c1d9d85ca5c3d71ff0308109604b2e952a0bf12fa589e6e2cf6defb2dcf01f3b",
+            "styles.ispb":
+                "9d4b4401ab1d122cc0d747aef5d7d85c03afbca13aa715bd5c7c35980fc16fc7",
+            "styled.ppm":
+                "b6ba660ba495f1b07efa3d0200e081fbd6927c51e11f646cf81154c5bcca6602",
+            "pretrain.csv":
+                "71367e276d433e0d2611bf51f1d6764dd60e58f995c3725be9d739c195916f2a",
+            "bank.csv":
+                "dedd815b7431c20f22c577c262300fdab5095e9899b404b337aa21c532fba0f8",
+        }
 
     def test_duplicate_style_id_rejected(self, dataset, tmp_path, capsys):
         ck = tmp_path / "b.abdn"

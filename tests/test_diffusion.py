@@ -82,6 +82,11 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             make_schedule(0)
 
+    def test_schedule_over_array_budget_refused(self):
+        with pytest.raises(ConfigError, match="a schedule of 1000000000000000 "
+                           "timesteps needs a 7450580.6 GiB array"):
+            make_schedule(10**15)
+
 
 class TestQSample:
     def test_zero_noise_scales_input(self):
@@ -205,7 +210,7 @@ class TestTrainNaive:
 
     def test_empty_dataset_rejected(self):
         d = Denoiser(3, 8, 16, seed=7)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^the image set is empty$"):
             train_naive(d, [], [], make_schedule(10), 1, seed=0)
 
     def test_frozen_backbone_rejected(self):
@@ -334,9 +339,12 @@ class TestTrainIspb:
             train_ispb(d, entry, desk.style_collection, desk.sched, 1, seed=0)
 
     def test_empty_collection_rejected(self, desk):
+        # The trainers and the probe share one refusal and its message.
         entry = create_entry("tmp4", "tmp4", 64, 16, seed=4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^the image set is empty$"):
             train_ispb(desk.backbone, entry, [], desk.sched, 1, seed=0)
+        with pytest.raises(ConfigError, match="^the image set is empty$"):
+            ispb_eval_loss(desk.backbone, entry, [], desk.sched, seed=0)
 
     def test_desk_scale_convergence(self, desk):
         # initial loss = probe evaluation of a same-seed untrained entry

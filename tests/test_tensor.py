@@ -370,9 +370,8 @@ def extreme_matrices(max_side=5):
 
 
 def _stacked_1e308() -> Tensor:
-    """A (2, 1) column of 1e308s, whose sum overflows."""
-    t = Tensor([[1e308]])
-    return concat_rows([t, t])
+    """A (2, 1) column of 1e308s: finite values whose sum overflows."""
+    return Tensor([[1e308], [1e308]])
 
 
 class TestFiniteness:
@@ -382,10 +381,8 @@ class TestFiniteness:
     @settings(max_examples=150, deadline=None)
     @given(x=extreme_matrices())
     def test_unchecked_ops_keep_finite_inputs_finite(self, x):
-        # Set after construction: the constructor's check sums its input,
-        # and a sum past 1.8e308 reads as non-finite.
-        t = Tensor(np.zeros_like(x))
-        t.data = x
+        # The constructor accepts x even where its sum passes 1.8e308.
+        t = Tensor(x)
         for out in (transpose(t), reshape(t, (x.size,)), concat_rows([t, t]),
                     gelu(t), softmax_rows(t)):
             assert np.isfinite(out.data).all()
@@ -398,8 +395,7 @@ class TestFiniteness:
         ("conv2d", lambda: conv2d(Tensor(np.full((1, 3, 3), 1e200)),
                                   Tensor(np.full((1, 1, 3, 3), 1e200)),
                                   Tensor(np.zeros(1)))),
-        # A finite tensor's sum overflows only once unchecked ops have
-        # stacked it, as here.
+        # Finite inputs whose sum overflows.
         ("channel_norm", lambda: channel_norm(transpose(_stacked_1e308()))),
         ("sum_all", lambda: sum_all(_stacked_1e308())),
         ("mean_all", lambda: mean_all(_stacked_1e308())),
@@ -410,6 +406,15 @@ class TestFiniteness:
                 run()
         assert str(info.value).startswith(f"{name}: ")
 
+    def test_finite_values_summing_past_the_range_pass(self):
+        # Each sum overflows, an error under pytest.ini; the values are finite.
+        assert Tensor([1e308, 1e308]).data.tolist() == [1e308, 1e308]
+        out = mul(Tensor(np.full(4, 1e308)), Tensor(1.0))
+        assert out.data.tolist() == [1e308] * 4
+        for over in ("ignore", "raise"):
+            with np.errstate(over=over):
+                assert Tensor([1e308, 1e308]).data.tolist() == [1e308, 1e308]
+
 
 class TestInvariants:
     def test_non_finite_construction_rejected(self):
@@ -417,6 +422,9 @@ class TestInvariants:
             Tensor([np.nan])
         with pytest.raises(NumericError):
             Tensor([np.inf, 1.0])
+        # A NaN sum with an invalid-value warning, an error under pytest.ini.
+        with pytest.raises(NumericError):
+            Tensor([np.inf, -np.inf])
 
     def test_sqrt_rejects_negative(self):
         with pytest.raises(NumericError):
