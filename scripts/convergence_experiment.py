@@ -6,14 +6,16 @@ iterations each encoder variant (ssam / sanet / adaattn) needs to pull the
 100-step moving-average training loss below a fraction of its initial
 (untrained, probe-evaluated) loss on the target collection. Emits a CSV
 plus a table on stdout; at the defaults the ssam and sanet rows are
-acceptance criterion 07's per-seed crossings.
+acceptance criterion 07's per-seed crossings. The last line is the one
+``bench-attn`` ends with: the jobs, where they ran, wall time and jobs/s.
 """
 
 import argparse
+import time
 
 from artbank import desk
 from artbank.metrics import (convergence_benchmark, format_convergence_table,
-                             write_convergence_csv)
+                             job_summary, write_convergence_csv)
 from artbank.seeding import derive_seed
 
 
@@ -30,13 +32,17 @@ def main(argv: list[str] | None = None) -> None:
 
     rig = desk.build_backbone(args.seed, args.pretrain_steps)
     seeds = [derive_seed(args.seed, f"bench:{i}") for i in range(args.seeds)]
+    variants = ["ssam", "sanet", "adaattn"]
+    t0 = time.perf_counter()
     reports = convergence_benchmark(
-        rig.backbone, rig.style_collection, ["ssam", "sanet", "adaattn"],
-        seeds, loss_threshold=args.threshold, max_iters=args.max_iters,
+        rig.backbone, rig.style_collection, variants, seeds,
+        loss_threshold=args.threshold, max_iters=args.max_iters,
         sched=rig.sched, lr=args.lr)
+    wall = time.perf_counter() - t0
     write_convergence_csv(reports, args.out)
     print(format_convergence_table(reports))
     print(f"csv -> {args.out}")
+    print(job_summary(len(variants) * len(seeds), wall))
 
 
 if __name__ == "__main__":

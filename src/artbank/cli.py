@@ -190,11 +190,20 @@ def _record_loss(trace: list[float], path: str) -> str:
     return summary
 
 
+def _check_traces(runs: int, steps: int, what: str) -> None:
+    """Refuse, before any file is read, a setting whose loss traces (``runs``
+    traces of up to ``steps`` losses) are over the array budget, so a
+    terabyte-scale count is exit 2 instead of a list or a run that never
+    ends. A count below 1 passes here and is refused where it is used."""
+    bank_mod.check_array_size(max(runs, 1) * max(steps, 1), what)
+
+
 def _throughput(steps: int, wall: float) -> str:
     return f"in {wall:.2f} s ({steps / wall:.1f} steps/s)"
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
+    _check_traces(1, cfg.steps, f"the loss trace of {cfg.steps} steps")
     root = Path(_require(cfg.data_root, "dataset root", Path.is_dir))
     if not cfg.checkpoint_path:
         raise ConfigError("pretrain requires a checkpoint output path")
@@ -218,6 +227,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 
 def cmd_train_bank(cfg: RunConfig) -> int:
+    _check_traces(1, cfg.steps, f"the loss trace of {cfg.steps} steps")
     d = _load_backbone(cfg, cfg.channels)
     if not cfg.style_id:
         raise ConfigError("train-bank requires --style-id")
@@ -268,9 +278,13 @@ def cmd_stylize(cfg: RunConfig) -> int:
 
 
 def cmd_bench_attn(cfg: RunConfig) -> int:
+    variants = [v.strip() for v in cfg.variants.split(",") if v.strip()]
+    # max(..., 1): with no variant the seed list is still built.
+    _check_traces(max(len(variants), 1) * cfg.bench_seeds, cfg.max_iters,
+                  f"{cfg.bench_seeds} seeds' loss traces of up to "
+                  f"{cfg.max_iters} steps for {len(variants)} variants")
     d = _load_backbone(cfg, cfg.channels)
     images = _load_style_images(cfg)
-    variants = [v.strip() for v in cfg.variants.split(",") if v.strip()]
     seeds = [derive_seed(cfg.seed, f"bench:{i}") for i in range(cfg.bench_seeds)]
     t0 = time.perf_counter()
     reports = metrics.convergence_benchmark(
@@ -281,10 +295,7 @@ def cmd_bench_attn(cfg: RunConfig) -> int:
     if cfg.out_path:
         metrics.write_convergence_csv(reports, cfg.out_path)
     print(metrics.format_convergence_table(reports))
-    jobs = len(variants) * len(seeds)
-    workers = metrics.job_workers(jobs)
-    where = "in-process" if workers == 1 else f"on {workers} worker processes"
-    print(f"{jobs} jobs {where} in {wall:.2f} s ({jobs / wall:.2f} jobs/s)")
+    print(metrics.job_summary(len(variants) * len(seeds), wall))
     return 0
 
 

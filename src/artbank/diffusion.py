@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ CHECKPOINT_VERSION = 1
 # The beta range, linear over steps 1..T.
 BETA_START = 1e-4
 BETA_END = 0.02
-PROBE_DRAWS = 200  # forward draws averaged by ``ispb_eval_loss``
+PROBE_DRAWS = 200  # forward draws of a probe (``probe_losses``)
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,15 @@ def _param_shapes(in_channels: int, width: int,
             "conv4_w": (c, w, 3, 3), "conv4_b": (c,)}
 
 
+class Trunk(NamedTuple):
+    """``Denoiser.trunk``'s output for one latent: its (width, H*W) features
+    after conv2, their transposed queries (H*W, width) and its (H, W)."""
+
+    feats: Tensor
+    queries_t: Tensor
+    size: tuple[int, int]
+
+
 class Denoiser:
     """Conditional noise-prediction network.
 
@@ -107,7 +116,9 @@ class Denoiser:
     noise; cross-attention uses image positions as queries and condition
     rows (L x cond_dim) as keys/values, which is the path that carries
     gradients into the style block during bank training. The empty
-    condition, ``None``, skips it.
+    condition, ``None``, skips it. ``predict_noise`` is
+    ``head(trunk(state), cond)``: the trunk reads only the latent, so a
+    caller that scores several conditions on one latent computes it once.
     """
 
     def __init__(self, in_channels: int = 3, width: int = 32,
@@ -159,7 +170,9 @@ class Denoiser:
             temb = self._temb[t] = Tensor(emb[:self.width].reshape(self.width, 1, 1))
         return temb
 
-    def predict_noise(self, state: LatentState, cond: Tensor | None) -> Tensor:
+    def trunk(self, state: LatentState) -> Trunk:
+        """The part of ``predict_noise`` that does not read the condition:
+        conv1 plus the time features, conv2, both GELUs and the queries."""
         z = state.z
         if z.data.ndim != 3 or z.data.shape[0] != self.in_channels:
             raise DimensionError(
@@ -170,6 +183,13 @@ class Denoiser:
                  + self._time_features(state.t))
         x = gelu(conv2d(x, self.conv2_w.value, self.conv2_b.value))
         feats = reshape(x, (self.width, h * w_img))
+        queries = matmul(self.attn_wq.value, feats)
+        return Trunk(feats, transpose(queries), (h, w_img))
+
+    def head(self, trunk: Trunk, cond: Tensor | None) -> Tensor:
+        """The rest of ``predict_noise``: cross-attention from the trunk's
+        queries to the condition's rows, then conv3, GELU and conv4."""
+        feats = trunk.feats
         if cond is not None:
             if cond.data.shape[1] != self.cond_dim:
                 raise DimensionError(
@@ -178,14 +198,16 @@ class Denoiser:
             cond_t = transpose(cond)
             keys = matmul(self.attn_wk.value, cond_t)
             values = matmul(self.attn_wv.value, cond_t)
-            queries = matmul(self.attn_wq.value, feats)
-            scores = matmul(transpose(queries), keys) * self._attn_scale
+            scores = matmul(trunk.queries_t, keys) * self._attn_scale
             attn = softmax_rows(scores)
             attended = matmul(values, transpose(attn))
             feats = feats + matmul(self.attn_wo.value, attended)
-        x = reshape(feats, (self.width, h, w_img))
+        x = reshape(feats, (self.width, *trunk.size))
         x = gelu(conv2d(x, self.conv3_w.value, self.conv3_b.value))
         return conv2d(x, self.conv4_w.value, self.conv4_b.value)
+
+    def predict_noise(self, state: LatentState, cond: Tensor | None) -> Tensor:
+        return self.head(self.trunk(state), cond)
 
 
 def checkpoint_bytes(d: Denoiser) -> bytes:
@@ -231,10 +253,11 @@ def check_image_size(d: Denoiser, img: ImageSample, what: str) -> None:
                      f"width={d.width}")
 
 
-def _image_tensors(d: Denoiser, images: Sequence[ImageSample]) -> list[Tensor]:
-    """The images as (C, H, W) tensors, for both trainers and the probe: the
-    one place that refuses an empty set, an image whose channel count is not
-    the denoiser's, or one whose activations are too large, before any draw."""
+def check_images(d: Denoiser, images: Sequence[ImageSample]) -> None:
+    """Refuse an empty image set, an image whose channel count is not the
+    denoiser's or one whose activations are too large: the one image check
+    of both trainers, the probe and the convergence benchmark, made before
+    any draw."""
     if not images:
         raise ConfigError("the image set is empty")
     for i, img in enumerate(images):
@@ -243,15 +266,25 @@ def _image_tensors(d: Denoiser, images: Sequence[ImageSample]) -> list[Tensor]:
                 f"image {i} has {img.channels} channels, the denoiser takes "
                 f"in_channels={d.in_channels}")
         check_image_size(d, img, f"image {i}")
+
+
+def _image_tensors(d: Denoiser, images: Sequence[ImageSample]) -> list[Tensor]:
+    """The images as (C, H, W) tensors, once ``check_images`` passes them."""
+    check_images(d, images)
     return [img.to_tensor() for img in images]
+
+
+def _squared_error(eps: Tensor, pred: Tensor) -> Tensor:
+    """Mean squared error between the true and the predicted noise."""
+    diff = eps - pred
+    return mean_all(diff * diff)
 
 
 def _noise_loss(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
                 cond: Tensor | None, sched: NoiseSchedule) -> Tensor:
-    """Mean squared error between ``eps`` and the denoiser's prediction for
-    ``x0`` noised to ``t`` with it."""
-    diff = eps - d.predict_noise(q_sample(x0, t, eps, sched), cond)
-    return mean_all(diff * diff)
+    """``_squared_error`` of the denoiser's prediction for ``x0`` noised to
+    ``t`` with ``eps``."""
+    return _squared_error(eps, d.predict_noise(q_sample(x0, t, eps, sched), cond))
 
 
 def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
@@ -417,28 +450,67 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
                   on_step)
 
 
+def probe_condition(entry: StyleBankEntry, variant: str, seed: int) -> Tensor:
+    """The detached condition an entry gives under a ``variant`` encoder
+    built for ``seed``: what the probe scores, and the condition
+    ``train_ispb`` with that seed starts from."""
+    _, encode = encoder_builder(variant)(entry, seed)
+    seq = encode_prompt(entry.template, entry.artist, entry.channels)
+    return assemble_condition(seq, encode().detach())
+
+
+def probe_losses(d: Denoiser, conds: Sequence[Tensor | None],
+                 style_images: Sequence[ImageSample], sched: NoiseSchedule,
+                 seed: int, draws: range = range(PROBE_DRAWS)
+                 ) -> list[list[float]]:
+    """Each condition's noise-prediction loss on each probe draw in
+    ``draws``, in draw order.
+
+    Draw k noises image k mod n to timestep (k mod T) + 1 with the k-th
+    noise of the seed's probe generator, so timesteps cycle 1..T and the
+    draws are balanced over the schedule. Each draw's trunk is computed
+    once and its head once per condition, so several conditions cost one
+    trunk per draw. The generator is advanced past the draws before
+    ``draws.start``, so contiguous ranges split the probe exactly.
+    """
+    tensors = _image_tensors(d, style_images)
+    rng = seeding.rng_for(seed, "ispb-probe")
+    losses: list[list[float]] = [[] for _ in conds]
+    for draw in range(draws.stop):
+        idx = draw % len(tensors)
+        noise = rng.standard_normal(tensors[idx].data.shape)
+        if draw < draws.start:
+            continue
+        eps = Tensor(noise)
+        trunk = d.trunk(q_sample(tensors[idx], draw % sched.timesteps + 1,
+                                 eps, sched))
+        for out, cond in zip(losses, conds):
+            out.append(_squared_error(eps, d.head(trunk, cond)).item())
+    return losses
+
+
+def probe_mean(losses: Sequence[float]) -> float:
+    """A condition's probe value from its per-draw losses: their sum, taken
+    in draw order, over their count."""
+    total = 0.0
+    for loss in losses:
+        total += loss
+    return total / len(losses)
+
+
 def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
                    style_images: Sequence[ImageSample], sched: NoiseSchedule,
                    seed: int, variant: str = "ssam") -> float:
     """Noise-prediction loss of an entry on a fixed probe set (no training).
 
-    Averages ``PROBE_DRAWS`` draws, deterministic given the seed; timesteps
-    cycle 1..T so the estimate is balanced over the schedule. Used as the
+    The one-condition case of ``probe_losses``: the mean over all
+    ``PROBE_DRAWS`` draws, deterministic given the seed. Used as the
     pre-training reference when measuring how fast an encoder variant
     converges; ``train_ispb`` with the same seed starts from the same encoder.
     """
-    _, encode = encoder_builder(variant)(entry, seed)
-    seq = encode_prompt(entry.template, entry.artist, entry.channels)
-    tensors = _image_tensors(d, style_images)
-    rng = seeding.rng_for(seed, "ispb-probe")
-    cond = assemble_condition(seq, encode().detach())
-    total = 0.0
-    for draw in range(PROBE_DRAWS):
-        idx = draw % len(tensors)
-        t = (draw % sched.timesteps) + 1
-        eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
-        total += _noise_loss(d, tensors[idx], t, eps, cond, sched).item()
-    return total / PROBE_DRAWS
+    cond = probe_condition(entry, variant, seed)
+    [losses] = probe_losses(d, [cond], style_images, sched, seed)
+    return probe_mean(losses)
 
 
 def sample(d, sched: NoiseSchedule, cond: Tensor | None,

@@ -8,6 +8,7 @@ embedding similarity that still separates the procedural style families.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -15,15 +16,16 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import seeding
-from .bank import create_entry
+from .bank import StyleBankEntry, create_entry
 from .data_io import ImageSample
-from .diffusion import (Denoiser, NoiseSchedule, encoder_builder,
-                        ispb_eval_loss, train_ispb)
+from .diffusion import (PROBE_DRAWS, Denoiser, NoiseSchedule, check_images,
+                        encoder_builder, probe_condition, probe_losses,
+                        probe_mean, train_ispb)
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor, clamp_min, conv2d
 
@@ -185,19 +187,34 @@ def _median_or_none(values: list[int | None]) -> int | None:
     return (lo + hi) // 2
 
 
-def _bench_one(d: Denoiser, collection: Sequence[ImageSample],
+def _bench_entry(variant: str, seed: int, channels: int,
+                 positions: int) -> StyleBankEntry:
+    """The fresh entry a (variant, seed) job probes and trains."""
+    return create_entry(f"bench-{variant}", "benchmark", channels, positions,
+                        seed=seeding.derive_seed(seed, f"bench-entry-{variant}"))
+
+
+def _probe_part(d: Denoiser, collection: Sequence[ImageSample],
+                sched: NoiseSchedule, variants: Sequence[str], seed: int,
+                channels: int, positions: int, draws: range
+                ) -> list[list[float]]:
+    """One probe task: each variant's per-draw losses on ``draws`` of the
+    seed's probe, all variants sharing each draw's trunk."""
+    conds = [probe_condition(_bench_entry(v, seed, channels, positions), v, seed)
+             for v in variants]
+    return probe_losses(d, conds, collection, sched, seed, draws)
+
+
+def _train_job(d: Denoiser, collection: Sequence[ImageSample],
                sched: NoiseSchedule, variant: str, seed: int,
                loss_threshold: float, max_iters: int, channels: int,
-               positions: int, lr: float) -> tuple[float, list[float]]:
-    """One job: a fresh entry's initial probe loss and its loss trace,
-    trained up to its crossing."""
-    entry = create_entry(f"bench-{variant}", "benchmark", channels, positions,
-                         seed=seeding.derive_seed(seed, f"bench-entry-{variant}"))
-    initial = ispb_eval_loss(d, entry, collection, sched, seed=seed, variant=variant)
+               positions: int, lr: float, initial: float) -> list[float]:
+    """One training job: a fresh entry's loss trace, trained up to its
+    crossing of ``loss_threshold`` times its ``initial`` probe loss."""
+    entry = _bench_entry(variant, seed, channels, positions)
     crossed = _crossing_detector(loss_threshold * initial)
-    trace = train_ispb(d, entry, collection, sched, max_iters, seed=seed,
-                       lr=lr, variant=variant, on_step=lambda r: crossed(r.loss))
-    return initial, trace
+    return train_ispb(d, entry, collection, sched, max_iters, seed=seed,
+                      lr=lr, variant=variant, on_step=lambda r: crossed(r.loss))
 
 
 def _workers(jobs: int, environ: Mapping[str, str], cores: int) -> int:
@@ -227,33 +244,43 @@ def job_workers(jobs: int) -> int:
     return _workers(jobs, os.environ, cores)
 
 
+def job_summary(jobs: int, wall: float) -> str:
+    """The closing line of a benchmark run: its job count, where the jobs
+    ran (``job_workers``), the wall time and the jobs per second."""
+    workers = job_workers(jobs)
+    where = "in-process" if workers == 1 else f"on {workers} worker processes"
+    return f"{jobs} jobs {where} in {wall:.2f} s ({jobs / wall:.2f} jobs/s)"
+
+
 # The jobs of the running pool. A forked worker reads them from its copy of
-# the parent's memory, so nothing is pickled on the way in; set only while
-# ``_map_jobs`` forks and waits.
-_JOBS: list[Callable[[], tuple[float, list[float]]]] = []
+# the parent's memory, so only indices and per-call arguments are pickled on
+# the way in; set only while ``_job_pool`` is open.
+_JOBS: list[Callable[..., Any]] = []
 
 
-def _run_job(index: int) -> tuple[float, list[float]]:
-    return _JOBS[index]()
+def _run_job(index: int, *args) -> Any:
+    return _JOBS[index](*args)
 
 
-def _map_jobs(jobs: list[Callable[[], tuple[float, list[float]]]]
-              ) -> list[tuple[float, list[float]]]:
-    """Each job's result, in job order, from ``job_workers`` forked
-    processes, or from this process when that is 1. An error a job raises
-    reaches the caller with its type; a worker that dies raises
-    ``BrokenProcessPool``."""
+@contextlib.contextmanager
+def _job_pool(jobs: list[Callable[..., Any]], workers: int):
+    """Yields ``run(indices, *arg_lists)``, which returns ``jobs[i](*args)``
+    for each index and its arguments, in index order, from ``workers``
+    processes forked once for all of ``jobs``, or from this process when
+    ``workers`` is 1. So a later phase's jobs may take arguments an earlier
+    phase computed. An error a job raises reaches the caller with its type;
+    a worker that dies raises ``BrokenProcessPool``."""
     global _JOBS
-    workers = job_workers(len(jobs))
     if workers == 1:
-        return [job() for job in jobs]
+        yield lambda indices, *args: [jobs[i](*a) for i, *a in zip(indices, *args)]
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     _JOBS = jobs
     try:
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run_job, range(len(jobs))))
+            yield lambda indices, *args: list(pool.map(_run_job, indices, *args))
     finally:
         _JOBS = []
 
@@ -271,7 +298,15 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     ``max_iters`` is a ceiling, not a cost: only a job that never crosses
     trains all of it. The reports are those of full-budget runs.
 
-    The jobs are independent and fully seeded, so they run on
+    Each job's threshold is relative to its entry's initial probe loss.
+    The variants at one seed score the same probe draws, so the probe runs
+    first, as one pass per seed that computes each draw's trunk once for
+    all variants, split into ``len(variants)`` contiguous draw ranges:
+    as many tasks as training jobs. The per-draw losses are summed here in
+    draw order, so each initial loss is ``ispb_eval_loss``'s bit for bit.
+    Then the training jobs run, each given its initial loss.
+
+    Both phases are independent and fully seeded tasks on one pool of
     ``job_workers`` forked processes; the crossings, and the warning for a
     censored one, are worked out here, in job order, from the traces the
     workers return, so the reports do not depend on the worker count.
@@ -289,14 +324,26 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
             f"moving-average window, got {max_iters}")
     for v in variants:  # reject an unknown name before any job trains
         encoder_builder(v)
-    results = _map_jobs([
-        functools.partial(_bench_one, d, collection, sched, variant, seed,
-                          loss_threshold, max_iters, channels, positions, lr)
-        for variant in variants for seed in seeds])
+    check_images(d, collection)  # and a bad image before any draw or fork
+    n = len(variants)
+    bounds = [PROBE_DRAWS * k // n for k in range(n + 1)]
+    probes = [functools.partial(_probe_part, d, collection, sched, variants,
+                                seed, channels, positions, range(a, b))
+              for seed in seeds for a, b in zip(bounds, bounds[1:])]
+    jobs = [functools.partial(_train_job, d, collection, sched, variant, seed,
+                              loss_threshold, max_iters, channels, positions, lr)
+            for variant in variants for seed in seeds]
+    with _job_pool(probes + jobs, job_workers(len(jobs))) as run:
+        parts = run(range(len(probes)))
+        initials = [probe_mean([loss for part in parts[j * n:(j + 1) * n]
+                                for loss in part[k]])
+                    for k in range(n) for j in range(len(seeds))]
+        traces = run(range(len(probes), len(probes) + len(jobs)), initials)
     reports = []
     for k, variant in enumerate(variants):
+        rows = slice(k * len(seeds), (k + 1) * len(seeds))
         iters = [iterations_to_threshold(trace, loss_threshold, initial)
-                 for initial, trace in results[k * len(seeds):(k + 1) * len(seeds)]]
+                 for initial, trace in zip(initials[rows], traces[rows])]
         reports.append(ConvergenceReport(
             variant=variant, seeds=list(seeds), iterations_to_threshold=iters,
             threshold=loss_threshold, median_iters=_median_or_none(iters)))

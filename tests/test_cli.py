@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import artbank.bank as bank_mod
+import artbank.cli as cli_mod
 import artbank.diffusion as diffusion
 from artbank import metrics
 from artbank.bank import StyleBank, bank_bytes, create_entry, save_bank
@@ -15,7 +16,7 @@ from artbank.cli import build_config, build_parser, parse_config_file, run
 from artbank.data_io import (ImageSample, default_style_specs,
                              gen_content_image, gen_style_collection, read_ppm,
                              write_ppm)
-from artbank.errors import ConfigError
+from artbank.errors import ConfigError, DimensionError
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +257,37 @@ def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, counts, gib", [
+    # 3 default variants x 1e12 seeds x 5,000 steps of float64 losses.
+    ("bench-attn", ["--bench-seeds", "1000000000000"], "111758709.0"),
+    # No variant: the 1e12 seeds are still refused before the list is built.
+    ("bench-attn", ["--variants", ",", "--bench-seeds", "1000000000000"],
+     "37252903.0"),
+    ("bench-attn", ["--max-iters", "1000000000000"], "111758.7"),
+    ("pretrain", ["--steps", "1000000000000"], "7450.6"),
+    ("train-bank", ["--steps", "1000000000000"], "7450.6"),
+])
+def test_terabyte_count_refused_before_any_file_is_read(tmp_path, capsys,
+                                                       monkeypatch, command,
+                                                       counts, gib):
+    # A seed derived or a file read (none exists) would fail otherwise.
+    def no_seed(*args):
+        raise AssertionError("derived a seed")
+
+    monkeypatch.setattr(cli_mod, "derive_seed", no_seed)
+    missing = tmp_path / "missing"
+    paths = {"pretrain": ["--checkpoint", str(missing)],
+             "train-bank": ["--checkpoint", str(missing), "--bank", str(missing),
+                            "--style-id", "checks"],
+             "bench-attn": ["--checkpoint", str(missing), "--style-id",
+                            "checks"]}[command]
+    code = run([command, "--data", str(missing), *paths, *counts])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("artbank: error:")
+    assert f"needs a {gib} GiB array" in err[0] and "256 MiB per array" in err[0]
+
+
 @pytest.mark.parametrize("lr, diverged", [("1e10", True), ("1e-3", False)])
 def test_pretrain_summary_says_when_training_diverged(dataset, tmp_path,
                                                       capsys, lr, diverged):
@@ -437,8 +469,8 @@ def test_bench_attn_csv_same_bytes_pooled_and_in_process(
     assert "ssam,4877073297239533922,117,1," in csv[1].read_text()
 
 
-def test_bench_attn_worker_error_exits_2(untrained_checkpoint, tmp_path,
-                                         capsys, monkeypatch):
+def test_bench_attn_worker_error_exits_2(dataset, untrained_checkpoint,
+                                         tmp_path, capsys, monkeypatch):
     gray = tmp_path / "gray" / "checks"
     gray.mkdir(parents=True)
     spec = default_style_specs()["checks"]
@@ -448,9 +480,19 @@ def test_bench_attn_worker_error_exits_2(untrained_checkpoint, tmp_path,
     monkeypatch.setattr(metrics, "_workers",
                         lambda jobs, environ, cores: min(jobs, 2))
     out = tmp_path / "never.csv"
+    # Refused before the pool starts.
     assert _bench_attn(gray.parent, untrained_checkpoint, out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("artbank: error: image 0 has 1")
+
+    def fails(*args, **kwargs):
+        raise DimensionError("raised in a training job")
+
+    # Raised inside a worker.
+    monkeypatch.setattr(metrics, "train_ispb", fails)
+    assert _bench_attn(dataset, untrained_checkpoint, out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["artbank: error: raised in a training job"]
     assert not out.exists()
 
 

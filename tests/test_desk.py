@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 from artbank import desk
@@ -99,6 +100,9 @@ def test_convergence_script_runs(tmp_path, capsys):
     for variant in ("ssam", "sanet", "adaattn"):
         assert variant in table
     assert len(out.read_text().splitlines()) == 1 + 3 * 3
+    # The closing line is bench-attn's (``metrics.job_summary``).
+    assert re.fullmatch(r"9 jobs (in-process|on \d+ worker processes) in "
+                        r"[0-9.]+ s \([0-9.]+ jobs/s\)", table.splitlines()[-1])
 
 
 def test_structure_script_runs(capsys):

@@ -1,5 +1,6 @@
 """Noise schedule, denoiser, trainers, and samplers."""
 
+import os
 import struct
 import tracemalloc
 
@@ -8,15 +9,17 @@ import pytest
 
 import artbank.bank as bank_mod
 import artbank.diffusion as diffusion
+from artbank import metrics
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
                           create_entry, encode_prompt)
 from artbank.data_io import gen_content_image
 from artbank.desk import ROOT_SEED
 from artbank.diffusion import (BETA_END, BETA_START, CHECKPOINT_MAGIC,
-                               Denoiser, LatentState, checkpoint_bytes,
-                               ispb_eval_loss, load_checkpoint, make_schedule,
-                               q_sample, sample, save_checkpoint, train_ispb,
-                               train_naive)
+                               PROBE_DRAWS, Denoiser, LatentState,
+                               checkpoint_bytes, ispb_eval_loss,
+                               load_checkpoint, make_schedule, probe_condition,
+                               probe_losses, probe_mean, q_sample, sample,
+                               save_checkpoint, train_ispb, train_naive)
 from artbank.errors import (BadMagicError, ConfigError, ContractError,
                             DimensionError, FormatError, MalformedHeaderError,
                             NumericError, TruncatedFileError,
@@ -165,6 +168,19 @@ class TestDenoiser:
             with pytest.raises(NumericError, match=f"^{reader}: non-finite"):
                 d.predict_noise(state, text_cond(16))
 
+    def test_head_of_trunk_is_predict_noise(self):
+        rng = np.random.default_rng(11)
+        d = Denoiser(3, 8, 16, seed=3)
+        d.conv4_w.value.data[...] = rng.normal(size=d.conv4_w.value.data.shape)
+        state = LatentState(Tensor(rng.normal(size=(3, 6, 5))), 7)
+        styled = assemble_condition(encode_prompt("a painting by x *", "x", 16),
+                                    Tensor(rng.normal(size=(16, 4))))
+        for cond in (None, styled):
+            whole = d.predict_noise(state, cond).data
+            split = d.head(d.trunk(state), cond).data
+            assert whole.tobytes() == split.tobytes()
+            assert np.any(whole != 0.0)
+
     def test_empty_condition_skips_cross_attention(self):
         d = Denoiser(3, 8, 16, seed=2)
         state = LatentState(Tensor(np.zeros((3, 4, 4))), 1)
@@ -286,7 +302,8 @@ def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
             ispb_eval_loss(d, entry, images, sched, seed=0)
 
 
-@pytest.mark.parametrize("caller", ["naive", "ispb", "probe", "stylize"])
+@pytest.mark.parametrize("caller", ["naive", "ispb", "probe", "convergence",
+                                    "stylize"])
 def test_oversized_image_refused_before_any_step(monkeypatch, caller):
     # A budget under conv2's 9 * 8 * 16 * 16 float64 columns (147,456 bytes)
     # but over the images' own pixels, so nothing large is allocated.
@@ -296,9 +313,18 @@ def test_oversized_image_refused_before_any_step(monkeypatch, caller):
     entry = create_entry("big", "big", 12, 4, seed=0)
     sched = make_schedule(10)
     calls = []
-    real_predict = Denoiser.predict_noise
-    monkeypatch.setattr(Denoiser, "predict_noise",
-                        lambda *a: calls.append(a[1].t) or real_predict(*a))
+    real_trunk = Denoiser.trunk
+    monkeypatch.setattr(Denoiser, "trunk",
+                        lambda *a: calls.append(a[1].t) or real_trunk(*a))
+
+    def no_fork():
+        calls.append("fork")
+        raise AssertionError("forked a worker")
+
+    # Two workers, so a benchmark that checked its images only inside its
+    # jobs would fork (and the forked draws' trunks would go unseen here).
+    monkeypatch.setattr(metrics, "_workers", lambda jobs, environ, cores: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
     if caller == "naive":
         run = lambda: train_naive(d, images, ["a photo *"] * 3, sched, 5, seed=0)
     else:
@@ -307,12 +333,52 @@ def test_oversized_image_refused_before_any_step(monkeypatch, caller):
         bank.add(entry)
         run = {"ispb": lambda: train_ispb(d, entry, images, sched, 5, seed=0),
                "probe": lambda: ispb_eval_loss(d, entry, images, sched, seed=0),
+               "convergence": lambda: metrics.convergence_benchmark(
+                   d, images, ["ssam", "sanet"], [0, 1, 2], 0.85, 100,
+                   sched=sched, channels=12, positions=4),
                "stylize": lambda: stylize(d, sched, bank, "big", images[0],
                                           InversionConfig())}[caller]
     with pytest.raises(ConfigError, match="16x16 pixels at denoiser width=8 "
                                           "needs a 0.0 GiB array; the limit is"):
         run()
     assert calls == []
+
+
+class TestProbe:
+    """``probe_losses`` computes each draw's trunk once for all conditions;
+    ``ispb_eval_loss`` is its one-condition case."""
+
+    VARIANTS = ("ssam", "adaattn", "sanet")
+
+    def test_shared_probe_gives_each_entry_its_own_value(self, desk):
+        entries = [create_entry(f"probe-{v}", "x", 64, 16, seed=20 + i)
+                   for i, v in enumerate(self.VARIANTS)]
+        conds = [probe_condition(e, v, 3) for e, v in zip(entries, self.VARIANTS)]
+        shared = probe_losses(desk.backbone, conds, desk.style_collection,
+                              desk.sched, 3)
+        assert [len(losses) for losses in shared] == [PROBE_DRAWS] * 3
+        assert [probe_mean(losses).hex() for losses in shared] == [
+            ispb_eval_loss(desk.backbone, e, desk.style_collection, desk.sched,
+                           seed=3, variant=v).hex()
+            for e, v in zip(entries, self.VARIANTS)]
+
+    def test_uneven_draw_ranges_join_to_the_whole_probe(self, desk):
+        entry = create_entry("probe-split", "x", 64, 16, seed=23)
+        conds = [probe_condition(entry, v, 5) for v in self.VARIANTS]
+        whole = probe_losses(desk.backbone, conds, desk.style_collection,
+                             desk.sched, 5)
+        bounds = [0, 66, 133, PROBE_DRAWS]
+        parts = [probe_losses(desk.backbone, conds, desk.style_collection,
+                              desk.sched, 5, range(a, b))
+                 for a, b in zip(bounds, bounds[1:])]
+        assert [len(part[0]) for part in parts] == [66, 67, 67]
+        for k, losses in enumerate(whole):
+            joined = [loss for part in parts for loss in part[k]]
+            assert np.asarray(joined).tobytes() == np.asarray(losses).tobytes()
+            assert probe_mean(joined).hex() == probe_mean(losses).hex()
+        assert probe_mean(whole[0]).hex() == ispb_eval_loss(
+            desk.backbone, entry, desk.style_collection, desk.sched,
+            seed=5).hex()
 
 
 class TestTrainIspb:

@@ -2,6 +2,7 @@
 
 import os
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -278,10 +279,23 @@ class TestJobPool:
         assert any("censored" in m for m in pooled[1])
 
     def test_worker_error_reaches_caller_with_its_type(self, desk, monkeypatch):
+        # An image the denoiser cannot take is refused here, before any fork.
         gray = [ImageSample.from_array(img.pixels.mean(axis=2))
                 for img in desk.style_collection]
         with pytest.raises(DimensionError, match="1 channels"):
             self._bench(desk, monkeypatch, 2, collection=gray)
+
+        def fails(*args, **kwargs):
+            raise DimensionError(f"raised in process {os.getpid()}")
+
+        # An error inside a job, in either phase, comes back from its worker.
+        for phase in ("probe_losses", "train_ispb"):
+            with monkeypatch.context() as m:
+                m.setattr(metrics, phase, fails)
+                with pytest.raises(DimensionError, match="raised in process"
+                                   ) as info:
+                    self._bench(desk, m, 2)
+            assert int(str(info.value).split()[-1]) != os.getpid()
 
     @pytest.mark.parametrize("environ, cores, jobs, workers", [
         ({}, 2, 6, 1),  # OpenBLAS's default: one thread per core
@@ -302,3 +316,46 @@ class TestJobPool:
     ])
     def test_worker_count_rule(self, environ, cores, jobs, workers):
         assert metrics._workers(jobs, environ, cores) == workers
+
+
+class TestSharedProbe:
+    """``convergence_benchmark`` probes each seed once for all variants."""
+
+    def test_each_seeds_trunk_runs_once_per_probe_draw(self, desk, monkeypatch,
+                                                       tmp_path):
+        # Tasks may run in forked workers, whose memory the test cannot
+        # read, so each trunk call appends the phase its process is in.
+        log = tmp_path / "trunks.txt"
+        phase = ["set-up"]
+        real_probe, real_train = metrics.probe_losses, metrics.train_ispb
+        real_trunk = diffusion.Denoiser.trunk
+
+        def probe(d, conds, images, sched, seed, draws):
+            phase[0] = f"probe-{seed}"
+            return real_probe(d, conds, images, sched, seed, draws)
+
+        def train(*args, **kwargs):
+            phase[0] = "train"
+            return real_train(*args, **kwargs)
+
+        def trunk(d, state):
+            with open(log, "a") as fh:
+                fh.write(f"{phase[0]}\n")
+            return real_trunk(d, state)
+
+        monkeypatch.setattr(metrics, "probe_losses", probe)
+        monkeypatch.setattr(metrics, "train_ispb", train)
+        monkeypatch.setattr(diffusion.Denoiser, "trunk", trunk)
+        monkeypatch.setattr(metrics, "_workers",
+                            lambda jobs, environ, cores: min(jobs, 2))
+        variants, seeds = ["ssam", "sanet", "adaattn"], [0, 1, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # censored crossings
+            convergence_benchmark(
+                desk.backbone, desk.style_collection, variants, seeds,
+                loss_threshold=0.75, max_iters=MOVING_AVG_WINDOW,
+                sched=desk.sched, lr=3e-4)
+        counts = Counter(log.read_text().split())
+        # Every job trains exactly the window: it crosses there or never.
+        assert counts == {**{f"probe-{s}": diffusion.PROBE_DRAWS for s in seeds},
+                          "train": MOVING_AVG_WINDOW * len(variants) * len(seeds)}
