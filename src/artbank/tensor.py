@@ -10,11 +10,11 @@ reductions needed to form scalar losses. Gradients are accumulated into
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf
 
 from .errors import ContractError, DimensionError, NumericError
@@ -25,6 +25,12 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 EPS = 1e-8  # the variance guard of every sqrt(var + EPS)
 
+# _check_finite confirms value by value any array whose sum overflows, so
+# numpy's overflow warning for that sum is about data that may well pass.
+# Only the reduce call below is attributed to this module.
+warnings.filterwarnings("ignore", message="overflow encountered in reduce",
+                        category=RuntimeWarning, module=r"artbank\.tensor")
+
 
 def _check_finite(data: Array, step: str) -> None:
     # Summing is a single fast pass; any NaN/Inf poisons the total. Finite
@@ -32,7 +38,7 @@ def _check_finite(data: Array, step: str) -> None:
     # finite, or whose overflow warning is raised as an error, is confirmed
     # value by value.
     try:
-        if math.isfinite(float(data.sum())):
+        if math.isfinite(float(np.add.reduce(data, axis=None))):
             return
     except (RuntimeWarning, FloatingPointError):
         pass
@@ -155,6 +161,8 @@ def _accum(t: Tensor, g: Array) -> None:
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum a broadcast gradient back down to the original shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -352,7 +360,7 @@ def sum_all(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
 
     def backward(g: Array) -> None:
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        _accum(a, np.full(a.data.shape, g))
 
     return _from_op(data, (a,), backward, "sum_all")
 
@@ -362,7 +370,7 @@ def mean_all(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum() / n)
 
     def backward(g: Array) -> None:
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
+        _accum(a, np.full(a.data.shape, g / n))
 
     return _from_op(data, (a,), backward, "mean_all")
 
@@ -379,10 +387,54 @@ def im2col(x: Array, kh: int, kw: int, pad: int) -> tuple[Array, tuple[int, int]
     out_w = w + 2 * pad - kw + 1
     sc, sh, sw = xp.strides
     shape = (c, kh, kw, out_h, out_w)
-    windows = as_strided(xp, shape, (sc, sh, sw, sh, sw), writeable=False)
+    windows = np.ndarray(shape, np.float64, xp, 0, (sc, sh, sw, sh, sw))
     cols = np.empty(shape, dtype=np.float64)
     cols[...] = windows
     return cols.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)
+
+
+def col2im(dcols: Array, shape: tuple[int, int, int], kh: int, kw: int,
+           pad: int) -> Array:
+    """Sum (C*kh*kw, out_h*out_w) patch-column gradients back onto the
+    (C, H, W) input: the adjoint of ``im2col``. ``dcols`` must be a fresh
+    array, since its taps may be overwritten.
+
+    Each tap is one flat add of C contiguous rows into a 1-D buffer, shifted
+    by dy * grid width + dx, taps in im2col's order, so every input value
+    sums its terms in the order one strided add per tap would. What a shift
+    moves off the grid rows is +0.0 when it is added, and because the buffer
+    starts at +0.0 no sum is ever -0.0, so adding +0.0 changes no bit.
+    """
+    c, h, w = shape
+    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    taps = dcols.reshape(c, kh, kw, oh, ow)
+    same = oh == h and ow == w
+    if same:
+        # Same padding: tap (dy, dx) lies on the input grid shifted by
+        # (dy - pad, dx - pad). Zero in place what it shifts into the padding.
+        for d in range(pad):
+            taps[:, d, :, :pad - d] = 0.0
+            taps[:, kh - 1 - d, :, max(h - pad + d, 0):] = 0.0
+            taps[:, :, d, :, :pad - d] = 0.0
+            taps[:, :, kw - 1 - d, :, max(w - pad + d, 0):] = 0.0
+        gh, gw = h, w
+    else:
+        # Copy the taps onto the padded grid, where no shift leaves a row.
+        gh, gw = h + 2 * pad, w + 2 * pad
+        grid = np.zeros((c, kh, kw, gh, gw), dtype=np.float64)
+        grid[..., :oh, :ow] = taps
+        taps = grid
+    n = gh * gw
+    buf = np.zeros(c * n + (kh - 1) * gw + kw - 1, dtype=np.float64)
+    for dy in range(kh):
+        for dx in range(kw):
+            o = dy * gw + dx
+            part = buf[o:o + c * n].reshape(c, n)
+            part += taps[:, dy, dx].reshape(c, n)
+    if same:
+        o = pad * w + pad
+        return buf[o:o + c * n].reshape(c, h, w)
+    return buf[:c * n].reshape(c, gh, gw)[:, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
@@ -411,14 +463,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
         if b.requires_grad:
             _accum(b, g_mat.sum(axis=1))
         if x.requires_grad:
-            dcols = (w_mat.T @ g_mat).reshape(cin, kh * kw, oh * ow)
-            dxp = np.zeros((cin, h + 2 * pad, ww + 2 * pad), dtype=np.float64)
-            k = 0
-            for dy in range(kh):
-                for dx in range(kw):
-                    dxp[:, dy:dy + oh, dx:dx + ow] += dcols[:, k].reshape(cin, oh, ow)
-                    k += 1
-            _accum(x, dxp[:, pad:pad + h, pad:pad + ww] if pad else dxp)
+            _accum(x, col2im(w_mat.T @ g_mat, x.data.shape, kh, kw, pad))
 
     return _from_op(data, (x, w, b), backward, "conv2d")
 

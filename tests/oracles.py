@@ -122,6 +122,22 @@ def im2col_ref(x: np.ndarray, kh: int, kw: int, pad: int):
     return cols.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)
 
 
+def col2im_ref(dcols: np.ndarray, shape, kh: int, kw: int, pad: int):
+    """Column gradients summed onto the input by one strided add per kernel
+    offset into a zero-padded grid, whose border is then dropped."""
+    c, h, w = shape
+    out_h = h + 2 * pad - kh + 1
+    out_w = w + 2 * pad - kw + 1
+    dcols = dcols.reshape(c, kh * kw, out_h, out_w)
+    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    k = 0
+    for dy in range(kh):
+        for dx in range(kw):
+            dxp[:, dy:dy + out_h, dx:dx + out_w] += dcols[:, k]
+            k += 1
+    return dxp[:, pad:pad + h, pad:pad + w]
+
+
 def adam_step_ref(params: Sequence[Parameter], state: dict, lr: float,
                   beta1: float = 0.9, beta2: float = 0.999,
                   eps: float = 1e-8) -> None:

@@ -1,11 +1,17 @@
 """Core tensor ops, gradients, and the Adam update."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import artbank
 from artbank.errors import (ContractError, DimensionError, MissingGradError,
                             NumericError)
 from artbank.optim import AdamState, adam_step, zero_grads
@@ -14,8 +20,8 @@ from artbank.tensor import (Parameter, Tensor, add, channel_norm, clamp_min,
                             mean_all, mul, reshape, softmax_rows, sqrt, sub,
                             sum_all, transpose)
 
-from oracles import (adam_step_ref, channel_norm_ref, grad_check, im2col_ref,
-                     matmul_loops, softmax_rows_ref)
+from oracles import (adam_step_ref, channel_norm_ref, col2im_ref, grad_check,
+                     im2col_ref, matmul_loops, softmax_rows_ref)
 
 
 def finite_matrices(max_side=6, lo=-1e6, hi=1e6):
@@ -130,7 +136,7 @@ class TestChannelNorm:
 
 
 @st.composite
-def conv_inputs(draw):
+def conv_inputs(draw, elements=st.floats(allow_nan=False, allow_infinity=False)):
     """(x, kh, kw, pad) with x a (C, H, W) float64 array that is contiguous,
     a transposed view or a step-sliced view, and the kernel no larger than
     the padded input."""
@@ -142,11 +148,27 @@ def conv_inputs(draw):
     layout = draw(st.sampled_from(["contiguous", "transposed", "sliced"]))
     base_shape = {"contiguous": (c, h, w), "transposed": (c, w, h),
                   "sliced": (c, 2 * h, 2 * w)}[layout]
-    base = draw(arrays(np.float64, base_shape, elements=st.floats(
-        allow_nan=False, allow_infinity=False)))
+    base = draw(arrays(np.float64, base_shape, elements=elements))
     x = {"contiguous": base, "transposed": base.transpose(0, 2, 1),
          "sliced": base[:, ::2, ::2]}[layout]
     return x, kh, kw, pad
+
+
+@st.composite
+def conv_gradients(draw):
+    """conv_inputs with x in [-1, 1], plus kernels mixing +-0.0 with values
+    in [-2, 2] and output gradients mixing +-0.0 with magnitudes from 1e-300
+    to 1e300."""
+    x, kh, kw, pad = draw(conv_inputs(elements=st.floats(-1.0, 1.0)))
+    c, h, w = x.shape
+    cout = draw(st.integers(1, 4))
+    signed_zero = st.sampled_from([0.0, -0.0])
+    wts = draw(arrays(np.float64, (cout, c, kh, kw),
+                      elements=st.one_of(signed_zero, st.floats(-2.0, 2.0))))
+    g = draw(arrays(np.float64, (cout, h + 2 * pad - kh + 1, w + 2 * pad - kw + 1),
+                    elements=st.one_of(signed_zero, st.floats(1e-300, 1e300),
+                                       st.floats(-1e300, -1e-300))))
+    return x, kh, kw, pad, wts, g
 
 
 class TestConv2d:
@@ -163,6 +185,22 @@ class TestConv2d:
         # conv2d's backward keeps the columns, so they must be its own.
         assert not np.shares_memory(cols, x)
         assert cols.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(conv_gradients(), st.booleans())
+    @example((np.ones((2, 3, 3)), 3, 3, 1, np.full((1, 2, 3, 3), -0.0),
+              np.full((1, 3, 3), 1e300)), False)
+    def test_input_gradient_matches_strided_scatter(self, case, weights_on_tape):
+        x, kh, kw, pad, wts, g = case
+        cout = wts.shape[0]
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(wts, requires_grad=weights_on_tape)
+        sum_all(mul(conv2d(xt, wt, Tensor(np.zeros(cout)), pad), Tensor(g))).backward()
+        ref = col2im_ref(wts.reshape(cout, -1).T @ g.reshape(cout, -1),
+                         x.shape, kh, kw, pad)
+        assert xt.grad.shape == x.shape
+        assert xt.grad.tobytes() == ref.tobytes()
+        assert (wt.grad is not None) == weights_on_tape
 
     def test_kernel_larger_than_padded_input_rejected(self):
         x = Tensor(np.ones((2, 1, 1)))
@@ -207,6 +245,19 @@ class TestGradCheck:
 
         def f():
             return mean_all(gelu(conv2d(x.value, w.value, b.value)))
+
+        assert grad_check(f, [x, w, b]) < 1e-6
+
+    @pytest.mark.parametrize("kernel, pad", [((3, 3), 0), ((2, 3), 1), ((2, 3), 0)],
+                             ids=["3x3-pad0", "2x3-pad1", "2x3-pad0"])
+    def test_conv2d_gradients_other_geometries(self, kernel, pad):
+        rng = np.random.default_rng(8)
+        x = Parameter("x", Tensor(rng.normal(size=(2, 5, 4))))
+        w = Parameter("w", Tensor(rng.normal(size=(3, 2, *kernel)) * 0.5))
+        b = Parameter("b", Tensor(rng.normal(size=3)))
+
+        def f():
+            return mean_all(gelu(conv2d(x.value, w.value, b.value, pad)))
 
         assert grad_check(f, [x, w, b]) < 1e-6
 
@@ -414,6 +465,25 @@ class TestFiniteness:
         for over in ("ignore", "raise"):
             with np.errstate(over=over):
                 assert Tensor([1e308, 1e308]).data.tolist() == [1e308, 1e308]
+
+    def test_overflowing_sum_prints_no_warning(self):
+        # pytest.ini turns the warning into an error, so this runs a fresh
+        # interpreter with Python's default warning filters.
+        script = ("from artbank.errors import NumericError\n"
+                  "from artbank.tensor import Tensor\n"
+                  "assert Tensor([1e308, 1e308]).data.tolist() == [1e308, 1e308]\n"
+                  "try:\n"
+                  "    Tensor([float('inf')])\n"
+                  "except NumericError:\n"
+                  "    print('refused')\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        src = str(Path(artbank.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == "refused\n"
 
 
 class TestInvariants:
