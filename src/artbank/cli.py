@@ -136,17 +136,11 @@ def _load_dir_images(root: Path) -> list[data_io.ImageSample]:
     return [data_io.read_ppm(p) for p in _image_files(root)]
 
 
-def _load_backbone(cfg: RunConfig, width: int,
-                   mismatch: str = "checkpoint expects condition width "
-                                   "{cond_dim} but channels={width} was "
-                                   "requested") -> diffusion.Denoiser:
-    """The frozen checkpoint. A condition width other than ``width`` is a
-    ``ConfigError`` with ``mismatch``, formatted with ``width`` and the
-    checkpoint's ``cond_dim``."""
+def _load_backbone(cfg: RunConfig) -> diffusion.Denoiser:
+    """The frozen checkpoint. Its ``cond_dim`` is the width of every bank
+    entry made or used for it."""
     d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
     d.freeze()
-    if d.cond_dim != width:
-        raise ConfigError(mismatch.format(width=width, cond_dim=d.cond_dim))
     return d
 
 
@@ -167,7 +161,8 @@ def _load_pool(root: Path) -> tuple[list[data_io.ImageSample], list[str]]:
     for sub in sorted(p for p in root.iterdir() if p.is_dir()) or [root]:
         imgs = _load_dir_images(sub)
         images.extend(imgs)
-        prompts.extend([f"a painting by {sub.name} *"] * len(imgs))
+        prompts.extend([bank_mod.DEFAULT_TEMPLATE.replace("{artist}", sub.name)]
+                       * len(imgs))
     return images, prompts
 
 
@@ -228,7 +223,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 def cmd_train_bank(cfg: RunConfig) -> int:
     _check_traces(1, cfg.steps, f"the loss trace of {cfg.steps} steps")
-    d = _load_backbone(cfg, cfg.channels)
+    d = _load_backbone(cfg)
     if not cfg.style_id:
         raise ConfigError("train-bank requires --style-id")
     if not cfg.bank_path:
@@ -242,7 +237,7 @@ def cmd_train_bank(cfg: RunConfig) -> int:
     bank = (bank_mod.load_bank(cfg.bank_path)
             if Path(cfg.bank_path).is_file() else bank_mod.StyleBank())
     entry = bank_mod.create_entry(
-        cfg.style_id, cfg.artist or cfg.style_id, cfg.channels, cfg.positions,
+        cfg.style_id, cfg.artist or cfg.style_id, d.cond_dim, cfg.positions,
         seed=derive_seed(cfg.seed, f"entry:{cfg.style_id}"), template=cfg.template)
     bank.add(entry)  # refuses a duplicate id before any training step
     t0 = time.perf_counter()
@@ -264,9 +259,10 @@ def cmd_stylize(cfg: RunConfig) -> int:
     if not cfg.out_path:
         raise ConfigError("stylize requires an output path")
     entry = bank.get(cfg.style_id)
-    d = _load_backbone(cfg, entry.channels,
-                       "bank entry width {width} does not match checkpoint "
-                       "condition width {cond_dim}")
+    d = _load_backbone(cfg)
+    if entry.channels != d.cond_dim:
+        raise ConfigError(f"bank entry width {entry.channels} does not match "
+                          f"checkpoint condition width {d.cond_dim}")
     inv_cfg = inversion.InversionConfig(
         strength=cfg.strength, seed=derive_seed(cfg.seed, "stylize"))
     result = inversion.stylize(d, diffusion.make_schedule(cfg.timesteps), bank,
@@ -283,14 +279,14 @@ def cmd_bench_attn(cfg: RunConfig) -> int:
     _check_traces(max(len(variants), 1) * cfg.bench_seeds, cfg.max_iters,
                   f"{cfg.bench_seeds} seeds' loss traces of up to "
                   f"{cfg.max_iters} steps for {len(variants)} variants")
-    d = _load_backbone(cfg, cfg.channels)
+    d = _load_backbone(cfg)
     images = _load_style_images(cfg)
     seeds = [derive_seed(cfg.seed, f"bench:{i}") for i in range(cfg.bench_seeds)]
     t0 = time.perf_counter()
     reports = metrics.convergence_benchmark(
         d, images, variants, seeds, cfg.threshold, cfg.max_iters,
-        sched=diffusion.make_schedule(cfg.timesteps), channels=cfg.channels,
-        positions=cfg.positions, lr=cfg.lr)
+        sched=diffusion.make_schedule(cfg.timesteps), positions=cfg.positions,
+        lr=cfg.lr)
     wall = time.perf_counter() - t0
     if cfg.out_path:
         metrics.write_convergence_csv(reports, cfg.out_path)
@@ -373,7 +369,7 @@ COMMANDS: dict[str, Command] = {
     "train-bank": Command(
         cmd_train_bank, "train one bank entry",
         "seed data_root checkpoint_path bank_path style_id artist template "
-        "steps channels positions timesteps lr attention loss_csv"),
+        "steps positions timesteps lr attention loss_csv"),
     "stylize": Command(
         cmd_stylize, "render a content image in a style",
         "seed checkpoint_path bank_path style_id content_path out_path "
@@ -381,7 +377,7 @@ COMMANDS: dict[str, Command] = {
     "bench-attn": Command(
         cmd_bench_attn, "attention-encoder convergence benchmark",
         "seed data_root checkpoint_path style_id variants bench_seeds "
-        "threshold max_iters channels positions timesteps lr out_path"),
+        "threshold max_iters positions timesteps lr out_path"),
     "eval": Command(
         cmd_eval, "SSIM and style scores for image pairs",
         "content_path stylized_path style_dir out_path"),

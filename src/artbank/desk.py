@@ -54,7 +54,7 @@ def _pool(root_seed: int) -> tuple[list[ImageSample], list[str]]:
         imgs = gen_style_collection(specs[name], POOL_PER_FAMILY, IMAGE_SIZE,
                                     seed=derive_seed(root_seed, f"pool:{name}"))
         pool.extend(imgs)
-        prompts.extend([f"a painting by {name} *"] * len(imgs))
+        prompts.extend([DEFAULT_TEMPLATE.replace("{artist}", name)] * len(imgs))
     for i in range(N_CONTENT_POOL):
         pool.append(gen_content_image(
             CONTENT_KINDS[i % len(CONTENT_KINDS)], IMAGE_SIZE,
@@ -68,7 +68,8 @@ def _pool(root_seed: int) -> tuple[list[ImageSample], list[str]]:
                                     IMAGE_SIZE,
                                     seed=derive_seed(root_seed, "pool-target"))
     pool.extend(exposure)
-    prompts.extend([f"a painting by {TARGET_STYLE_ID} *"] * len(exposure))
+    prompts.extend([DEFAULT_TEMPLATE.replace("{artist}", TARGET_STYLE_ID)]
+                   * len(exposure))
     return pool, prompts
 
 
@@ -112,7 +113,8 @@ def build(root_seed: int = ROOT_SEED, pretrain_steps: int = PRETRAIN_STEPS,
     base = build_backbone(root_seed, pretrain_steps)
     # Both entries start from the same values and see the same draws, so
     # the prompt text is the only difference between them.
-    entries = [create_entry(style_id, TARGET_STYLE_ID, 64, 16,
+    entries = [create_entry(style_id, TARGET_STYLE_ID,
+                            base.backbone.cond_dim, 16,
                             seed=derive_seed(root_seed, "entry-full"),
                             template=template)
                for style_id, template in (

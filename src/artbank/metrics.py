@@ -196,22 +196,21 @@ def _bench_entry(variant: str, seed: int, channels: int,
 
 def _probe_part(d: Denoiser, collection: Sequence[ImageSample],
                 sched: NoiseSchedule, variants: Sequence[str], seed: int,
-                channels: int, positions: int, draws: range
-                ) -> list[list[float]]:
+                positions: int, draws: range) -> list[list[float]]:
     """One probe task: each variant's per-draw losses on ``draws`` of the
     seed's probe, all variants sharing each draw's trunk."""
-    conds = [probe_condition(_bench_entry(v, seed, channels, positions), v, seed)
+    conds = [probe_condition(_bench_entry(v, seed, d.cond_dim, positions), v, seed)
              for v in variants]
     return probe_losses(d, conds, collection, sched, seed, draws)
 
 
 def _train_job(d: Denoiser, collection: Sequence[ImageSample],
                sched: NoiseSchedule, variant: str, seed: int,
-               loss_threshold: float, max_iters: int, channels: int,
-               positions: int, lr: float, initial: float) -> list[float]:
+               loss_threshold: float, max_iters: int, positions: int,
+               lr: float, initial: float) -> list[float]:
     """One training job: a fresh entry's loss trace, trained up to its
     crossing of ``loss_threshold`` times its ``initial`` probe loss."""
-    entry = _bench_entry(variant, seed, channels, positions)
+    entry = _bench_entry(variant, seed, d.cond_dim, positions)
     crossed = _crossing_detector(loss_threshold * initial)
     return train_ispb(d, entry, collection, sched, max_iters, seed=seed,
                       lr=lr, variant=variant, on_step=lambda r: crossed(r.loss))
@@ -288,11 +287,12 @@ def _job_pool(jobs: list[Callable[..., Any]], workers: int):
 def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
                           variants: Sequence[str], seeds: Sequence[int],
                           loss_threshold: float, max_iters: int, *,
-                          sched: NoiseSchedule, channels: int = 64,
-                          positions: int = 16, lr: float = 1e-3
-                          ) -> list[ConvergenceReport]:
+                          sched: NoiseSchedule, positions: int = 16,
+                          lr: float = 1e-3) -> list[ConvergenceReport]:
     """Train a fresh entry per (variant, seed) and report how many
-    iterations each needs to cross the relative loss threshold.
+    iterations each needs to cross the relative loss threshold. Each entry
+    is ``d.cond_dim`` wide, the one width the frozen backbone takes, and
+    ``positions`` long.
 
     Each job stops at its crossing, which later steps cannot change, so
     ``max_iters`` is a ceiling, not a cost: only a job that never crosses
@@ -328,10 +328,10 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     n = len(variants)
     bounds = [PROBE_DRAWS * k // n for k in range(n + 1)]
     probes = [functools.partial(_probe_part, d, collection, sched, variants,
-                                seed, channels, positions, range(a, b))
+                                seed, positions, range(a, b))
               for seed in seeds for a, b in zip(bounds, bounds[1:])]
     jobs = [functools.partial(_train_job, d, collection, sched, variant, seed,
-                              loss_threshold, max_iters, channels, positions, lr)
+                              loss_threshold, max_iters, positions, lr)
             for variant in variants for seed in seeds]
     with _job_pool(probes + jobs, job_workers(len(jobs))) as run:
         parts = run(range(len(probes)))

@@ -326,8 +326,7 @@ def test_criterion_11_end_to_end_smoke(tmp_path):
                 "--seed", "3"]) == 0
     assert run(["train-bank", "--data", str(root), "--checkpoint", str(ck),
                 "--bank", str(bank_path), "--style-id", "checks", "--steps",
-                "300", "--channels", "64", "--positions", "16",
-                "--seed", "3"]) == 0
+                "300", "--positions", "16", "--seed", "3"]) == 0
     assert run(["stylize", "--checkpoint", str(ck), "--bank", str(bank_path),
                 "--style-id", "checks", "--content", str(content_path),
                 "--out", str(out_img), "--strength", "0.6", "--seed",

@@ -1,11 +1,20 @@
 """End-to-end CLI behavior with a tiny on-disk dataset."""
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import re
+import tempfile
+import threading
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import artbank.bank as bank_mod
 import artbank.cli as cli_mod
@@ -75,6 +84,9 @@ def test_config_values_take_field_types(tmp_path):
     (["bank", "inspect"], "seed = 5\nsteps = 9\n", "seed", "bank inspect"),
     (["eval"], "steps = 9\n", "steps", "eval"),
     (["stylize"], "strength = 0.5\nlr = 0.1\n", "lr", "stylize"),
+    # The checkpoint sets an entry's width.
+    (["train-bank"], "channels = 12\n", "channels", "train-bank"),
+    (["bench-attn"], "channels = 12\n", "channels", "bench-attn"),
 ])
 def test_config_key_the_command_does_not_take_exits_2(tmp_path, capsys, argv,
                                                       text, key, command):
@@ -112,7 +124,6 @@ _FLAG_SURFACE = {
         (("--artist",), "artist", "str", None),
         (("--template",), "template", "str", None),
         (("--steps",), "steps", "int", None),
-        (("--channels",), "channels", "int", None),
         (("--positions",), "positions", "int", None),
         (("--timesteps",), "timesteps", "int", None),
         (("--lr",), "lr", "float", None),
@@ -139,7 +150,6 @@ _FLAG_SURFACE = {
         (("--bench-seeds",), "bench_seeds", "int", None),
         (("--threshold",), "threshold", "float", None),
         (("--max-iters",), "max_iters", "int", None),
-        (("--channels",), "channels", "int", None),
         (("--positions",), "positions", "int", None),
         (("--timesteps",), "timesteps", "int", None),
         (("--lr",), "lr", "float", None),
@@ -184,11 +194,118 @@ def test_flag_surface():
                        for path, rows in _FLAG_SURFACE.items()}
 
 
+def _listed_fields(table):
+    for command in table.values():
+        if isinstance(command.handler, dict):
+            yield from _listed_fields(command.handler)
+        else:
+            yield from command.fields.split()
+
+
+def test_every_setting_is_listed_by_a_command():
+    # A field no command lists is a setting no run can change.
+    assert set(_listed_fields(cli_mod.COMMANDS)) == {
+        f.name for f in fields(cli_mod.RunConfig)}
+
+
 @pytest.fixture(scope="module")
 def untrained_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ck") / "untrained.abdn"
     diffusion.save_checkpoint(diffusion.Denoiser(3, 8, 12, seed=0), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(dataset, untrained_checkpoint, tmp_path_factory):
+    """Each command's settings for a tiny run: steps <= 3, width 8,
+    positions 4, 10 timesteps, 8x8 images. Output paths are relative."""
+    bank = str(tmp_path_factory.mktemp("bank") / "b.ispb")
+    one = StyleBank()
+    one.add(create_entry("checks", "checks", 12, 4, seed=0))
+    save_bank(one, bank)
+    checkpoint, content = str(untrained_checkpoint), str(dataset / "content.ppm")
+    return {
+        "pretrain": {"data_root": str(dataset), "checkpoint_path": "ck.abdn",
+                     "steps": "2", "width": "8", "channels": "12",
+                     "timesteps": "10", "loss_csv": "loss.csv"},
+        "train-bank": {"data_root": str(dataset), "checkpoint_path": checkpoint,
+                       "bank_path": "bank.ispb", "style_id": "checks",
+                       "steps": "2", "positions": "4", "timesteps": "10",
+                       "loss_csv": "loss.csv"},
+        "stylize": {"checkpoint_path": checkpoint, "bank_path": bank,
+                    "style_id": "checks", "content_path": content,
+                    "out_path": "out.ppm", "timesteps": "10"},
+        "bench-attn": {"data_root": str(dataset), "checkpoint_path": checkpoint,
+                       "style_id": "checks", "variants": "ssam,sanet",
+                       "bench_seeds": "3", "positions": "4", "timesteps": "10",
+                       "out_path": "bench.csv"},
+        "eval": {"content_path": content, "stylized_path": content,
+                 "style_dir": str(dataset / "checks"), "out_path": "eval.csv"},
+        "bank inspect": {"bank_path": bank},
+    }
+
+
+def _flags(command):
+    """``command``'s flag actions by the setting they set."""
+    parser = dict(_leaf_parsers(build_parser()))[command]
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and a.dest != "help"}
+
+
+def _argv(command, values):
+    flags = _flags(command)
+    argv = command.split()
+    for dest, value in values.items():
+        flag = flags[dest].option_strings[0]
+        argv.append(flag if flags[dest].nargs == 0 else f"{flag}={value}")
+    return argv
+
+
+def test_tiny_runs_exit_0(tiny_runs, tmp_path, monkeypatch, capsys):
+    # So the fuzz below starts from runs that work. bench-attn's would
+    # train 6 jobs for up to 5,000 steps each.
+    monkeypatch.chdir(tmp_path)
+    for command, values in tiny_runs.items():
+        if command != "bench-attn":
+            assert run(_argv(command, values)) == 0
+
+
+_HOSTILE = ("0", "-1", "1", "1000000000000", "nan", "inf", "\udcff")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("started a thread or a process")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hostile_settings_exit_0_or_2(tiny_runs, data):
+    """Any of these values in any of a command's settings ends in exit 0, or
+    exit 2 with an error line; never in a traceback. ``bench-attn`` always
+    gets a ``--max-iters`` it refuses, so it stops before its worker pool
+    starts. Each example runs in a fresh working directory."""
+    command = data.draw(st.sampled_from(sorted(tiny_runs)))
+    bench = command == "bench-attn"
+    hostile = data.draw(st.dictionaries(st.sampled_from(sorted(_flags(command))),
+                                        st.sampled_from(_HOSTILE),
+                                        min_size=0 if bench else 1, max_size=2))
+    if bench:
+        hostile.setdefault("max_iters", data.draw(st.sampled_from(_HOSTILE)))
+    argv = _argv(command, {**tiny_runs[command], **hostile})
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(os, "fork", _refuse), \
+            mock.patch.object(threading.Thread, "start", _refuse):
+        os.chdir(tmp)
+        try:
+            code = cli_mod.run(argv)
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 2 and any("error:" in line for line in lines)), \
+        (argv, code, lines)
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -211,9 +328,10 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
                                            tmp_path, capsys, command, flag,
                                            value):
     out = tmp_path / "never"
-    common = ["--data", str(dataset), "--channels", "12", "--seed", "7"]
+    common = ["--data", str(dataset), "--seed", "7"]
     args = {
-        "pretrain": ["--checkpoint", str(out), "--steps", "1", "--width", "8"],
+        "pretrain": ["--checkpoint", str(out), "--steps", "1", "--width", "8",
+                     "--channels", "12"],
         "train-bank": ["--checkpoint", str(untrained_checkpoint), "--bank",
                        str(out), "--style-id", "checks", "--steps", "1",
                        "--positions", "4"],
@@ -243,8 +361,7 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
 def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
                                   capsys, command, size, gib):
     out = tmp_path / "never"
-    entry = ["--checkpoint", str(untrained_checkpoint), "--style-id", "checks",
-             "--channels", "12"]
+    entry = ["--checkpoint", str(untrained_checkpoint), "--style-id", "checks"]
     target = {"train-bank": [*entry, "--bank", str(out), "--steps", "1"],
               "bench-attn": [*entry, "--out", str(out), "--bench-seeds", "3",
                              "--max-iters", "100"],
@@ -305,12 +422,13 @@ def test_pretrain_summary_says_when_training_diverged(dataset, tmp_path,
 def test_trainer_summary_ends_with_wall_time_and_rate(dataset, untrained_checkpoint,
                                                       tmp_path, capsys, command):
     out = tmp_path / "artifact"
-    target = {"pretrain": ["--checkpoint", str(out), "--width", "8"],
+    target = {"pretrain": ["--checkpoint", str(out), "--width", "8",
+                           "--channels", "12"],
               "train-bank": ["--checkpoint", str(untrained_checkpoint), "--bank",
                              str(out), "--style-id", "checks", "--positions",
                              "4"]}[command]
-    code = run([command, "--data", str(dataset), "--channels", "12", "--steps",
-                "3", "--timesteps", "20", *target])
+    code = run([command, "--data", str(dataset), "--steps", "3", "--timesteps",
+                "20", *target])
     assert code == 0 and out.is_file()
     summary = capsys.readouterr().out.splitlines()[-1]
     m = re.search(r"; in (\d+\.\d\d) s \((\d+\.\d) steps/s\)$", summary)
@@ -347,8 +465,7 @@ def test_undecodable_config_file_exits_2(dataset, untrained_checkpoint,
     out = tmp_path / "never"
     code = run(["train-bank", "--config", str(cfg), "--data", str(dataset),
                 "--checkpoint", str(untrained_checkpoint), "--bank", str(out),
-                "--style-id", "checks", "--channels", "12", "--positions", "4",
-                "--steps", "1"])
+                "--style-id", "checks", "--positions", "4", "--steps", "1"])
     assert code == 2
     assert f"config file {cfg} is not valid UTF-8" in capsys.readouterr().err
     assert not out.exists()
@@ -390,10 +507,12 @@ def test_bank_inspect_corrupt_string_exits_2(tmp_path, capsys):
 
 def test_unknown_flag_nonzero_exit(capsys):
     # The vocabulary is fixed and ``train-bank --template '*'`` makes the
-    # drop-text entry, so neither has a flag; ``eval`` and ``bank inspect``
-    # draw no randomness, so they take no seed.
+    # drop-text entry, so neither has a flag; the checkpoint sets an entry's
+    # width; ``eval`` and ``bank inspect`` draw no randomness, so they take
+    # no seed.
     for argv in (["stylize", "--frobnicate"], ["pretrain", "--vocab-seed", "5"],
-                 ["train-bank", "--drop-text"], ["eval", "--seed", "5"],
+                 ["train-bank", "--drop-text"], ["train-bank", "--channels", "12"],
+                 ["bench-attn", "--channels", "12"], ["eval", "--seed", "5"],
                  ["bank", "inspect", "--seed", "42"]):
         assert run(argv) == 2
 
@@ -447,10 +566,26 @@ def test_runs_print_config_and_seed(dataset, tmp_path, capsys):
 
 def _bench_attn(dataset, checkpoint, out):
     return run(["bench-attn", "--data", str(dataset), "--checkpoint",
-                str(checkpoint), "--style-id", "checks", "--channels", "12",
-                "--positions", "4", "--bench-seeds", "3", "--max-iters", "300",
+                str(checkpoint), "--style-id", "checks", "--positions", "4",
+                "--bench-seeds", "3", "--max-iters", "300",
                 "--threshold", "1.0", "--variants", "ssam,sanet", "--seed", "7",
                 "--out", str(out)])
+
+
+def test_entry_width_comes_from_the_checkpoint(dataset, untrained_checkpoint,
+                                               tmp_path, capsys):
+    # No flag sets the width: both commands make 12-wide entries for the
+    # 12-wide checkpoint.
+    bank_path = tmp_path / "b.ispb"
+    assert run(["train-bank", "--data", str(dataset), "--checkpoint",
+                str(untrained_checkpoint), "--bank", str(bank_path),
+                "--style-id", "checks", "--steps", "2", "--positions", "4",
+                "--timesteps", "10"]) == 0
+    assert _bench_attn(dataset, untrained_checkpoint, tmp_path / "b.csv") == 0
+    capsys.readouterr()
+    assert run(["bank", "inspect", "--bank", str(bank_path)]) == 0
+    assert "checks: artist='checks' template='a painting by {artist} *' C=12 N=4" \
+        in capsys.readouterr().out
 
 
 def test_bench_attn_csv_same_bytes_pooled_and_in_process(
@@ -501,7 +636,7 @@ class TestPipeline:
         ck = tmp_path / "backbone.abdn"
         bank_path = tmp_path / "styles.ispb"
         out_img = tmp_path / "styled.ppm"
-        train_common = ["--seed", "7", "--channels", "12", "--timesteps", "20"]
+        train_common = ["--seed", "7", "--timesteps", "20"]
         style_args = ["stylize", "--checkpoint", str(ck), "--bank",
                       str(bank_path), "--style-id", "checks", "--content",
                       str(dataset / "content.ppm"), "--out", str(out_img),
@@ -509,7 +644,8 @@ class TestPipeline:
                       "--timesteps", "20"]
 
         code = run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "60", "--width", "8"] + train_common)
+                    str(ck), "--steps", "60", "--width", "8", "--channels",
+                    "12"] + train_common)
         assert code == 0
         assert ck.is_file()
 
@@ -541,11 +677,11 @@ class TestPipeline:
         files = {name: tmp_path / name for name in (
             "backbone.abdn", "styles.ispb", "styled.ppm", "pretrain.csv",
             "bank.csv")}
-        common = ["--seed", "3", "--channels", "12", "--timesteps", "10"]
+        common = ["--seed", "3", "--timesteps", "10"]
         assert run(["pretrain", "--data", str(dataset), "--checkpoint",
                     str(files["backbone.abdn"]), "--steps", "12", "--width",
-                    "8", "--loss-csv", str(files["pretrain.csv"])]
-                   + common) == 0
+                    "8", "--channels", "12", "--loss-csv",
+                    str(files["pretrain.csv"])] + common) == 0
         assert run(["train-bank", "--data", str(dataset), "--checkpoint",
                     str(files["backbone.abdn"]), "--bank",
                     str(files["styles.ispb"]), "--style-id", "stripes",
@@ -575,9 +711,10 @@ class TestPipeline:
     def test_duplicate_style_id_rejected(self, dataset, tmp_path, capsys):
         ck = tmp_path / "b.abdn"
         bank_path = tmp_path / "s.ispb"
-        common = ["--seed", "7", "--channels", "12", "--timesteps", "10"]
+        common = ["--seed", "7", "--timesteps", "10"]
         assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8"] + common) == 0
+                    str(ck), "--steps", "5", "--width", "8", "--channels",
+                    "12"] + common) == 0
         args = ["train-bank", "--data", str(dataset), "--checkpoint", str(ck),
                 "--bank", str(bank_path), "--style-id", "stripes", "--steps",
                 "2", "--positions", "4"] + common
@@ -599,7 +736,7 @@ class TestPipeline:
                             lambda *a, **k: calls.append(a) or [])
         code = run(["train-bank", "--data", str(dataset), "--checkpoint",
                     str(ck), "--bank", str(bank_path), "--style-id", "stripes",
-                    "--steps", "2", "--channels", "12", "--positions", "4"])
+                    "--steps", "2", "--positions", "4"])
         assert code == 2
         assert "already present" in capsys.readouterr().err
         assert calls == []
@@ -610,9 +747,10 @@ class TestPipeline:
         # guard must refuse the encoder the bank format cannot store.
         ck = tmp_path / "b5.abdn"
         bank_path = tmp_path / "s5.ispb"
-        common = ["--seed", "7", "--channels", "12", "--timesteps", "10"]
+        common = ["--seed", "7", "--timesteps", "10"]
         assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8"] + common) == 0
+                    str(ck), "--steps", "5", "--width", "8", "--channels",
+                    "12"] + common) == 0
         cfg = tmp_path / "sanet.cfg"
         cfg.write_text("attention = sanet\n")
         code = run(["train-bank", "--config", str(cfg), "--data",
@@ -629,9 +767,10 @@ class TestPipeline:
         ck = tmp_path / "b7.abdn"
         bank_path = tmp_path / "s7.ispb"
         out = tmp_path / "x.ppm"
-        common = ["--seed", "7", "--channels", "12", "--timesteps", "10"]
+        common = ["--seed", "7", "--timesteps", "10"]
         assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8"] + common) == 0
+                    str(ck), "--steps", "5", "--width", "8", "--channels",
+                    "12"] + common) == 0
         assert run(["train-bank", "--data", str(dataset), "--checkpoint",
                     str(ck), "--bank", str(bank_path), "--style-id", "checks",
                     "--template", "*", "--steps", "2",
@@ -648,9 +787,10 @@ class TestPipeline:
     def test_stylize_unknown_style_id(self, dataset, tmp_path, capsys):
         ck = tmp_path / "b2.abdn"
         bank_path = tmp_path / "s2.ispb"
-        common = ["--seed", "7", "--channels", "12", "--timesteps", "10"]
+        common = ["--seed", "7", "--timesteps", "10"]
         assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8"] + common) == 0
+                    str(ck), "--steps", "5", "--width", "8", "--channels",
+                    "12"] + common) == 0
         assert run(["train-bank", "--data", str(dataset), "--checkpoint",
                     str(ck), "--bank", str(bank_path), "--style-id", "checks",
                     "--steps", "2", "--positions", "4"] + common) == 0
@@ -662,20 +802,23 @@ class TestPipeline:
         assert code != 0
         assert "plaid" in capsys.readouterr().err
 
-    def test_dimension_mismatch_between_checkpoint_and_bank(self, dataset,
-                                                            tmp_path, capsys):
-        ck = tmp_path / "b3.abdn"
-        common = ["--seed", "7", "--timesteps", "10"]
-        assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8", "--channels",
-                    "12"] + common) == 0
-        code = run(["train-bank", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--bank", str(tmp_path / "s3.ispb"),
-                    "--style-id", "checks", "--steps", "2", "--channels",
-                    "16", "--positions", "4"] + common)
-        assert code != 0
-        err = capsys.readouterr().err
-        assert "12" in err and "16" in err
+    def test_dimension_mismatch_between_checkpoint_and_bank(
+            self, dataset, untrained_checkpoint, tmp_path, capsys):
+        # The checkpoint sets the width of the entries trained for it, so
+        # only two files can disagree: a 16-wide entry, a 12-wide backbone.
+        bank = StyleBank()
+        bank.add(create_entry("checks", "checks", 16, 4, seed=0))
+        save_bank(bank, tmp_path / "s3.ispb")
+        out = tmp_path / "never.ppm"
+        code = run(["stylize", "--checkpoint", str(untrained_checkpoint),
+                    "--bank", str(tmp_path / "s3.ispb"), "--style-id", "checks",
+                    "--content", str(dataset / "content.ppm"), "--out",
+                    str(out), "--timesteps", "10"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "artbank: error: bank entry width 16 does not match checkpoint "
+            "condition width 12"]
+        assert not out.exists()
 
     def test_eval_subcommand(self, dataset, tmp_path, capsys):
         out_csv = tmp_path / "eval.csv"

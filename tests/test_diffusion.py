@@ -335,7 +335,7 @@ def test_oversized_image_refused_before_any_step(monkeypatch, caller):
                "probe": lambda: ispb_eval_loss(d, entry, images, sched, seed=0),
                "convergence": lambda: metrics.convergence_benchmark(
                    d, images, ["ssam", "sanet"], [0, 1, 2], 0.85, 100,
-                   sched=sched, channels=12, positions=4),
+                   sched=sched, positions=4),
                "stylize": lambda: stylize(d, sched, bank, "big", images[0],
                                           InversionConfig())}[caller]
     with pytest.raises(ConfigError, match="16x16 pixels at denoiser width=8 "

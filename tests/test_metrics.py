@@ -323,6 +323,14 @@ class TestSharedProbe:
 
     def test_each_seeds_trunk_runs_once_per_probe_draw(self, desk, monkeypatch,
                                                        tmp_path):
+        # No argument sets the entries' width: the backbone does, here the
+        # desk's 64 and an untrained 12-wide one.
+        narrow = diffusion.Denoiser(3, 8, 12, seed=0)
+        narrow.freeze()
+        rigs = [(desk.backbone, desk.style_collection, desk.sched),
+                (narrow, gen_style_collection(default_style_specs()["checks"],
+                                              4, 8, seed=3),
+                 diffusion.make_schedule(10))]
         # Tasks may run in forked workers, whose memory the test cannot
         # read, so each trunk call appends the phase its process is in.
         log = tmp_path / "trunks.txt"
@@ -349,13 +357,15 @@ class TestSharedProbe:
         monkeypatch.setattr(metrics, "_workers",
                             lambda jobs, environ, cores: min(jobs, 2))
         variants, seeds = ["ssam", "sanet", "adaattn"], [0, 1, 2]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # censored crossings
-            convergence_benchmark(
-                desk.backbone, desk.style_collection, variants, seeds,
-                loss_threshold=0.75, max_iters=MOVING_AVG_WINDOW,
-                sched=desk.sched, lr=3e-4)
-        counts = Counter(log.read_text().split())
-        # Every job trains exactly the window: it crosses there or never.
-        assert counts == {**{f"probe-{s}": diffusion.PROBE_DRAWS for s in seeds},
-                          "train": MOVING_AVG_WINDOW * len(variants) * len(seeds)}
+        for d, collection, sched in rigs:
+            log.write_text("")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # censored crossings
+                convergence_benchmark(
+                    d, collection, variants, seeds, loss_threshold=0.75,
+                    max_iters=MOVING_AVG_WINDOW, sched=sched, lr=3e-4)
+            counts = Counter(log.read_text().split())
+            # Every job trains exactly the window: it crosses there or never.
+            assert counts == {
+                **{f"probe-{s}": diffusion.PROBE_DRAWS for s in seeds},
+                "train": MOVING_AVG_WINDOW * len(variants) * len(seeds)}
