@@ -7,8 +7,8 @@ the initial sampling noise from the content image so stylization keeps its
 structure.
 """
 
-from .attention import (SsamParams, adaattn_forward, init_output_proj,
-                        init_ssam_params, sanet_forward, ssam_forward)
+from .attention import (SsamParams, init_output_proj, init_ssam_params,
+                        sanet_forward, ssam_forward)
 from .bank import (DEFAULT_TEMPLATE, StyleBank, StyleBankEntry,
                    TokenEmbeddingSeq, assemble_condition, create_entry,
                    encode_prompt, load_bank, save_bank)

@@ -1,21 +1,23 @@
 """Self-attention encoders that map a trainable style matrix to pseudo-token
-embeddings.
+embeddings; ``ENCODERS`` names the variants and ``encoder`` builds one.
 
-All three share one core: ``_attention_map`` is the row-softmax map of the
-query/key projections, and ``_statistical`` scales and shifts the
-channel-normalized input by the value projection's mean and std under a map.
-``ssam_forward`` reweights the map spatially first, ``adaattn_forward`` (the
-statistical baseline) uses it raw, and ``sanet_forward`` (the residual
-baseline) adds attended values back onto the style matrix.
+Both forwards share ``_attention_map``, the row-softmax map of the query/key
+projections. ``ssam_forward`` reweights it spatially, then ``_statistical``
+scales and shifts the channel-normalized input by the values' mean and std
+under it; the statistical baseline ``adaattn`` is SSAM with its spatial
+weights at one. ``sanet_forward`` (the residual baseline) adds attended
+values back onto the style matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError
+from . import seeding
+from .errors import ConfigError, DimensionError
 from .tensor import (EPS, Parameter, Tensor, channel_norm, clamp_min, matmul,
                      mul, softmax_rows, sqrt, transpose)
 
@@ -62,14 +64,15 @@ def init_ssam_params(channels: int, positions: int,
         w = rng.uniform(-bound, bound, size=(channels, channels))
         return Parameter(name, Tensor(w))
 
-    return SsamParams(
-        w_q=proj("w_q"),
-        w_k=proj("w_k"),
-        w_v=proj("w_v"),
-        w_col=Parameter("w_col", Tensor(np.ones((positions, 1)))),
-        w_row=Parameter("w_row", Tensor(np.ones((1, positions)))),
-        alpha=Parameter("alpha", Tensor(np.asarray(0.5))),
-    )
+    return SsamParams(w_q=proj("w_q"), w_k=proj("w_k"), w_v=proj("w_v"),
+                      **_unit_spatial(positions))
+
+
+def _unit_spatial(positions: int) -> dict[str, Parameter]:
+    """All-ones ``w_col`` and ``w_row`` with ``alpha`` = 0.5."""
+    return {"w_col": Parameter("w_col", Tensor(np.ones((positions, 1)))),
+            "w_row": Parameter("w_row", Tensor(np.ones((1, positions)))),
+            "alpha": Parameter("alpha", Tensor(np.asarray(0.5)))}
 
 
 def init_output_proj(channels: int, rng: np.random.Generator) -> Parameter:
@@ -127,14 +130,6 @@ def ssam_forward(i_m: Tensor, p: SsamParams) -> Tensor:
     return _statistical(i_m, p.w_v, weighted)
 
 
-def adaattn_forward(i_m: Tensor, w_q: Parameter, w_k: Parameter,
-                    w_v: Parameter) -> Tensor:
-    """Statistical baseline: like ``ssam_forward`` with the raw attention
-    map (no spatial weighting, no blend)."""
-    check_style_matrix(i_m, w_q.value.data.shape[0])
-    return _statistical(i_m, w_v, _attention_map(i_m, w_q, w_k))
-
-
 def sanet_forward(i_m: Tensor, w_q: Parameter, w_k: Parameter,
                   w_v: Parameter, w_o: Parameter) -> Tensor:
     """Residual baseline: attention over the normalized input, projected and
@@ -143,3 +138,32 @@ def sanet_forward(i_m: Tensor, w_q: Parameter, w_k: Parameter,
     attn = _attention_map(channel_norm(i_m), w_q, w_k)
     v = matmul(w_v.value, i_m)
     return i_m + matmul(w_o.value, matmul(v, transpose(attn)))
+
+
+ENCODERS = ("ssam", "adaattn", "sanet")
+
+
+def encoder(variant: str, i_m: Parameter, params: SsamParams, seed: int
+            ) -> tuple[list[Parameter], Callable[[], Tensor]]:
+    """The parameters a ``variant`` encoder trains and a closure that
+    encodes ``i_m`` with the projections in ``params``.
+
+    ``adaattn`` holds spatial weights of its own at one, never those in
+    ``params``. ``sanet``'s output projection ``w_o`` has no slot in the
+    bank format, so it is drawn from ``seed``. The closures look the
+    forwards up by module-global name, so wrappers installed on these names
+    (such as a profiler's spans) see each call.
+    """
+    p = params
+    if variant == "ssam":
+        return [i_m] + p.all_params(), lambda: ssam_forward(i_m.value, p)
+    if variant == "adaattn":
+        unit = replace(p, **_unit_spatial(p.positions))
+        for w in (unit.w_col, unit.w_row, unit.alpha):
+            w.value.requires_grad = False  # constants, off the tape
+        return [i_m, p.w_q, p.w_k, p.w_v], lambda: ssam_forward(i_m.value, unit)
+    if variant == "sanet":
+        w_o = init_output_proj(p.channels, seeding.rng_for(seed, "sanet-output-proj"))
+        return ([i_m, p.w_q, p.w_k, p.w_v, w_o],
+                lambda: sanet_forward(i_m.value, p.w_q, p.w_k, p.w_v, w_o))
+    raise ConfigError(f"unknown attention variant: {variant!r}")

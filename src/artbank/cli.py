@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import bank as bank_mod
-from . import data_io, diffusion, inversion, metrics
+from . import attention, data_io, diffusion, inversion, metrics
 from .errors import ArtBankError, ConfigError
 from .seeding import derive_seed
 
@@ -408,7 +408,7 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str,
             if kind is bool:
                 opts.update(action="store_const", const=True)
             elif field == "attention":
-                opts["choices"] = tuple(diffusion.ENCODERS)
+                opts["choices"] = attention.ENCODERS
             elif kind is not str:
                 opts["type"] = kind
             flag = re.sub(r"_(path|root)$", "", field).replace("_", "-")
@@ -434,7 +434,7 @@ def run(argv: list[str]) -> int:
         print(cfg.describe([k for k in args.flag_fields
                             if k == "seed" or getattr(args, k) is not None]))
         return args.func(cfg)
-    except (ArtBankError, OSError) as exc:
+    except (ArtBankError, OSError, FloatingPointError, RuntimeWarning) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
 

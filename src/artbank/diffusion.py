@@ -16,9 +16,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import container, seeding
-from .attention import (adaattn_forward, init_output_proj, sanet_forward,
-                        ssam_forward)
+from . import attention, container, seeding
 from .bank import (StyleBankEntry, assemble_condition, check_array_size,
                    encode_prompt)
 from .data_io import ImageSample
@@ -246,25 +244,24 @@ def load_checkpoint(path) -> Denoiser:
 
 
 def check_image_size(d: Denoiser, img: ImageSample, what: str) -> None:
-    """Refuse an image whose largest activation in ``d``, a conv's 9 * C * H * W
-    im2col columns, is over the array budget (``ConfigError``)."""
+    """Refuse an image whose channel count is not ``d``'s
+    (``DimensionError``) or whose largest activation in ``d``, a conv's
+    9 * C * H * W im2col columns, is over the array budget (``ConfigError``)."""
+    if img.channels != d.in_channels:
+        raise DimensionError(f"{what} has {img.channels} channels, the denoiser "
+                             f"takes in_channels={d.in_channels}")
     check_array_size(9 * max(d.width, d.in_channels) * img.height * img.width,
                      f"{what} of {img.width}x{img.height} pixels at denoiser "
                      f"width={d.width}")
 
 
 def check_images(d: Denoiser, images: Sequence[ImageSample]) -> None:
-    """Refuse an empty image set, an image whose channel count is not the
-    denoiser's or one whose activations are too large: the one image check
-    of both trainers, the probe and the convergence benchmark, made before
-    any draw."""
+    """Refuse an empty image set or an image ``check_image_size`` refuses:
+    the one image check of both trainers, the probe and the convergence
+    benchmark, made before any draw."""
     if not images:
         raise ConfigError("the image set is empty")
     for i, img in enumerate(images):
-        if img.channels != d.in_channels:
-            raise DimensionError(
-                f"image {i} has {img.channels} channels, the denoiser takes "
-                f"in_channels={d.in_channels}")
         check_image_size(d, img, f"image {i}")
 
 
@@ -374,50 +371,6 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
                   _uniform_draws, lambda idx: conds[prompts[idx]])
 
 
-# An encoder builder returns the parameters a variant trains and a closure
-# that encodes the entry's style matrix. The closures look the encoder
-# functions up by module-global name on every call, so wrappers installed on
-# this module's names (such as a profiler's spans) see each call.
-EncoderBuilder = Callable[[StyleBankEntry, int],
-                          tuple[list[Parameter], Callable[[], Tensor]]]
-
-
-def _ssam_encoder(entry: StyleBankEntry, seed: int):
-    return (entry.trainable_params(),
-            lambda: ssam_forward(entry.i_m.value, entry.ssam))
-
-
-def _adaattn_encoder(entry: StyleBankEntry, seed: int):
-    # SSAM's statistical core; the entry's spatial weights are left untouched.
-    s = entry.ssam
-    return ([entry.i_m, s.w_q, s.w_k, s.w_v],
-            lambda: adaattn_forward(entry.i_m.value, s.w_q, s.w_k, s.w_v))
-
-
-def _sanet_encoder(entry: StyleBankEntry, seed: int):
-    # The residual baseline's output projection has no slot in the bank
-    # format, so it is drawn from the seed and lives only for the caller.
-    s = entry.ssam
-    w_o = init_output_proj(entry.channels, seeding.rng_for(seed, "sanet-output-proj"))
-    return ([entry.i_m, s.w_q, s.w_k, s.w_v, w_o],
-            lambda: sanet_forward(entry.i_m.value, s.w_q, s.w_k, s.w_v, w_o))
-
-
-ENCODERS: dict[str, EncoderBuilder] = {
-    "ssam": _ssam_encoder,
-    "adaattn": _adaattn_encoder,
-    "sanet": _sanet_encoder,
-}
-
-
-def encoder_builder(variant: str) -> EncoderBuilder:
-    """The registered builder for an attention-encoder variant name."""
-    try:
-        return ENCODERS[variant]
-    except KeyError:
-        raise ConfigError(f"unknown attention variant: {variant!r}") from None
-
-
 def train_ispb(d: Denoiser, entry: StyleBankEntry,
                style_images: Sequence[ImageSample], sched: NoiseSchedule,
                steps: int, seed: int, lr: float = 1e-3,
@@ -443,7 +396,7 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
     """
     if not d.frozen:
         raise ContractError("bank training requires a frozen denoiser")
-    params, encode = encoder_builder(variant)(entry, seed)
+    params, encode = attention.encoder(variant, entry.i_m, entry.ssam, seed)
     seq = encode_prompt(entry.template, entry.artist, entry.channels)
     return _train(d, style_images, sched, steps, seed, lr, params,
                   _balanced_draws, lambda idx: assemble_condition(seq, encode()),
@@ -454,7 +407,7 @@ def probe_condition(entry: StyleBankEntry, variant: str, seed: int) -> Tensor:
     """The detached condition an entry gives under a ``variant`` encoder
     built for ``seed``: what the probe scores, and the condition
     ``train_ispb`` with that seed starts from."""
-    _, encode = encoder_builder(variant)(entry, seed)
+    _, encode = attention.encoder(variant, entry.i_m, entry.ssam, seed)
     seq = encode_prompt(entry.template, entry.artist, entry.channels)
     return assemble_condition(seq, encode().detach())
 

@@ -69,9 +69,10 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     deterministic sampling back to step zero. A pure function of (denoiser,
     entry, content, cfg).
 
-    Every bank entry is encoded with SSAM: an entry trained with the
-    ``adaattn`` variant keeps its all-ones spatial weights, under which SSAM
-    reduces exactly to that baseline.
+    Every bank entry is encoded with SSAM over its own weights. The
+    statistical baseline trains only the style matrix and projections, so an
+    entry it trained from scratch keeps its spatial weights at one, where
+    SSAM is that baseline bit for bit.
     """
     entry = bank.get(style_id)
     check_image_size(d, content, "the content image")

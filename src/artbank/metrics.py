@@ -21,11 +21,11 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import seeding
+from .attention import ENCODERS
 from .bank import StyleBankEntry, create_entry
 from .data_io import ImageSample
 from .diffusion import (PROBE_DRAWS, Denoiser, NoiseSchedule, check_images,
-                        encoder_builder, probe_condition, probe_losses,
-                        probe_mean, train_ispb)
+                        probe_condition, probe_losses, probe_mean, train_ispb)
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor, clamp_min, conv2d
 
@@ -323,7 +323,8 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
             f"max_iters must be at least the {MOVING_AVG_WINDOW}-step "
             f"moving-average window, got {max_iters}")
     for v in variants:  # reject an unknown name before any job trains
-        encoder_builder(v)
+        if v not in ENCODERS:
+            raise ConfigError(f"unknown attention variant: {v!r}")
     check_images(d, collection)  # and a bad image before any draw or fork
     n = len(variants)
     bounds = [PROBE_DRAWS * k // n for k in range(n + 1)]

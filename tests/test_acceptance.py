@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from artbank.attention import adaattn_forward, init_output_proj, ssam_forward
+from artbank.attention import init_output_proj, ssam_forward
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
                           create_entry, encode_prompt, load_bank, save_bank)
 from artbank.data_io import gen_content_image, read_ppm, write_ppm
@@ -25,7 +25,7 @@ from artbank.metrics import convergence_benchmark, gram_style_score, signature_o
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all, softmax_rows
 
-from oracles import grad_check, random_ssam_instance, ssam_ref
+from oracles import adaattn_ref, grad_check, random_ssam_instance, ssam_ref
 from test_attention import params_from_instance
 
 
@@ -131,7 +131,7 @@ def test_criterion_03_reduction_law():
         inst["alpha"] = float(rng.normal() * 3.0)
         i_m, p = params_from_instance(inst)
         ssam_out = ssam_forward(i_m, p).data
-        ada_out = adaattn_forward(i_m, p.w_q, p.w_k, p.w_v).data
+        ada_out = adaattn_ref(inst["i_m"], inst["w_q"], inst["w_k"], inst["w_v"])
         worst = max(worst, float(np.abs(ssam_out - ada_out).max()))
     _criterion(3, "all-ones spatial weights reduce to the statistical baseline",
                worst <= 1e-12, f"max abs diff {worst:.2e}")

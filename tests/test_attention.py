@@ -1,11 +1,13 @@
 """The style-matrix attention encoders against independent oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from artbank.attention import (SsamParams, adaattn_forward, init_output_proj,
+from artbank.attention import (ENCODERS, SsamParams, encoder, init_output_proj,
                                init_ssam_params, sanet_forward, ssam_forward)
-from artbank.errors import DimensionError
+from artbank.errors import ConfigError, DimensionError
 from artbank.tensor import EPS, Parameter, Tensor, mean_all
 
 from oracles import (adaattn_ref, grad_check, random_ssam_instance, sanet_ref,
@@ -24,6 +26,13 @@ def params_from_instance(inst) -> tuple[Tensor, SsamParams]:
     return Tensor(inst["i_m"]), p
 
 
+def adaattn(i_m: Tensor, p: SsamParams) -> Tensor:
+    """The ``adaattn`` encoder over ``p``'s projections; ``p``'s spatial
+    weights are not read."""
+    _, encode = encoder("adaattn", Parameter("i_m", i_m), p, seed=0)
+    return encode()
+
+
 class TestSsamForward:
     def test_fully_forced_1x1(self):
         inst = {
@@ -38,16 +47,22 @@ class TestSsamForward:
         np.testing.assert_allclose(out.data, [[0.7]], atol=1e-12)
 
     def test_reduces_to_adaattn_with_ones_weights(self):
+        # At unit spatial weights alpha drops out bit for bit, so every
+        # alpha gives the statistical baseline's bytes.
         rng = np.random.default_rng(0)
-        for alpha in (-1.3, 0.0, 0.5, 2.0):
+        for _ in range(4):
             inst = random_ssam_instance(rng, 3, 5)
             inst["w_col"] = np.ones((5, 1))
             inst["w_row"] = np.ones((1, 5))
-            inst["alpha"] = alpha
-            i_m, p = params_from_instance(inst)
-            ssam_out = ssam_forward(i_m, p)
-            ada_out = adaattn_forward(i_m, p.w_q, p.w_k, p.w_v)
-            np.testing.assert_allclose(ssam_out.data, ada_out.data, atol=1e-12)
+            outs = []
+            for alpha in (-1.3, 0.0, 0.5, 2.0):
+                inst["alpha"] = alpha
+                outs.append(ssam_forward(*params_from_instance(inst)).data.tobytes())
+            assert len(set(outs)) == 1
+            np.testing.assert_allclose(
+                np.frombuffer(outs[0]).reshape(3, 5),
+                adaattn_ref(inst["i_m"], inst["w_q"], inst["w_k"], inst["w_v"]),
+                atol=1e-12)
 
     def test_matches_step_by_step_oracle(self):
         rng = np.random.default_rng(42)
@@ -121,11 +136,14 @@ class TestSsamForward:
 
 
 class TestAdaAttnForward:
+    """The ``adaattn`` encoder, on instances whose own spatial weights are
+    not one: the encoder's unit weights replace them."""
+
     def test_single_position_returns_value_projection(self):
         rng = np.random.default_rng(3)
         inst = random_ssam_instance(rng, 3, 1)
         i_m, p = params_from_instance(inst)
-        out = adaattn_forward(i_m, p.w_q, p.w_k, p.w_v)
+        out = adaattn(i_m, p)
         np.testing.assert_allclose(out.data, inst["w_v"] @ inst["i_m"],
                                    atol=1e-4)  # sqrt(eps) * 0 + V
 
@@ -135,7 +153,7 @@ class TestAdaAttnForward:
         inst = random_ssam_instance(rng, 2, 5)
         inst["w_k"] = np.zeros((2, 2))
         i_m, p = params_from_instance(inst)
-        out = adaattn_forward(i_m, p.w_q, p.w_k, p.w_v)
+        out = adaattn(i_m, p)
         v = inst["w_v"] @ inst["i_m"]
         col_mean = v.mean(axis=1, keepdims=True)
         expected = adaattn_ref(inst["i_m"], inst["w_q"], inst["w_k"], inst["w_v"])
@@ -148,9 +166,23 @@ class TestAdaAttnForward:
         rng = np.random.default_rng(5)
         inst = random_ssam_instance(rng, 2, 3)
         i_m, p = params_from_instance(inst)
-        out = adaattn_forward(i_m, p.w_q, p.w_k, p.w_v)
+        out = adaattn(i_m, p)
         expected = adaattn_ref(inst["i_m"], inst["w_q"], inst["w_k"], inst["w_v"])
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_gradients_reach_only_the_projections_and_style_matrix(self):
+        rng = np.random.default_rng(12)
+        inst = random_ssam_instance(rng, 3, 4, scale=0.8)
+        i_m_t, p = params_from_instance(inst)
+        params, encode = encoder("adaattn", Parameter("i_m", i_m_t), p, seed=0)
+        assert [w.name for w in params] == ["i_m", "w_q", "w_k", "w_v"]
+
+        def f():
+            out = encode()
+            return mean_all(out * out)
+
+        assert grad_check(f, params) < 1e-4
+        assert all(w.value.grad is None for w in (p.w_col, p.w_row, p.alpha))
 
 
 class TestSanetForward:
@@ -183,14 +215,33 @@ class TestSanetForward:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+class TestEncoder:
+    def test_variants_and_what_each_trains(self):
+        p = init_ssam_params(3, 4, np.random.default_rng(13))
+        i_m = Parameter("i_m", Tensor(np.ones((3, 4))))
+        assert ENCODERS == ("ssam", "adaattn", "sanet")
+        assert {v: [w.name for w in encoder(v, i_m, p, seed=0)[0]]
+                for v in ENCODERS} == {
+            "ssam": ["i_m", "w_q", "w_k", "w_v", "w_col", "w_row", "alpha"],
+            "adaattn": ["i_m", "w_q", "w_k", "w_v"],
+            "sanet": ["i_m", "w_q", "w_k", "w_v", "w_o"]}
+
+    def test_unknown_variant(self):
+        p = init_ssam_params(3, 4, np.random.default_rng(14))
+        with pytest.raises(ConfigError, match="^unknown attention variant: 'film'$"):
+            encoder("film", Parameter("i_m", Tensor(np.ones((3, 4)))), p, seed=0)
+
+
 class TestInit:
     def test_init_starts_at_statistical_baseline(self):
         rng = np.random.default_rng(9)
         p = init_ssam_params(8, 5, rng)
         i_m = Tensor(np.random.default_rng(10).normal(size=(8, 5)))
         ssam_out = ssam_forward(i_m, p)
-        ada_out = adaattn_forward(i_m, p.w_q, p.w_k, p.w_v)
-        np.testing.assert_allclose(ssam_out.data, ada_out.data, atol=1e-12)
+        moved = replace(p, w_col=Parameter("w_col", Tensor(rng.normal(size=(5, 1)))),
+                        w_row=Parameter("w_row", Tensor(rng.normal(size=(1, 5)))),
+                        alpha=Parameter("alpha", Tensor(np.asarray(-0.7))))
+        assert ssam_out.data.tobytes() == adaattn(i_m, moved).data.tobytes()
         assert float(p.alpha.value.data) == 0.5
 
     def test_projection_bounds(self):

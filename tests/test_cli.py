@@ -458,6 +458,97 @@ def test_oversized_content_image_exits_2(untrained_checkpoint, tmp_path, capsys,
     assert not out.exists()
 
 
+def _stylize_argv(checkpoint, bank, content, out):
+    return ["stylize", "--checkpoint", str(checkpoint), "--bank", str(bank),
+            "--style-id", "checks", "--content", str(content), "--out", str(out),
+            "--timesteps", "10"]
+
+
+@pytest.mark.parametrize("over", ["warn", "raise"])
+def test_huge_stored_value_exits_2(dataset, untrained_checkpoint, tmp_path,
+                                   capsys, over):
+    # A finite but huge style-matrix value overflows in the encoder. Under
+    # pytest.ini's filter numpy's warning is raised as a RuntimeWarning;
+    # under errstate(over="raise") as a FloatingPointError.
+    bank = StyleBank()
+    entry = create_entry("checks", "checks", 12, 4, seed=0)
+    entry.i_m.value.data[0, 0] = 1e200
+    bank.add(entry)
+    save_bank(bank, tmp_path / "huge.ispb")
+    out = tmp_path / "never.ppm"
+    with np.errstate(over=over):
+        code = run(_stylize_argv(untrained_checkpoint, tmp_path / "huge.ispb",
+                                 dataset / "content.ppm", out))
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1, err
+    assert err[0].startswith("artbank: error: overflow encountered in "), err
+    assert not out.exists()
+
+
+def test_gray_content_against_rgb_checkpoint_exits_2(untrained_checkpoint,
+                                                      tiny_runs, tmp_path, capsys):
+    content = tmp_path / "gray.pgm"
+    write_ppm(gen_content_image("shapes", 8, seed=5, channels=1), content)
+    out = tmp_path / "never.ppm"
+    code = run(_stylize_argv(untrained_checkpoint, tiny_runs["stylize"]["bank_path"],
+                             content, out))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "artbank: error: the content image has 1 channels, the denoiser takes "
+        "in_channels=3"]
+    assert not out.exists()
+
+
+# The files each reading command takes, by setting: a mutated copy of one
+# replaces it.
+_READ_FILES = {"stylize": ("checkpoint_path", "bank_path", "content_path"),
+               "bank inspect": ("bank_path",),
+               "eval": ("content_path", "stylized_path")}
+
+
+def _mutated(raw, data):
+    """``raw`` cut short, or with one to three bits flipped."""
+    if data.draw(st.booleans()):
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    out = bytearray(raw)
+    for pos, bit in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                 st.integers(0, 7)),
+                                       min_size=1, max_size=3)):
+        out[pos] ^= 1 << bit
+    return bytes(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupt_files_exit_0_or_2(tiny_runs, data):
+    """A truncated or bit-flipped copy of a tiny checkpoint, bank or PPM
+    ends in exit 0, or exit 2 with one error line; never in a traceback.
+    Each example runs in a fresh working directory."""
+    command = data.draw(st.sampled_from(sorted(_READ_FILES)))
+    setting = data.draw(st.sampled_from(_READ_FILES[command]))
+    values = dict(tiny_runs[command])
+    with open(values[setting], "rb") as fh:
+        raw = _mutated(fh.read(), data)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(os, "fork", _refuse), \
+            mock.patch.object(threading.Thread, "start", _refuse):
+        os.chdir(tmp)
+        try:
+            with open("mutated", "wb") as fh:
+                fh.write(raw)
+            values[setting] = os.path.join(tmp, "mutated")
+            code = cli_mod.run(_argv(command, values))
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code == 0 and lines == [] or (
+        code == 2 and len(lines) == 1 and lines[0].startswith("artbank: error: ")), \
+        (command, setting, code, lines)
+
+
 def test_undecodable_config_file_exits_2(dataset, untrained_checkpoint,
                                          tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"

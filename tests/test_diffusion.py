@@ -1,5 +1,6 @@
 """Noise schedule, denoiser, trainers, and samplers."""
 
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -12,7 +13,8 @@ import artbank.diffusion as diffusion
 from artbank import metrics
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
                           create_entry, encode_prompt)
-from artbank.data_io import gen_content_image
+from artbank.data_io import (default_style_specs, gen_content_image,
+                             gen_style_collection)
 from artbank.desk import ROOT_SEED
 from artbank.diffusion import (BETA_END, BETA_START, CHECKPOINT_MAGIC,
                                PROBE_DRAWS, Denoiser, LatentState,
@@ -379,6 +381,35 @@ class TestProbe:
         assert probe_mean(whole[0]).hex() == ispb_eval_loss(
             desk.backbone, entry, desk.style_collection, desk.sched,
             seed=5).hex()
+
+
+class TestAdaattnBytes:
+    """``adaattn`` training on a tiny rig, pinned: a fresh entry, and an
+    entry SSAM trained first (whose spatial weights ``adaattn`` must not
+    read). The backbone is pretrained a few steps, since a fresh one's
+    zero output head gives every condition a zero gradient."""
+
+    @pytest.mark.parametrize("variants, digest", [
+        (["adaattn"],
+         "bb8aedf963598182e8ef265de70ec36a6a387f7678f776642b4563acd1828d6d"),
+        (["ssam", "adaattn"],
+         "9c55d8c0f291ab4f701a2f6a5fcca72dfbaf2db410ecc011bd4bb8cca645b258"),
+    ])
+    def test_trace_and_bank_bytes_pinned(self, variants, digest):
+        images = gen_style_collection(default_style_specs()["waves"], 3, 8, seed=2)
+        sched = make_schedule(10)
+        d = Denoiser(3, 8, 12, seed=5)
+        train_naive(d, images, ["a photo *"] * 3, sched, 10, seed=3, lr=1e-2)
+        d.freeze()
+        entry = create_entry("ada", "x", 12, 4, seed=7)
+        trace = []
+        for k, variant in enumerate(variants):
+            trace += train_ispb(d, entry, images, sched, 30, seed=11 + k,
+                                variant=variant)
+        bank = StyleBank()
+        bank.add(entry)
+        assert hashlib.sha256(np.asarray(trace).tobytes()
+                              + bank_bytes(bank)).hexdigest() == digest
 
 
 class TestTrainIspb:

@@ -318,6 +318,19 @@ class TestJobPool:
         assert metrics._workers(jobs, environ, cores) == workers
 
 
+def test_unknown_variant_refused_before_any_job(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("started a job")
+
+    monkeypatch.setattr(metrics, "_job_pool", no_pool)
+    d = diffusion.Denoiser(3, 8, 12, seed=0)
+    d.freeze()
+    images = gen_style_collection(default_style_specs()["checks"], 2, 8, seed=1)
+    with pytest.raises(ConfigError, match="^unknown attention variant: 'film'$"):
+        convergence_benchmark(d, images, ["ssam", "film"], [0, 1, 2], 0.85,
+                              MOVING_AVG_WINDOW, sched=diffusion.make_schedule(10))
+
+
 class TestSharedProbe:
     """``convergence_benchmark`` probes each seed once for all variants."""
 
