@@ -15,14 +15,14 @@ from artbank.data_io import (CONTENT_KINDS, default_style_specs,
 from artbank.seeding import derive_seed
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", required=True, help="dataset root to create")
     ap.add_argument("--per-family", type=int, default=64)
     ap.add_argument("--n-content", type=int, default=24)
     ap.add_argument("--size", type=int, default=16)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     root = Path(args.out)
     root.mkdir(parents=True, exist_ok=True)

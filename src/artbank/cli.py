@@ -77,6 +77,10 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# The values a setting may take, for its flag and its config file key alike.
+CHOICES: dict[str, tuple[str, ...]] = {"attention": attention.ENCODERS}
+
+
 def _coerce(key: str, raw: str):
     kind = type(getattr(RunConfig, key))
     try:
@@ -86,9 +90,14 @@ def _coerce(key: str, raw: str):
             if raw.lower() in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
+    choices = CHOICES.get(key)
+    if choices is not None and value not in choices:
+        raise ConfigError(f"config key {key!r}: invalid choice {raw!r} "
+                          f"(choose from {', '.join(choices)})")
+    return value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -407,10 +416,10 @@ def _add_commands(parser: argparse.ArgumentParser, dest: str,
                 "root seed (default 0)" if field == "seed" else None)}
             if kind is bool:
                 opts.update(action="store_const", const=True)
-            elif field == "attention":
-                opts["choices"] = attention.ENCODERS
             elif kind is not str:
                 opts["type"] = kind
+            if field in CHOICES:
+                opts["choices"] = CHOICES[field]
             flag = re.sub(r"_(path|root)$", "", field).replace("_", "-")
             p.add_argument("--" + flag, **opts)
         p.set_defaults(func=command.handler, flag_fields=names,
@@ -431,8 +440,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        print(cfg.describe([k for k in args.flag_fields
-                            if k == "seed" or getattr(args, k) is not None]))
+        print(cfg.describe(args.flag_fields))
         return args.func(cfg)
     except (ArtBankError, OSError, FloatingPointError, RuntimeWarning) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -5,16 +5,17 @@ content images. Bank entries are then trained on a *novel* variant
 collection (same family mechanics, unseen palette/orientation and artist
 token), so the conditioning has real headroom to dig out.
 
-The test suite's session fixture and both experiment scripts build their
-rig here, so a script run at its defaults prints the numbers the acceptance
-criteria check. The build is staged: ``build_backbone`` pretrains the
-backbone and draws the target collection, and ``build`` adds the full and
-drop-text entries and their bank.
+The rig and the computations of acceptance criteria 07-09 live here, so the
+test suite and ``scripts/reproduce.py`` read one copy. ``build_backbone``
+pretrains the backbone and draws the target collection, ``build`` adds the
+full and drop-text entries and their bank, and ``convergence`` (criterion
+07) and ``stylize_scores`` (criteria 08 and 09) measure the rig.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bank import DEFAULT_TEMPLATE, StyleBank, StyleBankEntry, create_entry
 from .data_io import (CONTENT_KINDS, ImageSample, StyleSpec,
@@ -22,7 +23,9 @@ from .data_io import (CONTENT_KINDS, ImageSample, StyleSpec,
                       gen_style_collection)
 from .diffusion import (Denoiser, NoiseSchedule, make_schedule, train_ispb,
                         train_naive)
-from .inversion import InversionConfig
+from .inversion import InversionConfig, stylize
+from .metrics import (ConvergenceReport, convergence_benchmark,
+                      gram_style_score, signature_of, ssim)
 from .seeding import derive_seed
 
 ROOT_SEED = 20240817
@@ -35,6 +38,12 @@ PRETRAIN_STEPS = 2500
 ENTRY_STEPS = 2000
 COLLECTION_SIZE = 64
 STRENGTH = 0.6
+N_CONTENT = 20
+# Criterion 07's benchmark settings; never tuned to make the test pass.
+BENCH_SEEDS = 5
+BENCH_LR = 3e-4
+BENCH_THRESHOLD = 0.85
+BENCH_MAX_ITERS = 5000
 
 
 def target_spec() -> StyleSpec:
@@ -139,3 +148,41 @@ def contents(n: int) -> list[tuple[ImageSample, InversionConfig]]:
                                IMAGE_SIZE, seed=100 + i),
              InversionConfig(strength=STRENGTH, seed=200 + i))
             for i in range(n)]
+
+
+def convergence(base: DeskBackbone, variants: Sequence[str],
+                n_seeds: int = BENCH_SEEDS, max_iters: int = BENCH_MAX_ITERS,
+                root_seed: int = ROOT_SEED) -> list[ConvergenceReport]:
+    """Criterion 07: ``convergence_benchmark``'s reports for ``variants`` at
+    seeds ``bench:<i>`` of ``root_seed``, the seed ``base`` was built from."""
+    seeds = [derive_seed(root_seed, f"bench:{i}") for i in range(n_seeds)]
+    return convergence_benchmark(
+        base.backbone, base.style_collection, variants, seeds,
+        loss_threshold=BENCH_THRESHOLD, max_iters=max_iters, sched=base.sched,
+        lr=BENCH_LR)
+
+
+def stylize_scores(rig: DeskRig,
+                   n_content: int = N_CONTENT) -> dict[str, list[float]]:
+    """Criteria 08 and 09's scores, one list of per-content values per score.
+    Each of the first ``n_content`` contents is stylized with the full entry
+    from its predicted noise (``inversion``) and from random noise
+    (``random``), and with the drop-text entry (``droptext``). ``ssim_*``
+    compares a full stylization with the content; ``style_*`` is the Gram
+    style score of the content or a stylization."""
+    signature = signature_of(rig.style_collection)
+    scores: dict[str, list[float]] = {}
+    for content, cfg in contents(n_content):
+        images = {name: stylize(rig.backbone, rig.sched, rig.bank,
+                                entry.style_id, content, cfg,
+                                use_inversion=name != "random")
+                  for name, entry in (("inversion", rig.entry_full),
+                                      ("droptext", rig.entry_droptext),
+                                      ("random", rig.entry_full))}
+        for name in ("inversion", "random"):
+            scores.setdefault(f"ssim_{name}", []).append(
+                ssim(content, images[name]))
+        for name, img in {"content": content, **images}.items():
+            scores.setdefault(f"style_{name}", []).append(
+                gram_style_score(img, signature).value)
+    return scores

@@ -16,12 +16,11 @@ from artbank.attention import init_output_proj, ssam_forward
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
                           create_entry, encode_prompt, load_bank, save_bank)
 from artbank.data_io import gen_content_image, read_ppm, write_ppm
-from artbank.desk import ROOT_SEED, TARGET_STYLE_ID, contents
+from artbank.desk import ROOT_SEED, convergence, stylize_scores
 from artbank.diffusion import (Denoiser, LatentState, checkpoint_bytes,
                                load_checkpoint, make_schedule, q_sample,
                                sample, save_checkpoint, train_ispb)
-from artbank.inversion import InversionConfig, probe_noise, stochastic_invert, stylize
-from artbank.metrics import convergence_benchmark, gram_style_score, signature_of, ssim
+from artbank.inversion import InversionConfig, probe_noise, stochastic_invert
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all, softmax_rows
 
@@ -220,16 +219,9 @@ def test_criterion_06_frozen_backbone_contract(desk):
                before == after)
 
 
-BENCH_LR = 3e-4
-
-
 def test_criterion_07_convergence_direction(desk):
     t0 = time.time()
-    seeds = [derive_seed(ROOT_SEED, f"bench:{i}") for i in range(5)]
-    reports = convergence_benchmark(
-        desk.backbone, desk.style_collection, ["ssam", "sanet"], seeds,
-        loss_threshold=0.85, max_iters=5000, sched=desk.sched, lr=BENCH_LR)
-    by_variant = {r.variant: r for r in reports}
+    by_variant = {r.variant: r for r in convergence(desk, ["ssam", "sanet"])}
     ssam_med = by_variant["ssam"].median_iters
     sanet_med = by_variant["sanet"].median_iters
     elapsed = time.time() - t0
@@ -242,38 +234,28 @@ def test_criterion_07_convergence_direction(desk):
                f"sanet {by_variant['sanet'].iterations_to_threshold}")
 
 
-def test_criterion_08_structure_preservation(desk):
+@pytest.fixture(scope="module")
+def stylized(desk):
+    """Criteria 08 and 09's one pass over the contents: each score's mean,
+    and the pass's wall time."""
     t0 = time.time()
-    with_inv, without_inv = [], []
-    for content, cfg in contents(20):
-        inv = stylize(desk.backbone, desk.sched, desk.bank, TARGET_STYLE_ID,
-                      content, cfg, use_inversion=True)
-        rnd = stylize(desk.backbone, desk.sched, desk.bank, TARGET_STYLE_ID,
-                      content, cfg, use_inversion=False)
-        with_inv.append(ssim(content, inv))
-        without_inv.append(ssim(content, rnd))
-    elapsed = time.time() - t0
-    m_inv = float(np.mean(with_inv))
-    m_rnd = float(np.mean(without_inv))
+    means = {key: float(np.mean(values))
+             for key, values in stylize_scores(desk).items()}
+    return means, time.time() - t0
+
+
+def test_criterion_08_structure_preservation(stylized):
+    means, elapsed = stylized
+    m_inv, m_rnd = means["ssim_inversion"], means["ssim_random"]
     _criterion(8, "inversion preserves structure better than random init",
                m_inv > m_rnd and elapsed < 900.0,
                f"ssim {m_inv:.4f} vs {m_rnd:.4f}, {elapsed:.0f}s")
 
 
-def test_criterion_09_style_acquisition_and_text_ablation(desk):
-    signature = signature_of(desk.style_collection)
-    g_content, g_full, g_droptext = [], [], []
-    for content, cfg in contents(20):
-        full = stylize(desk.backbone, desk.sched, desk.bank, TARGET_STYLE_ID,
-                       content, cfg)
-        droptext = stylize(desk.backbone, desk.sched, desk.bank,
-                           desk.entry_droptext.style_id, content, cfg)
-        g_content.append(gram_style_score(content, signature).value)
-        g_full.append(gram_style_score(full, signature).value)
-        g_droptext.append(gram_style_score(droptext, signature).value)
-    m_content = float(np.mean(g_content))
-    m_full = float(np.mean(g_full))
-    m_droptext = float(np.mean(g_droptext))
+def test_criterion_09_style_acquisition_and_text_ablation(stylized):
+    means, _ = stylized
+    m_content, m_full, m_droptext = (
+        means["style_content"], means["style_inversion"], means["style_droptext"])
     _criterion(9, "stylization acquires the target style; text helps",
                m_full > m_content and m_full >= m_droptext,
                f"content {m_content:.4f}, full {m_full:.4f}, "

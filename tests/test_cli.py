@@ -26,6 +26,7 @@ from artbank.data_io import (ImageSample, default_style_specs,
                              gen_content_image, gen_style_collection, read_ppm,
                              write_ppm)
 from artbank.errors import ConfigError, DimensionError
+from artbank.seeding import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -210,8 +211,13 @@ def test_every_setting_is_listed_by_a_command():
 
 @pytest.fixture(scope="module")
 def untrained_checkpoint(tmp_path_factory):
+    # A fresh denoiser's output conv is zero, so its prediction would ignore
+    # the condition and every bank-entry gradient would be zero.
+    d = diffusion.Denoiser(3, 8, 12, seed=0)
+    w = d.conv4_w.value.data
+    w[...] = np.random.default_rng(0).normal(size=w.shape) * 0.3
     path = tmp_path_factory.mktemp("ck") / "untrained.abdn"
-    diffusion.save_checkpoint(diffusion.Denoiser(3, 8, 12, seed=0), path)
+    diffusion.save_checkpoint(d, path)
     return path
 
 
@@ -549,6 +555,28 @@ def test_corrupt_files_exit_0_or_2(tiny_runs, data):
         (command, setting, code, lines)
 
 
+def test_config_value_outside_choices_exits_2(tiny_runs, tmp_path,
+                                              monkeypatch, capsys):
+    # Refused before the (missing) checkpoint is read.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "film.cfg").write_text("attention = film\n")
+    values = {**tiny_runs["train-bank"], "checkpoint_path": "missing.abdn"}
+    assert run([*_argv("train-bank", values), "--config", "film.cfg"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "artbank: error: config key 'attention': invalid choice 'film' "
+        "(choose from ssam, adaattn, sanet)"]
+
+
+def test_config_line_lists_the_file_keys(tiny_runs, tmp_path, monkeypatch,
+                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("attention = adaattn\nsteps = 5\n")
+    assert run([*_argv("train-bank", tiny_runs["train-bank"]),
+                "--config", "run.cfg"]) == 0
+    config = capsys.readouterr().out.splitlines()[0].split()
+    assert "attention='adaattn'" in config and "steps=2" in config  # flag wins
+
+
 def test_undecodable_config_file_exits_2(dataset, untrained_checkpoint,
                                          tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
@@ -679,6 +707,16 @@ def test_entry_width_comes_from_the_checkpoint(dataset, untrained_checkpoint,
         in capsys.readouterr().out
 
 
+def test_train_bank_changes_the_entry_it_creates(tiny_runs, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(_argv("train-bank", tiny_runs["train-bank"])) == 0
+    created = StyleBank()
+    created.add(create_entry("checks", "checks", 12, 4,
+                             seed=derive_seed(0, "entry:checks")))
+    assert (tmp_path / "bank.ispb").read_bytes() != bank_bytes(created)
+
+
 def test_bench_attn_csv_same_bytes_pooled_and_in_process(
         dataset, untrained_checkpoint, tmp_path, capsys, monkeypatch):
     csv = {}
@@ -692,7 +730,7 @@ def test_bench_attn_csv_same_bytes_pooled_and_in_process(
         assert re.fullmatch(rf"6 jobs {where} in [0-9.]+ s \([0-9.]+ jobs/s\)",
                             summary)
     assert csv[2].read_bytes() == csv[1].read_bytes()
-    assert "ssam,4877073297239533922,117,1," in csv[1].read_text()
+    assert "ssam,4877073297239533922,110,1," in csv[1].read_text()
 
 
 def test_bench_attn_worker_error_exits_2(dataset, untrained_checkpoint,
@@ -799,25 +837,17 @@ class TestPipeline:
                 "dedd815b7431c20f22c577c262300fdab5095e9899b404b337aa21c532fba0f8",
         }
 
-    def test_duplicate_style_id_rejected(self, dataset, tmp_path, capsys):
-        ck = tmp_path / "b.abdn"
-        bank_path = tmp_path / "s.ispb"
-        common = ["--seed", "7", "--timesteps", "10"]
-        assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8", "--channels",
-                    "12"] + common) == 0
-        args = ["train-bank", "--data", str(dataset), "--checkpoint", str(ck),
-                "--bank", str(bank_path), "--style-id", "stripes", "--steps",
-                "2", "--positions", "4"] + common
+    def test_duplicate_style_id_rejected(self, tiny_runs, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        args = _argv("train-bank", tiny_runs["train-bank"])
         assert run(args) == 0
         assert run(args) != 0
         assert "already present" in capsys.readouterr().err
 
-    def test_duplicate_style_id_refused_before_training(self, dataset, tmp_path,
-                                                        capsys, monkeypatch):
-        ck = tmp_path / "b6.abdn"
+    def test_duplicate_style_id_refused_before_training(
+            self, dataset, untrained_checkpoint, tmp_path, capsys, monkeypatch):
         bank_path = tmp_path / "s6.ispb"
-        diffusion.save_checkpoint(diffusion.Denoiser(3, 8, 12, seed=0), ck)
         existing = StyleBank()
         existing.add(create_entry("stripes", "a", 12, 4, seed=1))
         save_bank(existing, bank_path)
@@ -826,70 +856,43 @@ class TestPipeline:
         monkeypatch.setattr(diffusion, "train_ispb",
                             lambda *a, **k: calls.append(a) or [])
         code = run(["train-bank", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--bank", str(bank_path), "--style-id", "stripes",
-                    "--steps", "2", "--positions", "4"])
+                    str(untrained_checkpoint), "--bank", str(bank_path),
+                    "--style-id", "stripes", "--steps", "2", "--positions", "4"])
         assert code == 2
         assert "already present" in capsys.readouterr().err
         assert calls == []
         assert bank_path.read_bytes() == before
 
-    def test_sanet_from_config_file_rejected(self, dataset, tmp_path, capsys):
-        # A config file bypasses argparse's choices, so train-bank's own
-        # guard must refuse the encoder the bank format cannot store.
-        ck = tmp_path / "b5.abdn"
-        bank_path = tmp_path / "s5.ispb"
-        common = ["--seed", "7", "--timesteps", "10"]
-        assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8", "--channels",
-                    "12"] + common) == 0
-        cfg = tmp_path / "sanet.cfg"
-        cfg.write_text("attention = sanet\n")
-        code = run(["train-bank", "--config", str(cfg), "--data",
-                    str(dataset), "--checkpoint", str(ck), "--bank",
-                    str(bank_path), "--style-id", "checks", "--steps", "2",
-                    "--positions", "4"] + common)
+    def test_sanet_from_config_file_rejected(self, tiny_runs, tmp_path,
+                                             monkeypatch, capsys):
+        # sanet is one of the encoders, so the file's value passes the
+        # choices; train-bank's own guard refuses the encoder the bank
+        # format cannot store.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sanet.cfg").write_text("attention = sanet\n")
+        code = run([*_argv("train-bank", tiny_runs["train-bank"]),
+                    "--config", "sanet.cfg"])
         assert code == 2
         assert "does not fit the bank format" in capsys.readouterr().err
-        assert not bank_path.exists()
+        assert not (tmp_path / "bank.ispb").exists()
 
-    def test_drop_text_entry_from_bare_template(self, dataset, tmp_path,
-                                                capsys):
+    def test_drop_text_entry_from_bare_template(self, tiny_runs, tmp_path,
+                                                monkeypatch, capsys):
         # The text ablation: an entry whose prompt is the placeholder alone.
-        ck = tmp_path / "b7.abdn"
-        bank_path = tmp_path / "s7.ispb"
-        out = tmp_path / "x.ppm"
-        common = ["--seed", "7", "--timesteps", "10"]
-        assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8", "--channels",
-                    "12"] + common) == 0
-        assert run(["train-bank", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--bank", str(bank_path), "--style-id", "checks",
-                    "--template", "*", "--steps", "2",
-                    "--positions", "4"] + common) == 0
+        monkeypatch.chdir(tmp_path)
+        assert run(_argv("train-bank",
+                         {**tiny_runs["train-bank"], "template": "*"})) == 0
         capsys.readouterr()
-        assert run(["bank", "inspect", "--bank", str(bank_path)]) == 0
+        assert run(["bank", "inspect", "--bank", "bank.ispb"]) == 0
         assert "checks: artist='checks' template='*'" in capsys.readouterr().out
-        assert run(["stylize", "--checkpoint", str(ck), "--bank",
-                    str(bank_path), "--style-id", "checks", "--content",
-                    str(dataset / "content.ppm"), "--out", str(out),
-                    "--seed", "7", "--timesteps", "10"]) == 0
-        assert read_ppm(out).width == 8
+        assert run(_argv("stylize",
+                         {**tiny_runs["stylize"], "bank_path": "bank.ispb"})) == 0
+        assert read_ppm(tmp_path / "out.ppm").width == 8
 
-    def test_stylize_unknown_style_id(self, dataset, tmp_path, capsys):
-        ck = tmp_path / "b2.abdn"
-        bank_path = tmp_path / "s2.ispb"
-        common = ["--seed", "7", "--timesteps", "10"]
-        assert run(["pretrain", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--steps", "5", "--width", "8", "--channels",
-                    "12"] + common) == 0
-        assert run(["train-bank", "--data", str(dataset), "--checkpoint",
-                    str(ck), "--bank", str(bank_path), "--style-id", "checks",
-                    "--steps", "2", "--positions", "4"] + common) == 0
-        code = run(["stylize", "--checkpoint", str(ck), "--bank",
-                    str(bank_path), "--style-id", "plaid", "--content",
-                    str(dataset / "content.ppm"), "--out",
-                    str(tmp_path / "x.ppm"), "--seed", "7",
-                    "--timesteps", "10"])
+    def test_stylize_unknown_style_id(self, tiny_runs, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        code = run(_argv("stylize", {**tiny_runs["stylize"], "style_id": "plaid"}))
         assert code != 0
         assert "plaid" in capsys.readouterr().err
 

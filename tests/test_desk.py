@@ -1,13 +1,19 @@
-"""The desk rig's determinism and the experiment scripts that build on it."""
+"""The desk rig's determinism, and the scripts under ``scripts/``."""
 
 import hashlib
 import importlib.util
+import io
 import re
+from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from artbank import desk
 from artbank.bank import bank_bytes, create_entry
-from artbank.data_io import gen_content_image
+from artbank.cli import run
+from artbank.data_io import default_style_specs, gen_content_image
 from artbank.desk import contents
 from artbank.diffusion import checkpoint_bytes, ispb_eval_loss
 from artbank.inversion import stylize
@@ -91,24 +97,47 @@ def test_probe_and_gram_values_pinned(desk):
         "0x1.926ee0462d773p-1", "0x1.a7662fe8521c8p-1"]
 
 
-def test_convergence_script_runs(tmp_path, capsys):
-    out = tmp_path / "conv.csv"
-    _script("convergence_experiment").main(
-        ["--pretrain-steps", "2", "--max-iters", "100", "--seeds", "3",
-         "--out", str(out)])
-    table = capsys.readouterr().out
-    for variant in ("ssam", "sanet", "adaattn"):
-        assert variant in table
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """One tiny run of ``scripts/reproduce.py``: the ``desk.build`` calls it
+    made, its stdout lines and its CSV path."""
+    builds, build, stdout = [], desk.build, io.StringIO()
+    out = tmp_path_factory.mktemp("reproduce") / "conv.csv"
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(stdout):
+        mp.setattr(desk, "build", lambda *a: builds.append(a) or build(*a))
+        _script("reproduce").main(
+            ["--pretrain-steps", "2", "--entry-steps", "2", "--max-iters",
+             "100", "--seeds", "3", "--n-content", "2", "--out", str(out)])
+    return builds, stdout.getvalue().splitlines(), out
+
+
+def test_convergence_script_runs(reproduced):
+    builds, lines, out = reproduced
+    assert builds == [(desk.ROOT_SEED, 2, 2)]
+    assert [line.split()[0] for line in lines[1:4]] == ["ssam", "sanet", "adaattn"]
+    assert lines[4] == f"csv -> {out}"
     assert len(out.read_text().splitlines()) == 1 + 3 * 3
-    # The closing line is bench-attn's (``metrics.job_summary``).
+    # The convergence part closes with bench-attn's line (``metrics.job_summary``).
     assert re.fullmatch(r"9 jobs (in-process|on \d+ worker processes) in "
-                        r"[0-9.]+ s \([0-9.]+ jobs/s\)", table.splitlines()[-1])
+                        r"[0-9.]+ s \([0-9.]+ jobs/s\)", lines[5])
 
 
-def test_structure_script_runs(capsys):
-    _script("structure_preservation_experiment").main(
-        ["--pretrain-steps", "2", "--entry-steps", "2", "--n-content", "2"])
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == [
+def test_structure_script_runs(reproduced):
+    assert [line.split(":")[0] for line in reproduced[1][6:]] == [
         "mean ssim_inversion", "mean ssim_random", "mean style_content",
         "mean style_inversion", "mean style_droptext", "mean style_random"]
+
+
+def test_make_dataset_layout_is_seeded_and_pretrainable(tmp_path, capsys):
+    trees = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        _script("make_dataset").main(["--out", str(root), "--per-family", "2",
+                                      "--n-content", "2", "--size", "8"])
+        trees.append({p.relative_to(root): p.read_bytes()
+                      for p in root.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1]
+    assert Counter(p.parts[0] for p in trees[0]) == {
+        name: 2 for name in (*default_style_specs(), "content")}
+    assert run(["pretrain", "--data", str(tmp_path / "a"), "--checkpoint",
+                str(tmp_path / "ck.abdn"), "--steps", "2", "--width", "8",
+                "--channels", "12", "--timesteps", "10"]) == 0
