@@ -191,9 +191,15 @@ class StyleBank:
         return list(self._entries.values())
 
 
+def _entry_shapes(c: int, n: int) -> dict[str, tuple[int, ...]]:
+    """Each entry parameter's shape, in file order, for C x N entries."""
+    return {"i_m": (c, n), "w_q": (c, c), "w_k": (c, c), "w_v": (c, c),
+            "w_col": (n, 1), "w_row": (1, n), "alpha": ()}
+
+
 def bank_bytes(bank: StyleBank) -> bytes:
-    """Serialize a bank; entry payload order is i_m, w_q, w_k, w_v, w_col,
-    w_row, alpha as consecutive little-endian float64 arrays."""
+    """Serialize a bank; each entry's payload is its ``_entry_shapes``
+    arrays as consecutive little-endian float64 arrays."""
     w = container.Writer(BANK_MAGIC, BANK_VERSION)
     w.u32(len(bank))
     for e in bank.entries():
@@ -201,8 +207,9 @@ def bank_bytes(bank: StyleBank) -> bytes:
         w.string(e.artist)
         w.string(e.template)
         w.u32(e.channels, e.positions)
-        for p in e.trainable_params():
-            w.array(p.value.data)
+        params = {"i_m": e.i_m, **vars(e.ssam)}
+        for name in _entry_shapes(e.channels, e.positions):
+            w.array(params[name].value.data)
     return w.getvalue()
 
 
@@ -224,13 +231,9 @@ def load_bank(path) -> StyleBank:
         if c < 1 or n < 1:
             raise MalformedHeaderError(
                 f"entry {style_id!r} has dimensions ({c}, {n})")
-        shapes = {"i_m": (c, n), "w_q": (c, c), "w_k": (c, c), "w_v": (c, c),
-                  "w_col": (n, 1), "w_row": (1, n), "alpha": ()}
         params = {name: Parameter(name, Tensor(rd.array(shape, name)))
-                  for name, shape in shapes.items()}
-        i_m = params.pop("i_m")
-        bank.add(StyleBankEntry(style_id=style_id, artist=artist,
-                                template=template, i_m=i_m,
-                                ssam=SsamParams(**params)))
+                  for name, shape in _entry_shapes(c, n).items()}
+        bank.add(StyleBankEntry(style_id, artist, template, params.pop("i_m"),
+                                SsamParams(**params)))
     rd.finish()
     return bank

@@ -145,12 +145,13 @@ def _load_dir_images(root: Path) -> list[data_io.ImageSample]:
     return [data_io.read_ppm(p) for p in _image_files(root)]
 
 
-def _load_backbone(cfg: RunConfig) -> diffusion.Denoiser:
-    """The frozen checkpoint. Its ``cond_dim`` is the width of every bank
-    entry made or used for it."""
+def _load_backbone(cfg: RunConfig) -> tuple[diffusion.Denoiser,
+                                             diffusion.NoiseSchedule]:
+    """The frozen checkpoint and the schedule it was trained on. Its
+    ``cond_dim`` is the width of every bank entry made or used for it."""
     d = diffusion.load_checkpoint(_require(cfg.checkpoint_path, "checkpoint"))
     d.freeze()
-    return d
+    return d, diffusion.make_schedule(d.timesteps)
 
 
 def _load_style_images(cfg: RunConfig) -> list[data_io.ImageSample]:
@@ -216,7 +217,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         raise ConfigError(f"no .ppm/.pgm images under {root}")
     sched = diffusion.make_schedule(cfg.timesteps)
     d = diffusion.Denoiser(in_channels=images[0].channels, width=cfg.width,
-                           cond_dim=cfg.channels,
+                           cond_dim=cfg.channels, timesteps=cfg.timesteps,
                            seed=derive_seed(cfg.seed, "denoiser-init"))
     t0 = time.perf_counter()
     trace = diffusion.train_naive(d, images, prompts, sched, cfg.steps,
@@ -232,7 +233,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 def cmd_train_bank(cfg: RunConfig) -> int:
     _check_traces(1, cfg.steps, f"the loss trace of {cfg.steps} steps")
-    d = _load_backbone(cfg)
+    d, sched = _load_backbone(cfg)
     if not cfg.style_id:
         raise ConfigError("train-bank requires --style-id")
     if not cfg.bank_path:
@@ -250,8 +251,8 @@ def cmd_train_bank(cfg: RunConfig) -> int:
         seed=derive_seed(cfg.seed, f"entry:{cfg.style_id}"), template=cfg.template)
     bank.add(entry)  # refuses a duplicate id before any training step
     t0 = time.perf_counter()
-    trace = diffusion.train_ispb(d, entry, images, diffusion.make_schedule(cfg.timesteps),
-                                 cfg.steps, seed=derive_seed(cfg.seed, "train-bank"),
+    trace = diffusion.train_ispb(d, entry, images, sched, cfg.steps,
+                                 seed=derive_seed(cfg.seed, "train-bank"),
                                  lr=cfg.lr, variant=cfg.attention)
     wall = time.perf_counter() - t0
     bank_mod.save_bank(bank, cfg.bank_path)
@@ -268,14 +269,13 @@ def cmd_stylize(cfg: RunConfig) -> int:
     if not cfg.out_path:
         raise ConfigError("stylize requires an output path")
     entry = bank.get(cfg.style_id)
-    d = _load_backbone(cfg)
+    d, sched = _load_backbone(cfg)
     if entry.channels != d.cond_dim:
         raise ConfigError(f"bank entry width {entry.channels} does not match "
                           f"checkpoint condition width {d.cond_dim}")
     inv_cfg = inversion.InversionConfig(
         strength=cfg.strength, seed=derive_seed(cfg.seed, "stylize"))
-    result = inversion.stylize(d, diffusion.make_schedule(cfg.timesteps), bank,
-                               cfg.style_id, content, inv_cfg,
+    result = inversion.stylize(d, sched, bank, cfg.style_id, content, inv_cfg,
                                use_inversion=not cfg.no_inversion)
     data_io.write_ppm(result, cfg.out_path)
     print(f"stylized {cfg.content_path} with '{cfg.style_id}' -> {cfg.out_path}")
@@ -288,14 +288,13 @@ def cmd_bench_attn(cfg: RunConfig) -> int:
     _check_traces(max(len(variants), 1) * cfg.bench_seeds, cfg.max_iters,
                   f"{cfg.bench_seeds} seeds' loss traces of up to "
                   f"{cfg.max_iters} steps for {len(variants)} variants")
-    d = _load_backbone(cfg)
+    d, sched = _load_backbone(cfg)
     images = _load_style_images(cfg)
-    seeds = [derive_seed(cfg.seed, f"bench:{i}") for i in range(cfg.bench_seeds)]
+    seeds = metrics.convergence_seeds(cfg.seed, cfg.bench_seeds)
     t0 = time.perf_counter()
     reports = metrics.convergence_benchmark(
         d, images, variants, seeds, cfg.threshold, cfg.max_iters,
-        sched=diffusion.make_schedule(cfg.timesteps), positions=cfg.positions,
-        lr=cfg.lr)
+        sched=sched, positions=cfg.positions, lr=cfg.lr)
     wall = time.perf_counter() - t0
     if cfg.out_path:
         metrics.write_convergence_csv(reports, cfg.out_path)
@@ -378,15 +377,15 @@ COMMANDS: dict[str, Command] = {
     "train-bank": Command(
         cmd_train_bank, "train one bank entry",
         "seed data_root checkpoint_path bank_path style_id artist template "
-        "steps positions timesteps lr attention loss_csv"),
+        "steps positions lr attention loss_csv"),
     "stylize": Command(
         cmd_stylize, "render a content image in a style",
         "seed checkpoint_path bank_path style_id content_path out_path "
-        "strength timesteps no_inversion"),
+        "strength no_inversion"),
     "bench-attn": Command(
         cmd_bench_attn, "attention-encoder convergence benchmark",
         "seed data_root checkpoint_path style_id variants bench_seeds "
-        "threshold max_iters positions timesteps lr out_path"),
+        "threshold max_iters positions lr out_path"),
     "eval": Command(
         cmd_eval, "SSIM and style scores for image pairs",
         "content_path stylized_path style_dir out_path"),

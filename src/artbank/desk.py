@@ -25,7 +25,7 @@ from .diffusion import (Denoiser, NoiseSchedule, make_schedule, train_ispb,
                         train_naive)
 from .inversion import InversionConfig, stylize
 from .metrics import (ConvergenceReport, convergence_benchmark,
-                      gram_style_score, signature_of, ssim)
+                      convergence_seeds, gram_style_score, signature_of, ssim)
 from .seeding import derive_seed
 
 ROOT_SEED = 20240817
@@ -154,8 +154,8 @@ def convergence(base: DeskBackbone, variants: Sequence[str],
                 n_seeds: int = BENCH_SEEDS, max_iters: int = BENCH_MAX_ITERS,
                 root_seed: int = ROOT_SEED) -> list[ConvergenceReport]:
     """Criterion 07: ``convergence_benchmark``'s reports for ``variants`` at
-    seeds ``bench:<i>`` of ``root_seed``, the seed ``base`` was built from."""
-    seeds = [derive_seed(root_seed, f"bench:{i}") for i in range(n_seeds)]
+    the ``convergence_seeds`` of ``root_seed``, the seed of ``base``."""
+    seeds = convergence_seeds(root_seed, n_seeds)
     return convergence_benchmark(
         base.backbone, base.style_collection, variants, seeds,
         loss_threshold=BENCH_THRESHOLD, max_iters=max_iters, sched=base.sched,

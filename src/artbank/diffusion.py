@@ -27,12 +27,15 @@ from .tensor import (Parameter, Tensor, conv2d, gelu, matmul, mean_all,
                      reshape, softmax_rows, transpose)
 
 CHECKPOINT_MAGIC = b"ABDN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # The beta range, linear over steps 1..T.
 BETA_START = 1e-4
 BETA_END = 0.02
 PROBE_DRAWS = 200  # forward draws of a probe (``probe_losses``)
+# A denoiser's largest step count: a stylization makes up to one denoiser
+# call per step, so a checkpoint header may ask for at most 10x DDPM's 1,000.
+MAX_TIMESTEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ def q_sample(z0: Tensor, t: int, eps: Tensor, sched: NoiseSchedule) -> LatentSta
     return LatentState(z=z_t, t=t)
 
 
-def _check_config(in_channels: int, width: int, cond_dim: int,
+def _check_config(in_channels: int, width: int, cond_dim: int, timesteps: int,
                   error: type[ArtBankError] = ConfigError) -> None:
     if in_channels not in (1, 3):
         raise error("in_channels must be 1 or 3")
@@ -84,6 +87,8 @@ def _check_config(in_channels: int, width: int, cond_dim: int,
     # The largest weights: conv2/conv3, conv1/conv4 or the key/value projections.
     check_array_size(width * max(9 * width, 9 * in_channels, cond_dim),
                      f"a denoiser with width={width} and cond_dim={cond_dim}", error)
+    if not 1 <= timesteps <= MAX_TIMESTEPS:
+        raise error(f"timesteps must lie in [1, {MAX_TIMESTEPS}], got {timesteps}")
 
 
 def _param_shapes(in_channels: int, width: int,
@@ -120,11 +125,12 @@ class Denoiser:
     """
 
     def __init__(self, in_channels: int = 3, width: int = 32,
-                 cond_dim: int = 64, seed: int = 0):
-        _check_config(in_channels, width, cond_dim)
+                 cond_dim: int = 64, seed: int = 0, timesteps: int = 100):
+        _check_config(in_channels, width, cond_dim, timesteps)
         self.in_channels = in_channels
         self.width = width
         self.cond_dim = cond_dim
+        self.timesteps = timesteps  # the step count of its training schedule
         rng = seeding.rng_for(seed, "denoiser-init")
         shapes = _param_shapes(in_channels, width, cond_dim)
         for name, shape in shapes.items():
@@ -211,7 +217,7 @@ class Denoiser:
 def checkpoint_bytes(d: Denoiser) -> bytes:
     params = d.parameters()
     w = container.Writer(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    w.u32(d.in_channels, d.width, d.cond_dim,
+    w.u32(d.in_channels, d.width, d.cond_dim, d.timesteps,
           sum(p.value.data.size for p in params))
     for p in params:
         w.array(p.value.data)
@@ -225,9 +231,9 @@ def save_checkpoint(d: Denoiser, path) -> None:
 def load_checkpoint(path) -> Denoiser:
     rd = container.Reader(Path(path).read_bytes(), CHECKPOINT_MAGIC,
                           CHECKPOINT_VERSION, "checkpoint")
-    in_channels, width, cond_dim, total = (
-        rd.u32(what) for what in ("in_channels", "width", "cond_dim", "count"))
-    _check_config(in_channels, width, cond_dim, MalformedHeaderError)
+    in_channels, width, cond_dim, timesteps, total = (rd.u32(what) for what in (
+        "in_channels", "width", "cond_dim", "timesteps", "count"))
+    _check_config(in_channels, width, cond_dim, timesteps, MalformedHeaderError)
     shapes = _param_shapes(in_channels, width, cond_dim)
     expected = sum(math.prod(s) for s in shapes.values())
     if total != expected:
@@ -237,7 +243,7 @@ def load_checkpoint(path) -> Denoiser:
     # cannot make it allocate for values the file does not hold.
     arrays = [rd.array(shape, name) for name, shape in shapes.items()]
     rd.finish()
-    d = Denoiser(in_channels=in_channels, width=width, cond_dim=cond_dim, seed=0)
+    d = Denoiser(in_channels, width, cond_dim, seed=0, timesteps=timesteps)
     for p, arr in zip(d.parameters(), arrays):
         p.value.data = arr
     return d
@@ -315,6 +321,9 @@ def _train(d: Denoiser, images: Sequence[ImageSample], sched: NoiseSchedule,
     """Both trainers' step loop: from one seeded generator, ``draws`` gives
     each step's (image, t), then its noise is drawn; ``on_step`` as in
     ``train_ispb``. Returns the per-step loss trace."""
+    if sched.timesteps != d.timesteps:
+        raise ConfigError(f"a {sched.timesteps}-step schedule does not match "
+                          f"the denoiser's {d.timesteps} timesteps")
     if steps < 1:
         raise ConfigError(f"steps must be at least 1, got {steps}")
     tensors = _image_tensors(d, images)

@@ -284,6 +284,12 @@ def _job_pool(jobs: list[Callable[..., Any]], workers: int):
         _JOBS = []
 
 
+def convergence_seeds(root_seed: int, n: int) -> list[int]:
+    """The seeds ``bench:<i>`` of ``root_seed``, i < n: ``bench-attn``'s and
+    criterion 07's (``desk.convergence``)."""
+    return [seeding.derive_seed(root_seed, f"bench:{i}") for i in range(n)]
+
+
 def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
                           variants: Sequence[str], seeds: Sequence[int],
                           loss_threshold: float, max_iters: int, *,

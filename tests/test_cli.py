@@ -6,9 +6,11 @@ import hashlib
 import io
 import os
 import re
+import struct
 import tempfile
 import threading
 from dataclasses import fields
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import artbank.bank as bank_mod
 import artbank.cli as cli_mod
 import artbank.diffusion as diffusion
-from artbank import metrics
+from artbank import desk, metrics
 from artbank.bank import StyleBank, bank_bytes, create_entry, save_bank
 from artbank.cli import build_config, build_parser, parse_config_file, run
 from artbank.data_io import (ImageSample, default_style_specs,
@@ -88,6 +90,10 @@ def test_config_values_take_field_types(tmp_path):
     # The checkpoint sets an entry's width.
     (["train-bank"], "channels = 12\n", "channels", "train-bank"),
     (["bench-attn"], "channels = 12\n", "channels", "bench-attn"),
+    # The checkpoint sets the schedule.
+    (["train-bank"], "timesteps = 7\n", "timesteps", "train-bank"),
+    (["stylize"], "timesteps = 50\n", "timesteps", "stylize"),
+    (["bench-attn"], "timesteps = 1000\n", "timesteps", "bench-attn"),
 ])
 def test_config_key_the_command_does_not_take_exits_2(tmp_path, capsys, argv,
                                                       text, key, command):
@@ -126,7 +132,6 @@ _FLAG_SURFACE = {
         (("--template",), "template", "str", None),
         (("--steps",), "steps", "int", None),
         (("--positions",), "positions", "int", None),
-        (("--timesteps",), "timesteps", "int", None),
         (("--lr",), "lr", "float", None),
         (("--attention",), "attention", "str", ("ssam", "adaattn", "sanet")),
         (("--loss-csv",), "loss_csv", "str", None),
@@ -139,7 +144,6 @@ _FLAG_SURFACE = {
         (("--content",), "content_path", "str", None),
         (("--out",), "out_path", "str", None),
         (("--strength",), "strength", "float", None),
-        (("--timesteps",), "timesteps", "int", None),
         (("--no-inversion",), "no_inversion", "const=True", None),
     ],
     "bench-attn": [
@@ -152,7 +156,6 @@ _FLAG_SURFACE = {
         (("--threshold",), "threshold", "float", None),
         (("--max-iters",), "max_iters", "int", None),
         (("--positions",), "positions", "int", None),
-        (("--timesteps",), "timesteps", "int", None),
         (("--lr",), "lr", "float", None),
         (("--out",), "out_path", "str", None),
     ],
@@ -224,7 +227,8 @@ def untrained_checkpoint(tmp_path_factory):
 @pytest.fixture(scope="module")
 def tiny_runs(dataset, untrained_checkpoint, tmp_path_factory):
     """Each command's settings for a tiny run: steps <= 3, width 8,
-    positions 4, 10 timesteps, 8x8 images. Output paths are relative."""
+    positions 4, 8x8 images; pretrain's schedule has 10 timesteps, the
+    others use the checkpoint's 100. Output paths are relative."""
     bank = str(tmp_path_factory.mktemp("bank") / "b.ispb")
     one = StyleBank()
     one.add(create_entry("checks", "checks", 12, 4, seed=0))
@@ -236,14 +240,13 @@ def tiny_runs(dataset, untrained_checkpoint, tmp_path_factory):
                      "timesteps": "10", "loss_csv": "loss.csv"},
         "train-bank": {"data_root": str(dataset), "checkpoint_path": checkpoint,
                        "bank_path": "bank.ispb", "style_id": "checks",
-                       "steps": "2", "positions": "4", "timesteps": "10",
-                       "loss_csv": "loss.csv"},
+                       "steps": "2", "positions": "4", "loss_csv": "loss.csv"},
         "stylize": {"checkpoint_path": checkpoint, "bank_path": bank,
                     "style_id": "checks", "content_path": content,
-                    "out_path": "out.ppm", "timesteps": "10"},
+                    "out_path": "out.ppm"},
         "bench-attn": {"data_root": str(dataset), "checkpoint_path": checkpoint,
                        "style_id": "checks", "variants": "ssam,sanet",
-                       "bench_seeds": "3", "positions": "4", "timesteps": "10",
+                       "bench_seeds": "3", "positions": "4",
                        "out_path": "bench.csv"},
         "eval": {"content_path": content, "stylized_path": content,
                  "style_dir": str(dataset / "checks"), "out_path": "eval.csv"},
@@ -329,6 +332,7 @@ def test_hostile_settings_exit_0_or_2(tiny_runs, data):
     ("bench-attn", "--threshold", "nan"),
     ("bench-attn", "--threshold", "-1"),
     ("bench-attn", "--threshold", "inf"),
+    ("pretrain", "--timesteps", "10001"),
 ])
 def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
                                            tmp_path, capsys, command, flag,
@@ -360,9 +364,8 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     pytest.param("pretrain", ["--width", "8", "--channels", "100000000000"],
                  "5960.5", id="pretrain-channels"),
     # The noise schedule's 1e15 + 1 values.
-    *(pytest.param(command, ["--timesteps", "1000000000000000"], "7450580.6",
-                   id=f"{command}-timesteps")
-      for command in ("pretrain", "train-bank", "bench-attn")),
+    pytest.param("pretrain", ["--timesteps", "1000000000000000"], "7450580.6",
+                 id="pretrain-timesteps"),
 ])
 def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
                                   capsys, command, size, gib):
@@ -429,12 +432,11 @@ def test_trainer_summary_ends_with_wall_time_and_rate(dataset, untrained_checkpo
                                                       tmp_path, capsys, command):
     out = tmp_path / "artifact"
     target = {"pretrain": ["--checkpoint", str(out), "--width", "8",
-                           "--channels", "12"],
+                           "--channels", "12", "--timesteps", "20"],
               "train-bank": ["--checkpoint", str(untrained_checkpoint), "--bank",
                              str(out), "--style-id", "checks", "--positions",
                              "4"]}[command]
-    code = run([command, "--data", str(dataset), "--steps", "3", "--timesteps",
-                "20", *target])
+    code = run([command, "--data", str(dataset), "--steps", "3", *target])
     assert code == 0 and out.is_file()
     summary = capsys.readouterr().out.splitlines()[-1]
     m = re.search(r"; in (\d+\.\d\d) s \((\d+\.\d) steps/s\)$", summary)
@@ -457,7 +459,7 @@ def test_oversized_content_image_exits_2(untrained_checkpoint, tmp_path, capsys,
     out = tmp_path / "never.ppm"
     code = run(["stylize", "--checkpoint", str(untrained_checkpoint), "--bank",
                 str(tmp_path / "b.ispb"), "--style-id", "checks", "--content",
-                str(content), "--out", str(out), "--timesteps", "10"])
+                str(content), "--out", str(out)])
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and len(err) == 1, err
     assert err[0].startswith(f"artbank: error: {what} needs a 0.0 GiB array")
@@ -466,8 +468,7 @@ def test_oversized_content_image_exits_2(untrained_checkpoint, tmp_path, capsys,
 
 def _stylize_argv(checkpoint, bank, content, out):
     return ["stylize", "--checkpoint", str(checkpoint), "--bank", str(bank),
-            "--style-id", "checks", "--content", str(content), "--out", str(out),
-            "--timesteps", "10"]
+            "--style-id", "checks", "--content", str(content), "--out", str(out)]
 
 
 @pytest.mark.parametrize("over", ["warn", "raise"])
@@ -698,13 +699,40 @@ def test_entry_width_comes_from_the_checkpoint(dataset, untrained_checkpoint,
     bank_path = tmp_path / "b.ispb"
     assert run(["train-bank", "--data", str(dataset), "--checkpoint",
                 str(untrained_checkpoint), "--bank", str(bank_path),
-                "--style-id", "checks", "--steps", "2", "--positions", "4",
-                "--timesteps", "10"]) == 0
+                "--style-id", "checks", "--steps", "2", "--positions", "4"]) == 0
     assert _bench_attn(dataset, untrained_checkpoint, tmp_path / "b.csv") == 0
     capsys.readouterr()
     assert run(["bank", "inspect", "--bank", str(bank_path)]) == 0
     assert "checks: artist='checks' template='a painting by {artist} *' C=12 N=4" \
         in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, value", [
+    ("stylize", "50"), ("stylize", "1000"), ("train-bank", "7"),
+    ("bench-attn", "10"),
+])
+def test_schedule_flag_exits_2(tiny_runs, tmp_path, monkeypatch, capsys,
+                               command, value):
+    # The 100-step checkpoint sets the schedule: no flag can name another.
+    monkeypatch.chdir(tmp_path)
+    assert run([*_argv(command, tiny_runs[command]), "--timesteps", value]) == 2
+    assert "unrecognized arguments: --timesteps" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_version_1_checkpoint_exits_2(tiny_runs, untrained_checkpoint,
+                                      tmp_path, monkeypatch, capsys):
+    # The version-1 layout of the same network: no timesteps field.
+    raw = untrained_checkpoint.read_bytes()
+    v1 = tmp_path / "v1.abdn"
+    v1.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:18] + raw[22:])
+    monkeypatch.chdir(tmp_path)
+    for command in ("train-bank", "stylize", "bench-attn"):
+        values = {**tiny_runs[command], "checkpoint_path": str(v1)}
+        assert run(_argv(command, values)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "artbank: error: unsupported checkpoint version: 1"]
+    assert list(tmp_path.iterdir()) == [v1]
 
 
 def test_train_bank_changes_the_entry_it_creates(tiny_runs, tmp_path,
@@ -731,6 +759,25 @@ def test_bench_attn_csv_same_bytes_pooled_and_in_process(
                             summary)
     assert csv[2].read_bytes() == csv[1].read_bytes()
     assert "ssam,4877073297239533922,110,1," in csv[1].read_text()
+
+
+def test_bench_attn_seeds_are_criterion_07s(dataset, untrained_checkpoint,
+                                            tmp_path, capsys, monkeypatch):
+    # bench-attn and desk.convergence (criterion 07 and scripts/reproduce.py)
+    # train at the same seeds for the same root seed.
+    out = tmp_path / "bench.csv"
+    assert run(["bench-attn", "--data", str(dataset), "--checkpoint",
+                str(untrained_checkpoint), "--style-id", "checks",
+                "--positions", "4", "--bench-seeds", "3", "--max-iters", "100",
+                "--variants", "ssam", "--seed", "7", "--out", str(out)]) == 0
+    csv_seeds = [int(row.split(",")[1])
+                 for row in out.read_text().splitlines()[1:]]
+    seen = []
+    monkeypatch.setattr(desk, "convergence_benchmark",
+                        lambda d, images, variants, seeds, **kw: seen.append(seeds))
+    base = SimpleNamespace(backbone=None, style_collection=None, sched=None)
+    desk.convergence(base, ["ssam"], n_seeds=3, root_seed=7)
+    assert csv_seeds == seen[0] and len(set(csv_seeds)) == 3
 
 
 def test_bench_attn_worker_error_exits_2(dataset, untrained_checkpoint,
@@ -765,22 +812,20 @@ class TestPipeline:
         ck = tmp_path / "backbone.abdn"
         bank_path = tmp_path / "styles.ispb"
         out_img = tmp_path / "styled.ppm"
-        train_common = ["--seed", "7", "--timesteps", "20"]
         style_args = ["stylize", "--checkpoint", str(ck), "--bank",
                       str(bank_path), "--style-id", "checks", "--content",
                       str(dataset / "content.ppm"), "--out", str(out_img),
-                      "--strength", "0.5", "--seed", "7",
-                      "--timesteps", "20"]
+                      "--strength", "0.5", "--seed", "7"]
 
         code = run(["pretrain", "--data", str(dataset), "--checkpoint",
                     str(ck), "--steps", "60", "--width", "8", "--channels",
-                    "12"] + train_common)
+                    "12", "--timesteps", "20", "--seed", "7"])
         assert code == 0
         assert ck.is_file()
 
         code = run(["train-bank", "--data", str(dataset), "--checkpoint",
                     str(ck), "--bank", str(bank_path), "--style-id", "checks",
-                    "--steps", "40", "--positions", "4"] + train_common)
+                    "--steps", "40", "--positions", "4", "--seed", "7"])
         assert code == 0
         assert bank_path.is_file()
 
@@ -806,27 +851,27 @@ class TestPipeline:
         files = {name: tmp_path / name for name in (
             "backbone.abdn", "styles.ispb", "styled.ppm", "pretrain.csv",
             "bank.csv")}
-        common = ["--seed", "3", "--timesteps", "10"]
         assert run(["pretrain", "--data", str(dataset), "--checkpoint",
                     str(files["backbone.abdn"]), "--steps", "12", "--width",
                     "8", "--channels", "12", "--loss-csv",
-                    str(files["pretrain.csv"])] + common) == 0
+                    str(files["pretrain.csv"]), "--seed", "3",
+                    "--timesteps", "10"]) == 0
         assert run(["train-bank", "--data", str(dataset), "--checkpoint",
                     str(files["backbone.abdn"]), "--bank",
                     str(files["styles.ispb"]), "--style-id", "stripes",
                     "--steps", "8", "--positions", "4", "--loss-csv",
-                    str(files["bank.csv"])] + common) == 0
+                    str(files["bank.csv"]), "--seed", "3"]) == 0
         assert run(["stylize", "--checkpoint", str(files["backbone.abdn"]),
                     "--bank", str(files["styles.ispb"]), "--style-id",
                     "stripes", "--content", str(dataset / "content.ppm"),
                     "--out", str(files["styled.ppm"]), "--strength", "0.5",
-                    "--seed", "3", "--timesteps", "10"]) == 0
+                    "--seed", "3"]) == 0
         capsys.readouterr()
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in files.items()}
         assert digests == {
             "backbone.abdn":
-                "c1d9d85ca5c3d71ff0308109604b2e952a0bf12fa589e6e2cf6defb2dcf01f3b",
+                "434c81cd6915a3a5208cb39e0277d0a1f94b550c90c08490cd08615131719a9d",
             "styles.ispb":
                 "9d4b4401ab1d122cc0d747aef5d7d85c03afbca13aa715bd5c7c35980fc16fc7",
             "styled.ppm":
@@ -907,7 +952,7 @@ class TestPipeline:
         code = run(["stylize", "--checkpoint", str(untrained_checkpoint),
                     "--bank", str(tmp_path / "s3.ispb"), "--style-id", "checks",
                     "--content", str(dataset / "content.ppm"), "--out",
-                    str(out), "--timesteps", "10"])
+                    str(out)])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "artbank: error: bank entry width 16 does not match checkpoint "

@@ -51,7 +51,7 @@ def test_fixture_artifacts_pinned(desk):
     moves any of these values must say so and pin the new ones.
     """
     assert _sha256(checkpoint_bytes(desk.backbone)) == (
-        "472ac8a898aa05dd89838f76e6a4d233bb9c98ba8e396501e49038f3aece6558")
+        "315e5d12426aeac3efe7fa0d0340e2747864c0e794c17effc6763f700cb32b8e")
     assert _sha256(bank_bytes(desk.bank)) == (
         "ee8c70f68b5032c614444a76a86ccae37c0612b682327f8aad4b5f8a05acf02b")
     [(content, cfg)] = contents(1)

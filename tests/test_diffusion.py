@@ -211,7 +211,7 @@ class TestDenoiser:
 
 class TestTrainNaive:
     def test_zero_steps_leaves_parameters(self):
-        d = Denoiser(3, 8, 16, seed=5)
+        d = Denoiser(3, 8, 16, seed=5, timesteps=10)
         before = checkpoint_bytes(d)
         imgs = [gen_content_image("photo", 8, seed=1)]
         with pytest.raises(ConfigError, match="steps must be at least 1"):
@@ -227,7 +227,7 @@ class TestTrainNaive:
         assert 0.7 < float(np.mean(trace)) < 1.3
 
     def test_empty_dataset_rejected(self):
-        d = Denoiser(3, 8, 16, seed=7)
+        d = Denoiser(3, 8, 16, seed=7, timesteps=10)
         with pytest.raises(ConfigError, match="^the image set is empty$"):
             train_naive(d, [], [], make_schedule(10), 1, seed=0)
 
@@ -266,7 +266,7 @@ class TestTrainNaive:
         prompts = ["a photo *", "a photo *"]
 
         def run():
-            d = Denoiser(3, 8, 16, seed=9)
+            d = Denoiser(3, 8, 16, seed=9, timesteps=20)
             train_naive(d, imgs, prompts, make_schedule(20), 25, seed=11)
             return checkpoint_bytes(d)
 
@@ -278,7 +278,7 @@ def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
     # six RGB images and one gray one, as in a dataset of P6 and P5 files
     images = [gen_content_image("photo", 8, seed=i) for i in range(6)]
     images.append(gen_content_image("shapes", 8, seed=6, channels=1))
-    d = Denoiser(3, 8, 16, seed=12)
+    d = Denoiser(3, 8, 16, seed=12, timesteps=10)
     entry = create_entry("mixed", "mixed", 16, 4, seed=0)
     sched = make_schedule(10)
     steps = []
@@ -304,6 +304,31 @@ def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
             ispb_eval_loss(d, entry, images, sched, seed=0)
 
 
+@pytest.mark.parametrize("trainer", ["naive", "ispb"])
+def test_schedule_mismatch_refused_before_any_step(monkeypatch, trainer):
+    # Trained on, the checkpoint's header would name a schedule its
+    # weights never saw.
+    images = [gen_content_image("photo", 8, seed=i) for i in range(2)]
+    d = Denoiser(3, 8, 16, seed=12)
+    entry = create_entry("sched", "sched", 16, 4, seed=0)
+    steps = []
+    monkeypatch.setattr(diffusion, "_noise_step", lambda *a: steps.append(a))
+    if trainer == "naive":
+        params = d.parameters()
+        run = lambda: train_naive(d, images, ["a photo *"] * 2,
+                                  make_schedule(10), 5, seed=0)
+    else:
+        d.freeze()
+        params = entry.trainable_params()
+        run = lambda: train_ispb(d, entry, images, make_schedule(10), 5, seed=0)
+    before = [p.value.data.copy() for p in params]
+    with pytest.raises(ConfigError, match="^a 10-step schedule does not match "
+                                          "the denoiser's 100 timesteps$"):
+        run()
+    assert steps == []
+    assert all(np.array_equal(p.value.data, b) for p, b in zip(params, before))
+
+
 @pytest.mark.parametrize("caller", ["naive", "ispb", "probe", "convergence",
                                     "stylize"])
 def test_oversized_image_refused_before_any_step(monkeypatch, caller):
@@ -311,7 +336,7 @@ def test_oversized_image_refused_before_any_step(monkeypatch, caller):
     # but over the images' own pixels, so nothing large is allocated.
     monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 100_000)
     images = [gen_content_image("photo", 16, seed=i) for i in range(3)]
-    d = Denoiser(3, 8, 12, seed=12)
+    d = Denoiser(3, 8, 12, seed=12, timesteps=10)
     entry = create_entry("big", "big", 12, 4, seed=0)
     sched = make_schedule(10)
     calls = []
@@ -398,7 +423,7 @@ class TestAdaattnBytes:
     def test_trace_and_bank_bytes_pinned(self, variants, digest):
         images = gen_style_collection(default_style_specs()["waves"], 3, 8, seed=2)
         sched = make_schedule(10)
-        d = Denoiser(3, 8, 12, seed=5)
+        d = Denoiser(3, 8, 12, seed=5, timesteps=10)
         train_naive(d, images, ["a photo *"] * 3, sched, 10, seed=3, lr=1e-2)
         d.freeze()
         entry = create_entry("ada", "x", 12, 4, seed=7)
@@ -421,13 +446,6 @@ class TestTrainIspb:
                        desk.sched, 0, seed=0)
         for p, b in zip(entry.trainable_params(), before):
             assert np.array_equal(p.value.data, b)
-
-    def test_backbone_bytes_unchanged(self, desk):
-        before = checkpoint_bytes(desk.backbone)
-        entry = create_entry("tmp2", "tmp2", 64, 16, seed=1)
-        train_ispb(desk.backbone, entry, desk.style_collection, desk.sched,
-                   30, seed=2)
-        assert checkpoint_bytes(desk.backbone) == before
 
     def test_unfrozen_denoiser_rejected(self, desk):
         d = Denoiser(3, 8, 64, seed=10)
@@ -563,6 +581,12 @@ class TestCheckpoint:
         assert loaded.in_channels == desk.backbone.in_channels
         assert loaded.width == desk.backbone.width
         assert loaded.cond_dim == desk.backbone.cond_dim
+        assert loaded.timesteps == desk.backbone.timesteps == 100
+
+    def test_round_trip_keeps_timesteps(self, tmp_path):
+        path = tmp_path / "t37.abdn"
+        save_checkpoint(Denoiser(1, 4, 4, seed=0, timesteps=37), path)
+        assert load_checkpoint(path).timesteps == 37
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.abdn"
@@ -577,10 +601,12 @@ class TestCheckpoint:
         path = tmp_path / "ver.abdn"
         save_checkpoint(Denoiser(1, 4, 4, seed=0), path)
         raw = bytearray(path.read_bytes())
-        raw[4] = 9
-        path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError):
-            load_checkpoint(path)
+        for version in (9, 1):  # 1: the format before the timesteps field
+            raw[4] = version
+            path.write_bytes(bytes(raw))
+            with pytest.raises(VersionMismatchError,
+                               match=f"^unsupported checkpoint version: {version}$"):
+                load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "trunc.abdn"
@@ -608,13 +634,14 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     # Header layout: magic (4), version (2), then u32 in_channels at 6,
-    # width at 10, cond_dim at 14, value count at 18; payload from 22.
+    # width at 10, cond_dim at 14, timesteps at 18, value count at 22;
+    # payload from 26.
 
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "nan.abdn"
         raw = bytearray(checkpoint_bytes(Denoiser(1, 4, 4, seed=0)))
         for value in (np.nan, np.inf):
-            struct.pack_into("<d", raw, 22, value)
+            struct.pack_into("<d", raw, 26, value)
             path.write_bytes(bytes(raw))
             with pytest.raises(FormatError, match="conv1_w holds a non-finite"):
                 load_checkpoint(path)
@@ -622,7 +649,7 @@ class TestCheckpoint:
     def test_header_rejected_by_constructor(self, tmp_path):
         path = tmp_path / "hdr.abdn"
         good = checkpoint_bytes(Denoiser(1, 4, 4, seed=0))
-        for offset, value in ((6, 2), (10, 1), (14, 0)):
+        for offset, value in ((6, 2), (10, 1), (14, 0), (18, 0), (18, 10_001)):
             raw = bytearray(good)
             struct.pack_into("<I", raw, offset, value)
             path.write_bytes(bytes(raw))
@@ -645,22 +672,30 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_oversized_header_allocates_little(self, tmp_path):
-        # A 3,518-byte file whose width field says 800: the network that
+        # A 3,522-byte file whose width field says 800: the network that
         # width describes needs ~146 MB, so nothing may be built for it
-        # before the payload is shown to be there.
+        # before the payload is shown to be there. Nor may anything be
+        # built for a header's 0 or 2**32 - 1 timesteps (the largest u32).
         path = tmp_path / "wide.abdn"
-        raw = bytearray(checkpoint_bytes(Denoiser(1, 4, 4, seed=0)))
-        assert len(raw) == 3518
-        struct.pack_into("<I", raw, 10, 800)
+        good = checkpoint_bytes(Denoiser(1, 4, 4, seed=0))
+        assert len(good) == 3522
         count = 9 * 800 * (1 + 800 + 800 + 1) + 2 * 800 * (800 + 4) + 3 * 800 + 1
-        for total in (437, count):  # count left stale, and made consistent
-            struct.pack_into("<I", raw, 18, total)
+        # Width 800 with the value count left stale, and made consistent.
+        headers = [{10: 800, 22: 437}, {10: 800, 22: count},
+                   {18: 0}, {18: 2**32 - 1}]
+        for fields in headers:
+            raw = bytearray(good)
+            for offset, value in fields.items():
+                struct.pack_into("<I", raw, offset, value)
             path.write_bytes(bytes(raw))
             tracemalloc.start()
             try:
-                with pytest.raises(FormatError):
+                with pytest.raises(FormatError) as err:
                     load_checkpoint(path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20
+            if 18 in fields:
+                assert err.type is MalformedHeaderError
+                assert err.match(r"^timesteps must lie in \[1, 10000\], got ")

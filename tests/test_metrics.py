@@ -323,7 +323,7 @@ def test_unknown_variant_refused_before_any_job(monkeypatch):
         raise AssertionError("started a job")
 
     monkeypatch.setattr(metrics, "_job_pool", no_pool)
-    d = diffusion.Denoiser(3, 8, 12, seed=0)
+    d = diffusion.Denoiser(3, 8, 12, seed=0, timesteps=10)
     d.freeze()
     images = gen_style_collection(default_style_specs()["checks"], 2, 8, seed=1)
     with pytest.raises(ConfigError, match="^unknown attention variant: 'film'$"):
@@ -338,7 +338,7 @@ class TestSharedProbe:
                                                        tmp_path):
         # No argument sets the entries' width: the backbone does, here the
         # desk's 64 and an untrained 12-wide one.
-        narrow = diffusion.Denoiser(3, 8, 12, seed=0)
+        narrow = diffusion.Denoiser(3, 8, 12, seed=0, timesteps=10)
         narrow.freeze()
         rigs = [(desk.backbone, desk.style_collection, desk.sched),
                 (narrow, gen_style_collection(default_style_specs()["checks"],
