@@ -141,6 +141,9 @@ def sanet_forward(i_m: Tensor, w_q: Parameter, w_k: Parameter,
 
 
 ENCODERS = ("ssam", "adaattn", "sanet")
+# The encoders whose weights a bank entry holds: ``sanet``'s ``w_o`` has no
+# slot in the bank format, so it trains only in the convergence benchmark.
+BANK_ENCODERS = ("ssam", "adaattn")
 
 
 def encoder(variant: str, i_m: Parameter, params: SsamParams, seed: int

@@ -78,7 +78,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 # The values a setting may take, for its flag and its config file key alike.
-CHOICES: dict[str, tuple[str, ...]] = {"attention": attention.ENCODERS}
+CHOICES: dict[str, tuple[str, ...]] = {"attention": attention.BANK_ENCODERS}
 
 
 def _coerce(key: str, raw: str):
@@ -239,11 +239,6 @@ def cmd_train_bank(cfg: RunConfig) -> int:
     if not cfg.bank_path:
         raise ConfigError("train-bank requires a bank output path")
     images = _load_style_images(cfg)
-    if cfg.attention not in ("ssam", "adaattn"):
-        raise ConfigError(
-            "train-bank supports the ssam and adaattn encoders; the sanet "
-            "baseline is benchmark-only because its extra projection does "
-            "not fit the bank format")
     bank = (bank_mod.load_bank(cfg.bank_path)
             if Path(cfg.bank_path).is_file() else bank_mod.StyleBank())
     entry = bank_mod.create_entry(

@@ -271,6 +271,15 @@ def check_images(d: Denoiser, images: Sequence[ImageSample]) -> None:
         check_image_size(d, img, f"image {i}")
 
 
+def check_schedule(d: Denoiser, sched: NoiseSchedule) -> None:
+    """Refuse a schedule whose step count is not the one ``d`` was trained
+    on: the one schedule check of both trainers, the probe, the sampler, the
+    inversion and the convergence benchmark, made before any denoiser call."""
+    if sched.timesteps != d.timesteps:
+        raise ConfigError(f"a {sched.timesteps}-step schedule does not match "
+                          f"the denoiser's {d.timesteps} timesteps")
+
+
 def _image_tensors(d: Denoiser, images: Sequence[ImageSample]) -> list[Tensor]:
     """The images as (C, H, W) tensors, once ``check_images`` passes them."""
     check_images(d, images)
@@ -321,9 +330,7 @@ def _train(d: Denoiser, images: Sequence[ImageSample], sched: NoiseSchedule,
     """Both trainers' step loop: from one seeded generator, ``draws`` gives
     each step's (image, t), then its noise is drawn; ``on_step`` as in
     ``train_ispb``. Returns the per-step loss trace."""
-    if sched.timesteps != d.timesteps:
-        raise ConfigError(f"a {sched.timesteps}-step schedule does not match "
-                          f"the denoiser's {d.timesteps} timesteps")
+    check_schedule(d, sched)
     if steps < 1:
         raise ConfigError(f"steps must be at least 1, got {steps}")
     tensors = _image_tensors(d, images)
@@ -423,41 +430,29 @@ def probe_condition(entry: StyleBankEntry, variant: str, seed: int) -> Tensor:
 
 def probe_losses(d: Denoiser, conds: Sequence[Tensor | None],
                  style_images: Sequence[ImageSample], sched: NoiseSchedule,
-                 seed: int, draws: range = range(PROBE_DRAWS)
-                 ) -> list[list[float]]:
-    """Each condition's noise-prediction loss on each probe draw in
-    ``draws``, in draw order.
+                 seed: int) -> list[float]:
+    """Each condition's probe value: its noise-prediction losses on the
+    ``PROBE_DRAWS`` draws of the seed's probe, summed in draw order, over
+    their count.
 
     Draw k noises image k mod n to timestep (k mod T) + 1 with the k-th
     noise of the seed's probe generator, so timesteps cycle 1..T and the
     draws are balanced over the schedule. Each draw's trunk is computed
     once and its head once per condition, so several conditions cost one
-    trunk per draw. The generator is advanced past the draws before
-    ``draws.start``, so contiguous ranges split the probe exactly.
+    trunk per draw.
     """
+    check_schedule(d, sched)
     tensors = _image_tensors(d, style_images)
     rng = seeding.rng_for(seed, "ispb-probe")
-    losses: list[list[float]] = [[] for _ in conds]
-    for draw in range(draws.stop):
+    totals = [0.0] * len(conds)
+    for draw in range(PROBE_DRAWS):
         idx = draw % len(tensors)
-        noise = rng.standard_normal(tensors[idx].data.shape)
-        if draw < draws.start:
-            continue
-        eps = Tensor(noise)
+        eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
         trunk = d.trunk(q_sample(tensors[idx], draw % sched.timesteps + 1,
                                  eps, sched))
-        for out, cond in zip(losses, conds):
-            out.append(_squared_error(eps, d.head(trunk, cond)).item())
-    return losses
-
-
-def probe_mean(losses: Sequence[float]) -> float:
-    """A condition's probe value from its per-draw losses: their sum, taken
-    in draw order, over their count."""
-    total = 0.0
-    for loss in losses:
-        total += loss
-    return total / len(losses)
+        for k, cond in enumerate(conds):
+            totals[k] += _squared_error(eps, d.head(trunk, cond)).item()
+    return [total / PROBE_DRAWS for total in totals]
 
 
 def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
@@ -471,14 +466,14 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
     converges; ``train_ispb`` with the same seed starts from the same encoder.
     """
     cond = probe_condition(entry, variant, seed)
-    [losses] = probe_losses(d, [cond], style_images, sched, seed)
-    return probe_mean(losses)
+    return probe_losses(d, [cond], style_images, sched, seed)[0]
 
 
 def sample(d, sched: NoiseSchedule, cond: Tensor | None,
            init: LatentState) -> ImageSample:
     """Run DDIM (eta = 0, no noise drawn) from the start state ``init`` back
     to step zero; the output is clamped to [0, 1]."""
+    check_schedule(d, sched)
     _check_t(init.t, sched)
     z = init.z.data.copy()
     for t in range(init.t, 0, -1):

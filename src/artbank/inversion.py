@@ -18,7 +18,8 @@ import numpy as np
 from .attention import ssam_forward
 from .bank import StyleBank, assemble_condition, encode_prompt
 from .data_io import ImageSample
-from .diffusion import NoiseSchedule, check_image_size, q_sample, sample
+from .diffusion import (NoiseSchedule, check_image_size, check_schedule,
+                        q_sample, sample)
 from .errors import ConfigError, ContractError
 from .seeding import rng_for
 from .tensor import Tensor
@@ -52,6 +53,7 @@ def stochastic_invert(d, sched: NoiseSchedule, content: ImageSample,
     style the backbone learned); return it with the start timestep."""
     if not getattr(d, "frozen", True):
         raise ContractError("inversion requires a frozen denoiser")
+    check_schedule(d, sched)
     t0 = start_timestep(cfg, sched)
     probe = probe_noise(cfg, (content.channels, content.height, content.width))
     state = q_sample(content.to_tensor(), t0, Tensor(probe), sched)

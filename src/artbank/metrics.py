@@ -15,6 +15,7 @@ import math
 import os
 import re
 import warnings
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -24,8 +25,8 @@ from . import seeding
 from .attention import ENCODERS
 from .bank import StyleBankEntry, create_entry
 from .data_io import ImageSample
-from .diffusion import (PROBE_DRAWS, Denoiser, NoiseSchedule, check_images,
-                        probe_condition, probe_losses, probe_mean, train_ispb)
+from .diffusion import (Denoiser, NoiseSchedule, check_images, check_schedule,
+                        probe_condition, probe_losses, train_ispb)
 from .errors import ConfigError, DimensionError
 from .tensor import Tensor, clamp_min, conv2d
 
@@ -194,14 +195,14 @@ def _bench_entry(variant: str, seed: int, channels: int,
                         seed=seeding.derive_seed(seed, f"bench-entry-{variant}"))
 
 
-def _probe_part(d: Denoiser, collection: Sequence[ImageSample],
-                sched: NoiseSchedule, variants: Sequence[str], seed: int,
-                positions: int, draws: range) -> list[list[float]]:
-    """One probe task: each variant's per-draw losses on ``draws`` of the
-    seed's probe, all variants sharing each draw's trunk."""
+def _probe_job(d: Denoiser, collection: Sequence[ImageSample],
+               sched: NoiseSchedule, variants: Sequence[str], positions: int,
+               seed: int) -> list[float]:
+    """One seed's probe job: each variant's initial probe loss, all variants
+    sharing each draw's trunk."""
     conds = [probe_condition(_bench_entry(v, seed, d.cond_dim, positions), v, seed)
              for v in variants]
-    return probe_losses(d, conds, collection, sched, seed, draws)
+    return probe_losses(d, conds, collection, sched, seed)
 
 
 def _train_job(d: Denoiser, collection: Sequence[ImageSample],
@@ -261,17 +262,23 @@ def _run_job(index: int, *args) -> Any:
     return _JOBS[index](*args)
 
 
+def _resolved(result: Any) -> Future:
+    future: Future = Future()
+    future.set_result(result)
+    return future
+
+
 @contextlib.contextmanager
 def _job_pool(jobs: list[Callable[..., Any]], workers: int):
-    """Yields ``run(indices, *arg_lists)``, which returns ``jobs[i](*args)``
-    for each index and its arguments, in index order, from ``workers``
-    processes forked once for all of ``jobs``, or from this process when
-    ``workers`` is 1. So a later phase's jobs may take arguments an earlier
-    phase computed. An error a job raises reaches the caller with its type;
-    a worker that dies raises ``BrokenProcessPool``."""
+    """Yields ``submit(index, *args)``, which returns a future of
+    ``jobs[index](*args)``: run on one of ``workers`` processes forked once
+    for all of ``jobs``, or, when ``workers`` is 1, in this process at once,
+    the future already resolved. So a job may take another job's result as
+    its argument. An error a job raises reaches the caller with its type; a
+    worker that dies raises ``BrokenProcessPool``."""
     global _JOBS
     if workers == 1:
-        yield lambda indices, *args: [jobs[i](*a) for i, *a in zip(indices, *args)]
+        yield lambda index, *args: _resolved(jobs[index](*args))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -279,7 +286,7 @@ def _job_pool(jobs: list[Callable[..., Any]], workers: int):
     try:
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            yield lambda indices, *args: list(pool.map(_run_job, indices, *args))
+            yield functools.partial(pool.submit, _run_job)
     finally:
         _JOBS = []
 
@@ -305,14 +312,13 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     trains all of it. The reports are those of full-budget runs.
 
     Each job's threshold is relative to its entry's initial probe loss.
-    The variants at one seed score the same probe draws, so the probe runs
-    first, as one pass per seed that computes each draw's trunk once for
-    all variants, split into ``len(variants)`` contiguous draw ranges:
-    as many tasks as training jobs. The per-draw losses are summed here in
-    draw order, so each initial loss is ``ispb_eval_loss``'s bit for bit.
-    Then the training jobs run, each given its initial loss.
+    The variants at one seed score the same probe draws, so each seed's
+    probe is one job that computes each draw's trunk once for all variants
+    and returns each variant's initial loss, ``ispb_eval_loss``'s bit for
+    bit. As each seed's probe returns, in seed order, that seed's training
+    jobs are submitted, each given its initial loss.
 
-    Both phases are independent and fully seeded tasks on one pool of
+    All jobs are independent and fully seeded, on one pool of
     ``job_workers`` forked processes; the crossings, and the warning for a
     censored one, are worked out here, in job order, from the traces the
     workers return, so the reports do not depend on the worker count.
@@ -331,26 +337,25 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     for v in variants:  # reject an unknown name before any job trains
         if v not in ENCODERS:
             raise ConfigError(f"unknown attention variant: {v!r}")
-    check_images(d, collection)  # and a bad image before any draw or fork
-    n = len(variants)
-    bounds = [PROBE_DRAWS * k // n for k in range(n + 1)]
-    probes = [functools.partial(_probe_part, d, collection, sched, variants,
-                                seed, positions, range(a, b))
-              for seed in seeds for a, b in zip(bounds, bounds[1:])]
+    # and a bad image or schedule before any draw or fork
+    check_images(d, collection)
+    check_schedule(d, sched)
+    probes = [functools.partial(_probe_job, d, collection, sched, variants,
+                                positions, seed) for seed in seeds]
     jobs = [functools.partial(_train_job, d, collection, sched, variant, seed,
                               loss_threshold, max_iters, positions, lr)
             for variant in variants for seed in seeds]
-    with _job_pool(probes + jobs, job_workers(len(jobs))) as run:
-        parts = run(range(len(probes)))
-        initials = [probe_mean([loss for part in parts[j * n:(j + 1) * n]
-                                for loss in part[k]])
-                    for k in range(n) for j in range(len(seeds))]
-        traces = run(range(len(probes), len(probes) + len(jobs)), initials)
+    pending: list = [None] * len(jobs)  # each job's (initial loss, future)
+    with _job_pool(probes + jobs, job_workers(len(jobs))) as submit:
+        for j, probe in enumerate([submit(j) for j in range(len(seeds))]):
+            for k, initial in enumerate(probe.result()):
+                i = k * len(seeds) + j
+                pending[i] = initial, submit(len(probes) + i, initial)
+        runs = [(initial, trace.result()) for initial, trace in pending]
     reports = []
     for k, variant in enumerate(variants):
-        rows = slice(k * len(seeds), (k + 1) * len(seeds))
         iters = [iterations_to_threshold(trace, loss_threshold, initial)
-                 for initial, trace in zip(initials[rows], traces[rows])]
+                 for initial, trace in runs[k * len(seeds):(k + 1) * len(seeds)]]
         reports.append(ConvergenceReport(
             variant=variant, seeds=list(seeds), iterations_to_threshold=iters,
             threshold=loss_threshold, median_iters=_median_or_none(iters)))

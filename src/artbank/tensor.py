@@ -120,9 +120,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_wrap(other), self)
 
-    def __neg__(self):
-        return neg(self)
-
 
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -205,13 +202,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _from_op(data, (a, b), backward, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g: Array) -> None:
-        _accum(a, -g)
-
-    return _from_op(-a.data, (a,), backward, "neg")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

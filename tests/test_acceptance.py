@@ -167,6 +167,7 @@ def test_criterion_04_attention_normalization_and_positivity():
 
 class _TrueNoiseOracle:
     frozen = True
+    timesteps = 100  # the desk schedule's
 
     def __init__(self, eps):
         self.eps = eps

@@ -133,7 +133,7 @@ _FLAG_SURFACE = {
         (("--steps",), "steps", "int", None),
         (("--positions",), "positions", "int", None),
         (("--lr",), "lr", "float", None),
-        (("--attention",), "attention", "str", ("ssam", "adaattn", "sanet")),
+        (("--attention",), "attention", "str", ("ssam", "adaattn")),
         (("--loss-csv",), "loss_csv", "str", None),
     ],
     "stylize": [
@@ -565,7 +565,7 @@ def test_config_value_outside_choices_exits_2(tiny_runs, tmp_path,
     assert run([*_argv("train-bank", values), "--config", "film.cfg"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "artbank: error: config key 'attention': invalid choice 'film' "
-        "(choose from ssam, adaattn, sanet)"]
+        "(choose from ssam, adaattn)"]
 
 
 def test_config_line_lists_the_file_keys(tiny_runs, tmp_path, monkeypatch,
@@ -910,15 +910,18 @@ class TestPipeline:
 
     def test_sanet_from_config_file_rejected(self, tiny_runs, tmp_path,
                                              monkeypatch, capsys):
-        # sanet is one of the encoders, so the file's value passes the
-        # choices; train-bank's own guard refuses the encoder the bank
-        # format cannot store.
+        # The bank format has no slot for sanet's output projection, so the
+        # choices refuse it, by flag or by file, before the (missing)
+        # checkpoint is read.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sanet.cfg").write_text("attention = sanet\n")
-        code = run([*_argv("train-bank", tiny_runs["train-bank"]),
-                    "--config", "sanet.cfg"])
-        assert code == 2
-        assert "does not fit the bank format" in capsys.readouterr().err
+        values = {**tiny_runs["train-bank"], "checkpoint_path": "missing.abdn"}
+        assert run([*_argv("train-bank", values), "--config", "sanet.cfg"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "artbank: error: config key 'attention': invalid choice 'sanet' "
+            "(choose from ssam, adaattn)"]
+        assert run(_argv("train-bank", {**values, "attention": "sanet"})) == 2
+        assert "invalid choice: 'sanet'" in capsys.readouterr().err
         assert not (tmp_path / "bank.ispb").exists()
 
     def test_drop_text_entry_from_bare_template(self, tiny_runs, tmp_path,

@@ -17,16 +17,15 @@ from artbank.data_io import (default_style_specs, gen_content_image,
                              gen_style_collection)
 from artbank.desk import ROOT_SEED
 from artbank.diffusion import (BETA_END, BETA_START, CHECKPOINT_MAGIC,
-                               PROBE_DRAWS, Denoiser, LatentState,
-                               checkpoint_bytes, ispb_eval_loss,
-                               load_checkpoint, make_schedule, probe_condition,
-                               probe_losses, probe_mean, q_sample, sample,
+                               Denoiser, LatentState, checkpoint_bytes,
+                               ispb_eval_loss, load_checkpoint, make_schedule,
+                               probe_condition, probe_losses, q_sample, sample,
                                save_checkpoint, train_ispb, train_naive)
 from artbank.errors import (BadMagicError, ConfigError, ContractError,
                             DimensionError, FormatError, MalformedHeaderError,
                             NumericError, TruncatedFileError,
                             VersionMismatchError)
-from artbank.inversion import InversionConfig, stylize
+from artbank.inversion import InversionConfig, stochastic_invert, stylize
 from artbank.seeding import derive_seed
 from artbank.tensor import Parameter, Tensor, mean_all
 
@@ -38,8 +37,9 @@ class OracleDenoiser:
 
     frozen = True
 
-    def __init__(self, eps: np.ndarray):
+    def __init__(self, eps: np.ndarray, timesteps: int):
         self.eps = eps
+        self.timesteps = timesteps
 
     def predict_noise(self, state, cond):
         return Tensor(self.eps)
@@ -304,28 +304,51 @@ def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
             ispb_eval_loss(d, entry, images, sched, seed=0)
 
 
-@pytest.mark.parametrize("trainer", ["naive", "ispb"])
-def test_schedule_mismatch_refused_before_any_step(monkeypatch, trainer):
+@pytest.mark.parametrize("caller", ["naive", "ispb", "probe", "sample",
+                                    "invert", "stylize", "convergence"])
+def test_schedule_mismatch_refused_before_any_step(monkeypatch, caller):
     # Trained on, the checkpoint's header would name a schedule its
-    # weights never saw.
+    # weights never saw; run forward, another schedule's noise levels
+    # would meet weights trained on 100 steps.
     images = [gen_content_image("photo", 8, seed=i) for i in range(2)]
     d = Denoiser(3, 8, 16, seed=12)
     entry = create_entry("sched", "sched", 16, 4, seed=0)
-    steps = []
-    monkeypatch.setattr(diffusion, "_noise_step", lambda *a: steps.append(a))
-    if trainer == "naive":
+    steps = {"probe": 7, "stylize": 50}.get(caller, 10)
+    sched = make_schedule(steps)
+    calls = []
+    real_trunk = Denoiser.trunk
+    monkeypatch.setattr(Denoiser, "trunk",
+                        lambda *a: calls.append(a[1].t) or real_trunk(*a))
+
+    def no_pool(*args):
+        raise AssertionError("started a job")
+
+    monkeypatch.setattr(metrics, "_job_pool", no_pool)
+    if caller == "naive":
         params = d.parameters()
-        run = lambda: train_naive(d, images, ["a photo *"] * 2,
-                                  make_schedule(10), 5, seed=0)
+        run = lambda: train_naive(d, images, ["a photo *"] * 2, sched, 5,
+                                  seed=0)
     else:
         d.freeze()
         params = entry.trainable_params()
-        run = lambda: train_ispb(d, entry, images, make_schedule(10), 5, seed=0)
+        bank = StyleBank()
+        bank.add(entry)
+        start = LatentState(Tensor(np.zeros((3, 8, 8))), steps)
+        run = {"ispb": lambda: train_ispb(d, entry, images, sched, 5, seed=0),
+               "probe": lambda: ispb_eval_loss(d, entry, images, sched, seed=0),
+               "sample": lambda: sample(d, sched, None, start),
+               "invert": lambda: stochastic_invert(d, sched, images[0],
+                                                   InversionConfig()),
+               "stylize": lambda: stylize(d, sched, bank, "sched", images[0],
+                                          InversionConfig()),
+               "convergence": lambda: metrics.convergence_benchmark(
+                   d, images, ["ssam", "sanet"], [0, 1, 2], 0.85, 100,
+                   sched=sched, positions=4)}[caller]
     before = [p.value.data.copy() for p in params]
-    with pytest.raises(ConfigError, match="^a 10-step schedule does not match "
-                                          "the denoiser's 100 timesteps$"):
+    with pytest.raises(ConfigError, match=f"^a {steps}-step schedule does not "
+                                          "match the denoiser's 100 timesteps$"):
         run()
-    assert steps == []
+    assert calls == []
     assert all(np.array_equal(p.value.data, b) for p, b in zip(params, before))
 
 
@@ -383,29 +406,10 @@ class TestProbe:
         conds = [probe_condition(e, v, 3) for e, v in zip(entries, self.VARIANTS)]
         shared = probe_losses(desk.backbone, conds, desk.style_collection,
                               desk.sched, 3)
-        assert [len(losses) for losses in shared] == [PROBE_DRAWS] * 3
-        assert [probe_mean(losses).hex() for losses in shared] == [
+        assert [loss.hex() for loss in shared] == [
             ispb_eval_loss(desk.backbone, e, desk.style_collection, desk.sched,
                            seed=3, variant=v).hex()
             for e, v in zip(entries, self.VARIANTS)]
-
-    def test_uneven_draw_ranges_join_to_the_whole_probe(self, desk):
-        entry = create_entry("probe-split", "x", 64, 16, seed=23)
-        conds = [probe_condition(entry, v, 5) for v in self.VARIANTS]
-        whole = probe_losses(desk.backbone, conds, desk.style_collection,
-                             desk.sched, 5)
-        bounds = [0, 66, 133, PROBE_DRAWS]
-        parts = [probe_losses(desk.backbone, conds, desk.style_collection,
-                              desk.sched, 5, range(a, b))
-                 for a, b in zip(bounds, bounds[1:])]
-        assert [len(part[0]) for part in parts] == [66, 67, 67]
-        for k, losses in enumerate(whole):
-            joined = [loss for part in parts for loss in part[k]]
-            assert np.asarray(joined).tobytes() == np.asarray(losses).tobytes()
-            assert probe_mean(joined).hex() == probe_mean(losses).hex()
-        assert probe_mean(whole[0]).hex() == ispb_eval_loss(
-            desk.backbone, entry, desk.style_collection, desk.sched,
-            seed=5).hex()
 
 
 class TestAdaattnBytes:
@@ -547,7 +551,7 @@ class TestSample:
         for t0 in (1, 17, 50, 100):
             eps = rng.standard_normal(z0.shape)
             state = q_sample(Tensor(z0), t0, Tensor(eps), sched)
-            oracle = OracleDenoiser(eps)
+            oracle = OracleDenoiser(eps, sched.timesteps)
             out = sample(oracle, sched, text_cond(), LatentState(state.z, t0))
             pixels = out.pixels.transpose(2, 0, 1)
             assert float(np.abs(pixels - z0).max()) <= 1e-6
@@ -568,8 +572,8 @@ class TestSample:
     def test_invalid_start(self):
         sched = make_schedule(10)
         with pytest.raises(ConfigError):
-            sample(OracleDenoiser(np.zeros((1, 2, 2))), sched, text_cond(),
-                   LatentState(Tensor(np.zeros((1, 2, 2))), 11))
+            sample(OracleDenoiser(np.zeros((1, 2, 2)), 10), sched,
+                   text_cond(), LatentState(Tensor(np.zeros((1, 2, 2))), 11))
 
 
 class TestCheckpoint:

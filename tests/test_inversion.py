@@ -16,6 +16,7 @@ from artbank.tensor import Tensor
 
 class FixedNoiseDenoiser:
     frozen = True
+    timesteps = 100
 
     def __init__(self, eps):
         self.eps = eps

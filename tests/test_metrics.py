@@ -1,5 +1,7 @@
 """SSIM, Gram-feature style scores, and the convergence report machinery."""
 
+import contextlib
+import functools
 import os
 import warnings
 from collections import Counter
@@ -288,14 +290,60 @@ class TestJobPool:
         def fails(*args, **kwargs):
             raise DimensionError(f"raised in process {os.getpid()}")
 
-        # An error inside a job, in either phase, comes back from its worker.
-        for phase in ("probe_losses", "train_ispb"):
+        # An error inside a probe job or a training job comes back from
+        # its worker.
+        for job in ("probe_losses", "train_ispb"):
             with monkeypatch.context() as m:
-                m.setattr(metrics, phase, fails)
+                m.setattr(metrics, job, fails)
                 with pytest.raises(DimensionError, match="raised in process"
                                    ) as info:
                     self._bench(desk, m, 2)
             assert int(str(info.value).split()[-1]) != os.getpid()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_job_takes_another_jobs_result(self, workers):
+        jobs = [functools.partial(int, "21"),
+                lambda half: (2 * half, os.getpid())]
+        with metrics._job_pool(jobs, workers) as submit:
+            half = submit(0).result()
+            whole, pid = submit(1, half).result()
+        assert whole == 42
+        assert (pid == os.getpid()) == (workers == 1)
+
+    def test_each_seeds_training_is_submitted_as_its_probe_returns(
+            self, monkeypatch):
+        # Jobs 0-2 probe seeds 0-2; job 3 + 3k + j trains variant k at seed j.
+        events = []
+        real_pool = metrics._job_pool
+
+        @contextlib.contextmanager
+        def logged_pool(jobs, workers):
+            with real_pool(jobs, 1) as submit:
+                def logged(index, *args):
+                    future = submit(index, *args)
+                    events.append(f"submit {index}")
+                    result = future.result
+                    future.result = lambda: events.append(
+                        f"result {index}") or result()
+                    return future
+                yield logged
+
+        monkeypatch.setattr(metrics, "_job_pool", logged_pool)
+        d = diffusion.Denoiser(3, 8, 12, seed=0, timesteps=10)
+        d.freeze()
+        images = gen_style_collection(default_style_specs()["checks"], 2, 8,
+                                      seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # censored crossings
+            convergence_benchmark(d, images, ["ssam", "sanet"], [0, 1, 2],
+                                  0.75, MOVING_AVG_WINDOW,
+                                  sched=diffusion.make_schedule(10))
+        assert events == [
+            "submit 0", "submit 1", "submit 2",
+            "result 0", "submit 3", "submit 6",
+            "result 1", "submit 4", "submit 7",
+            "result 2", "submit 5", "submit 8",
+            *(f"result {i}" for i in range(3, 9))]
 
     @pytest.mark.parametrize("environ, cores, jobs, workers", [
         ({}, 2, 6, 1),  # OpenBLAS's default: one thread per core
@@ -351,9 +399,9 @@ class TestSharedProbe:
         real_probe, real_train = metrics.probe_losses, metrics.train_ispb
         real_trunk = diffusion.Denoiser.trunk
 
-        def probe(d, conds, images, sched, seed, draws):
+        def probe(d, conds, images, sched, seed):
             phase[0] = f"probe-{seed}"
-            return real_probe(d, conds, images, sched, seed, draws)
+            return real_probe(d, conds, images, sched, seed)
 
         def train(*args, **kwargs):
             phase[0] = "train"
