@@ -6,10 +6,10 @@ collection (same family mechanics, unseen palette/orientation and artist
 token), so the conditioning has real headroom to dig out.
 
 The rig and the computations of acceptance criteria 07-09 live here, so the
-test suite and ``scripts/reproduce.py`` read one copy. ``build_backbone``
-pretrains the backbone and draws the target collection, ``build`` adds the
-full and drop-text entries and their bank, and ``convergence`` (criterion
-07) and ``stylize_scores`` (criteria 08 and 09) measure the rig.
+test suite and ``scripts/reproduce.py`` read one copy. ``build`` pretrains
+the backbone, draws the target collection and trains the full and
+drop-text entries and their bank, and ``convergence`` (criterion 07) and
+``stylize_scores`` (criteria 08 and 09) measure the rig.
 """
 
 from __future__ import annotations
@@ -83,27 +83,22 @@ def _pool(root_seed: int) -> tuple[list[ImageSample], list[str]]:
 
 
 @dataclass
-class DeskBackbone:
-    """The pretrained, frozen backbone and the target collection."""
+class DeskRig:
+    """The pretrained, frozen backbone, the target collection, and the full
+    and drop-text entries trained on it and their bank."""
 
     sched: NoiseSchedule
     backbone: Denoiser
     pretrain_trace: list[float]
     style_collection: list[ImageSample]
-
-
-@dataclass
-class DeskRig(DeskBackbone):
-    """The backbone stage plus the full and drop-text entries and their bank."""
-
     entry_full: StyleBankEntry
     entry_full_trace: list[float]
     entry_droptext: StyleBankEntry
     bank: StyleBank
 
 
-def build_backbone(root_seed: int = ROOT_SEED,
-                   pretrain_steps: int = PRETRAIN_STEPS) -> DeskBackbone:
+def build(root_seed: int = ROOT_SEED, pretrain_steps: int = PRETRAIN_STEPS,
+          entry_steps: int = ENTRY_STEPS) -> DeskRig:
     sched = make_schedule(100)
     pool, prompts = _pool(root_seed)
     backbone = Denoiser(in_channels=3, width=32, cond_dim=64,
@@ -114,31 +109,22 @@ def build_backbone(root_seed: int = ROOT_SEED,
     collection = gen_style_collection(
         target_spec(), COLLECTION_SIZE, IMAGE_SIZE,
         seed=derive_seed(root_seed, "style-collection"))
-    return DeskBackbone(sched, backbone, trace, collection)
-
-
-def build(root_seed: int = ROOT_SEED, pretrain_steps: int = PRETRAIN_STEPS,
-          entry_steps: int = ENTRY_STEPS) -> DeskRig:
-    base = build_backbone(root_seed, pretrain_steps)
     # Both entries start from the same values and see the same draws, so
     # the prompt text is the only difference between them.
-    entries = [create_entry(style_id, TARGET_STYLE_ID,
-                            base.backbone.cond_dim, 16,
+    entries = [create_entry(style_id, TARGET_STYLE_ID, backbone.cond_dim, 16,
                             seed=derive_seed(root_seed, "entry-full"),
                             template=template)
                for style_id, template in (
                    (TARGET_STYLE_ID, DEFAULT_TEMPLATE),
                    (f"{TARGET_STYLE_ID}-droptext", "*"))]
-    traces = [train_ispb(base.backbone, entry, base.style_collection,
-                         base.sched, steps=entry_steps,
+    traces = [train_ispb(backbone, entry, collection, sched, steps=entry_steps,
                          seed=derive_seed(root_seed, "train-full"))
               for entry in entries]
     bank = StyleBank()
     for entry in entries:
         bank.add(entry)
-    return DeskRig(**vars(base), entry_full=entries[0],
-                   entry_full_trace=traces[0], entry_droptext=entries[1],
-                   bank=bank)
+    return DeskRig(sched, backbone, trace, collection, entries[0], traces[0],
+                   entries[1], bank)
 
 
 def contents(n: int) -> list[tuple[ImageSample, InversionConfig]]:
@@ -150,15 +136,15 @@ def contents(n: int) -> list[tuple[ImageSample, InversionConfig]]:
             for i in range(n)]
 
 
-def convergence(base: DeskBackbone, variants: Sequence[str],
+def convergence(rig: DeskRig, variants: Sequence[str],
                 n_seeds: int = BENCH_SEEDS, max_iters: int = BENCH_MAX_ITERS,
                 root_seed: int = ROOT_SEED) -> list[ConvergenceReport]:
     """Criterion 07: ``convergence_benchmark``'s reports for ``variants`` at
-    the ``convergence_seeds`` of ``root_seed``, the seed of ``base``."""
+    the ``convergence_seeds`` of ``root_seed``, the seed of ``rig``."""
     seeds = convergence_seeds(root_seed, n_seeds)
     return convergence_benchmark(
-        base.backbone, base.style_collection, variants, seeds,
-        loss_threshold=BENCH_THRESHOLD, max_iters=max_iters, sched=base.sched,
+        rig.backbone, rig.style_collection, variants, seeds,
+        loss_threshold=BENCH_THRESHOLD, max_iters=max_iters, sched=rig.sched,
         lr=BENCH_LR)
 
 

@@ -292,18 +292,13 @@ def _squared_error(eps: Tensor, pred: Tensor) -> Tensor:
     return mean_all(diff * diff)
 
 
-def _noise_loss(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
-                cond: Tensor | None, sched: NoiseSchedule) -> Tensor:
-    """``_squared_error`` of the denoiser's prediction for ``x0`` noised to
-    ``t`` with ``eps``."""
-    return _squared_error(eps, d.predict_noise(q_sample(x0, t, eps, sched), cond))
-
-
 def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
                 cond: Tensor | None, sched: NoiseSchedule,
                 params: list[Parameter], state: AdamState, lr: float) -> float:
-    """One Adam update of ``params`` on ``_noise_loss``; returns the loss."""
-    loss = _noise_loss(d, x0, t, eps, cond, sched)
+    """One Adam update of ``params`` on the ``_squared_error`` of the
+    denoiser's prediction for ``x0`` noised to ``t`` with ``eps``; returns
+    the loss."""
+    loss = _squared_error(eps, d.predict_noise(q_sample(x0, t, eps, sched), cond))
     zero_grads(params)
     loss.backward()
     adam_step(params, state, lr)

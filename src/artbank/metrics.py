@@ -28,6 +28,7 @@ from .data_io import ImageSample
 from .diffusion import (Denoiser, NoiseSchedule, check_images, check_schedule,
                         probe_condition, probe_losses, train_ispb)
 from .errors import ConfigError, DimensionError
+from .optim import check_lr
 from .tensor import Tensor, clamp_min, conv2d
 
 SSIM_WINDOW = 8
@@ -252,16 +253,6 @@ def job_summary(jobs: int, wall: float) -> str:
     return f"{jobs} jobs {where} in {wall:.2f} s ({jobs / wall:.2f} jobs/s)"
 
 
-# The jobs of the running pool. A forked worker reads them from its copy of
-# the parent's memory, so only indices and per-call arguments are pickled on
-# the way in; set only while ``_job_pool`` is open.
-_JOBS: list[Callable[..., Any]] = []
-
-
-def _run_job(index: int, *args) -> Any:
-    return _JOBS[index](*args)
-
-
 def _resolved(result: Any) -> Future:
     future: Future = Future()
     future.set_result(result)
@@ -269,26 +260,27 @@ def _resolved(result: Any) -> Future:
 
 
 @contextlib.contextmanager
-def _job_pool(jobs: list[Callable[..., Any]], workers: int):
-    """Yields ``submit(index, *args)``, which returns a future of
-    ``jobs[index](*args)``: run on one of ``workers`` processes forked once
-    for all of ``jobs``, or, when ``workers`` is 1, in this process at once,
-    the future already resolved. So a job may take another job's result as
-    its argument. An error a job raises reaches the caller with its type; a
-    worker that dies raises ``BrokenProcessPool``."""
-    global _JOBS
+def _job_pool(workers: int):
+    """Yields ``submit(fn, *args)``, which returns a future of ``fn(*args)``:
+    run on one of ``workers`` forked processes, ``fn`` and ``args`` pickled
+    on the way in, or, when ``workers`` is 1, in this process at once, the
+    future already resolved. So a job may take another job's result as its
+    argument. An error a job raises reaches the caller with its type; a
+    worker that dies raises ``BrokenProcessPool``. An error that leaves the
+    block cancels the jobs no worker has taken yet; those already handed
+    out still finish."""
     if workers == 1:
-        yield lambda index, *args: _resolved(jobs[index](*args))
+        yield lambda fn, *args: _resolved(fn(*args))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    _JOBS = jobs
-    try:
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            yield functools.partial(pool.submit, _run_job)
-    finally:
-        _JOBS = []
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            yield pool.submit
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def convergence_seeds(root_seed: int, n: int) -> list[int]:
@@ -330,6 +322,7 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     if not (math.isfinite(loss_threshold) and loss_threshold > 0.0):
         raise ConfigError(f"loss_threshold must be finite and positive, "
                           f"got {loss_threshold}")
+    check_lr(lr)
     if max_iters < MOVING_AVG_WINDOW:
         raise ConfigError(
             f"max_iters must be at least the {MOVING_AVG_WINDOW}-step "
@@ -340,25 +333,24 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     # and a bad image or schedule before any draw or fork
     check_images(d, collection)
     check_schedule(d, sched)
-    probes = [functools.partial(_probe_job, d, collection, sched, variants,
-                                positions, seed) for seed in seeds]
-    jobs = [functools.partial(_train_job, d, collection, sched, variant, seed,
-                              loss_threshold, max_iters, positions, lr)
-            for variant in variants for seed in seeds]
-    pending: list = [None] * len(jobs)  # each job's (initial loss, future)
-    with _job_pool(probes + jobs, job_workers(len(jobs))) as submit:
-        for j, probe in enumerate([submit(j) for j in range(len(seeds))]):
-            for k, initial in enumerate(probe.result()):
-                i = k * len(seeds) + j
-                pending[i] = initial, submit(len(probes) + i, initial)
-        runs = [(initial, trace.result()) for initial, trace in pending]
+    # Per variant, each seed's (initial loss, training future), in seed order.
+    trains: list[list] = [[] for _ in variants]
     reports = []
-    for k, variant in enumerate(variants):
-        iters = [iterations_to_threshold(trace, loss_threshold, initial)
-                 for initial, trace in runs[k * len(seeds):(k + 1) * len(seeds)]]
-        reports.append(ConvergenceReport(
-            variant=variant, seeds=list(seeds), iterations_to_threshold=iters,
-            threshold=loss_threshold, median_iters=_median_or_none(iters)))
+    with _job_pool(job_workers(len(variants) * len(seeds))) as submit:
+        probes = [submit(_probe_job, d, collection, sched, variants, positions,
+                         seed) for seed in seeds]
+        for seed, probe in zip(seeds, probes):
+            for variant, runs, initial in zip(variants, trains, probe.result()):
+                runs.append((initial, submit(
+                    _train_job, d, collection, sched, variant, seed,
+                    loss_threshold, max_iters, positions, lr, initial)))
+        for variant, runs in zip(variants, trains):
+            iters = [iterations_to_threshold(trace.result(), loss_threshold,
+                                             initial) for initial, trace in runs]
+            reports.append(ConvergenceReport(
+                variant=variant, seeds=list(seeds),
+                iterations_to_threshold=iters, threshold=loss_threshold,
+                median_iters=_median_or_none(iters)))
     return reports
 
 

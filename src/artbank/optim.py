@@ -28,6 +28,12 @@ class AdamState:
     v: Array | None = None
 
 
+def check_lr(lr: float) -> None:
+    """Refuse a learning rate that is not finite and positive."""
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ConfigError(f"lr must be finite and positive, got {lr}")
+
+
 def adam_step(params: Sequence[Parameter], state: AdamState,
               lr: float = 1e-3) -> AdamState:
     """Apply one Adam update in place; deterministic given identical inputs.
@@ -35,8 +41,7 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
     The update runs once over the gradients raveled and concatenated in
     ``params`` order, so ``state`` serves that list alone.
     """
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise ConfigError(f"lr must be finite and positive, got {lr}")
+    check_lr(lr)
     grads = []
     for p in params:
         g = p.value.grad

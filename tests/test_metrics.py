@@ -1,7 +1,8 @@
 """SSIM, Gram-feature style scores, and the convergence report machinery."""
 
 import contextlib
-import functools
+import math
+import operator
 import os
 import warnings
 from collections import Counter
@@ -300,31 +301,80 @@ class TestJobPool:
                     self._bench(desk, m, 2)
             assert int(str(info.value).split()[-1]) != os.getpid()
 
+    def test_a_failed_job_cancels_the_jobs_not_yet_started(self, monkeypatch,
+                                                           tmp_path):
+        # No job crosses 0.01 x its initial loss in 1,500 steps, so every
+        # training job that starts runs its whole budget. The first one
+        # fails at once; only the jobs already handed to a worker, at most
+        # 2 running and 3 in the executor's call queue, still finish.
+        finished = tmp_path / "finished.txt"
+        finished.touch()
+
+        def train(*args, variant, seed, **kwargs):
+            if (variant, seed) == ("ssam", 0):
+                raise DimensionError("raised at once")
+            trace = diffusion.train_ispb(*args, variant=variant, seed=seed,
+                                         **kwargs)
+            with open(finished, "a") as fh:
+                fh.write(f"{variant} {seed}\n")
+            return trace
+
+        monkeypatch.setattr(metrics, "train_ispb", train)
+        monkeypatch.setattr(metrics, "_workers",
+                            lambda jobs, environ, cores: min(jobs, 2))
+        d = diffusion.Denoiser(3, 8, 12, seed=0, timesteps=10)
+        d.freeze()
+        images = gen_style_collection(default_style_specs()["checks"], 4, 8,
+                                      seed=1)
+        with pytest.raises(DimensionError, match="raised at once"):
+            convergence_benchmark(d, images, ["ssam", "sanet", "adaattn"],
+                                  [0, 1, 2], 0.01, 1500,
+                                  sched=diffusion.make_schedule(10))
+        assert len(finished.read_text().splitlines()) < 8
+
+    def test_repeated_seed_gets_the_same_crossing(self, desk, monkeypatch):
+        # Each trace is paired with its variant x seed position, so a seed
+        # listed twice trains twice and reports the same crossing twice.
+        monkeypatch.setattr(metrics, "_workers",
+                            lambda jobs, environ, cores: min(jobs, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # censored crossings
+            reports = {tuple(seeds): convergence_benchmark(
+                desk.backbone, desk.style_collection, ["ssam", "sanet"], seeds,
+                loss_threshold=0.75, max_iters=200, sched=desk.sched, lr=3e-4)
+                for seeds in ([0, 0, 1], [0, 1, 2])}
+        for repeated, distinct in zip(reports[0, 0, 1], reports[0, 1, 2]):
+            assert repeated.seeds == [0, 0, 1]
+            a, b = distinct.iterations_to_threshold[:2]
+            assert repeated.iterations_to_threshold == [a, a, b]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_job_takes_another_jobs_result(self, workers):
-        jobs = [functools.partial(int, "21"),
-                lambda half: (2 * half, os.getpid())]
-        with metrics._job_pool(jobs, workers) as submit:
-            half = submit(0).result()
-            whole, pid = submit(1, half).result()
+        with metrics._job_pool(workers) as submit:
+            half = submit(int, "21").result()
+            whole = submit(operator.mul, 2, half).result()
+            pid = submit(os.getpid).result()
         assert whole == 42
         assert (pid == os.getpid()) == (workers == 1)
 
     def test_each_seeds_training_is_submitted_as_its_probe_returns(
             self, monkeypatch):
-        # Jobs 0-2 probe seeds 0-2; job 3 + 3k + j trains variant k at seed j.
+        # A probe job's last argument is its seed; a training job's fourth
+        # and fifth are its variant and seed.
         events = []
         real_pool = metrics._job_pool
 
         @contextlib.contextmanager
-        def logged_pool(jobs, workers):
-            with real_pool(jobs, 1) as submit:
-                def logged(index, *args):
-                    future = submit(index, *args)
-                    events.append(f"submit {index}")
+        def logged_pool(workers):
+            with real_pool(1) as submit:
+                def logged(fn, *args):
+                    job = (f"probe {args[-1]}" if fn is metrics._probe_job
+                           else f"train {args[3]} {args[4]}")
+                    future = submit(fn, *args)
+                    events.append(f"submit {job}")
                     result = future.result
                     future.result = lambda: events.append(
-                        f"result {index}") or result()
+                        f"result {job}") or result()
                     return future
                 yield logged
 
@@ -339,11 +389,12 @@ class TestJobPool:
                                   0.75, MOVING_AVG_WINDOW,
                                   sched=diffusion.make_schedule(10))
         assert events == [
-            "submit 0", "submit 1", "submit 2",
-            "result 0", "submit 3", "submit 6",
-            "result 1", "submit 4", "submit 7",
-            "result 2", "submit 5", "submit 8",
-            *(f"result {i}" for i in range(3, 9))]
+            "submit probe 0", "submit probe 1", "submit probe 2",
+            "result probe 0", "submit train ssam 0", "submit train sanet 0",
+            "result probe 1", "submit train ssam 1", "submit train sanet 1",
+            "result probe 2", "submit train ssam 2", "submit train sanet 2",
+            *(f"result train {v} {seed}" for v in ("ssam", "sanet")
+              for seed in range(3))]
 
     @pytest.mark.parametrize("environ, cores, jobs, workers", [
         ({}, 2, 6, 1),  # OpenBLAS's default: one thread per core
@@ -366,7 +417,7 @@ class TestJobPool:
         assert metrics._workers(jobs, environ, cores) == workers
 
 
-def test_unknown_variant_refused_before_any_job(monkeypatch):
+def _refused_before_any_job(monkeypatch, variants, **kwargs):
     def no_pool(*args):
         raise AssertionError("started a job")
 
@@ -374,9 +425,22 @@ def test_unknown_variant_refused_before_any_job(monkeypatch):
     d = diffusion.Denoiser(3, 8, 12, seed=0, timesteps=10)
     d.freeze()
     images = gen_style_collection(default_style_specs()["checks"], 2, 8, seed=1)
-    with pytest.raises(ConfigError, match="^unknown attention variant: 'film'$"):
-        convergence_benchmark(d, images, ["ssam", "film"], [0, 1, 2], 0.85,
-                              MOVING_AVG_WINDOW, sched=diffusion.make_schedule(10))
+    with pytest.raises(ConfigError) as info:
+        convergence_benchmark(d, images, variants, [0, 1, 2], 0.85,
+                              MOVING_AVG_WINDOW,
+                              sched=diffusion.make_schedule(10), **kwargs)
+    return str(info.value)
+
+
+def test_unknown_variant_refused_before_any_job(monkeypatch):
+    assert _refused_before_any_job(monkeypatch, ["ssam", "film"]) == (
+        "unknown attention variant: 'film'")
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan])
+def test_bad_lr_refused_before_any_job(monkeypatch, lr):
+    assert _refused_before_any_job(monkeypatch, ["ssam"], lr=lr) == (
+        f"lr must be finite and positive, got {lr}")
 
 
 class TestSharedProbe:
