@@ -16,11 +16,12 @@ import functools
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import container, seeding
-from .attention import SsamParams, check_style_matrix, init_ssam_params
+from .attention import SsamParams, check_style_matrix, encoder, init_ssam_params
 from .errors import (ArtBankError, ConfigError, DimensionError,
                      DuplicateStyleError, MalformedHeaderError, TemplateError,
                      UnknownStyleError)
@@ -74,9 +75,6 @@ class StyleBankEntry:
     @property
     def positions(self) -> int:
         return self.ssam.positions
-
-    def trainable_params(self) -> list[Parameter]:
-        return [self.i_m] + self.ssam.all_params()
 
 
 def _validate_template(template: str,
@@ -136,6 +134,16 @@ def assemble_condition(seq: TokenEmbeddingSeq,
             f"style block width {v_m.data.shape} does not match embedding "
             f"width {seq.embeddings.shape[1]}")
     return concat_rows([Tensor(before), transpose(v_m), Tensor(after)])
+
+
+def entry_condition(entry: StyleBankEntry, variant: str = "ssam", seed: int = 0
+                    ) -> tuple[list[Parameter], Callable[[], Tensor]]:
+    """The one condition builder of training, the probe and stylization: the
+    parameters a ``variant`` encoder built for ``seed`` trains, and a closure
+    that encodes their current values into the entry's prompt rows."""
+    params, encode = encoder(variant, entry.i_m, entry.ssam, seed)
+    seq = encode_prompt(entry.template, entry.artist, entry.channels)
+    return params, lambda: assemble_condition(seq, encode())
 
 
 def check_array_size(values: int, what: str,

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 from . import bank as bank_mod
 from . import attention, data_io, diffusion, inversion, metrics
 from .errors import ArtBankError, ConfigError
+from .optim import check_lr
 from .seeding import derive_seed
 
 PROG = "artbank"
@@ -102,7 +103,8 @@ def _coerce(key: str, raw: str):
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The defaults, overridden by the ``--config`` file's keys, overridden by
-    the flags given. A file key must be a field the command takes as a flag."""
+    the flags given. A file key must be a field the command takes as a flag;
+    a bad ``lr`` is refused here, before any file is read."""
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     if getattr(args, "config", None):
@@ -123,6 +125,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             getattr(cfg, key).encode("utf-8")
         except UnicodeEncodeError:
             raise ConfigError(f"{key} must be valid UTF-8") from None
+    if "lr" in args.flag_fields:
+        check_lr(cfg.lr)
     return cfg
 
 

@@ -99,10 +99,10 @@ class DeskRig:
 
 def build(root_seed: int = ROOT_SEED, pretrain_steps: int = PRETRAIN_STEPS,
           entry_steps: int = ENTRY_STEPS) -> DeskRig:
-    sched = make_schedule(100)
     pool, prompts = _pool(root_seed)
     backbone = Denoiser(in_channels=3, width=32, cond_dim=64,
                         seed=derive_seed(root_seed, "backbone"))
+    sched = make_schedule(backbone.timesteps)
     trace = train_naive(backbone, pool, prompts, sched, steps=pretrain_steps,
                         seed=derive_seed(root_seed, "pretrain"))
     backbone.freeze()

@@ -16,13 +16,13 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import attention, container, seeding
+from . import container, seeding
 from .bank import (StyleBankEntry, assemble_condition, check_array_size,
-                   encode_prompt)
+                   encode_prompt, entry_condition)
 from .data_io import ImageSample
 from .errors import (ArtBankError, ConfigError, ContractError,
                      DimensionError, MalformedHeaderError)
-from .optim import AdamState, adam_step, zero_grads
+from .optim import AdamState, adam_step, check_lr, zero_grads
 from .tensor import (Parameter, Tensor, conv2d, gelu, matmul, mean_all,
                      reshape, softmax_rows, transpose)
 
@@ -292,19 +292,6 @@ def _squared_error(eps: Tensor, pred: Tensor) -> Tensor:
     return mean_all(diff * diff)
 
 
-def _noise_step(d: Denoiser, x0: Tensor, t: int, eps: Tensor,
-                cond: Tensor | None, sched: NoiseSchedule,
-                params: list[Parameter], state: AdamState, lr: float) -> float:
-    """One Adam update of ``params`` on the ``_squared_error`` of the
-    denoiser's prediction for ``x0`` noised to ``t`` with ``eps``; returns
-    the loss."""
-    loss = _squared_error(eps, d.predict_noise(q_sample(x0, t, eps, sched), cond))
-    zero_grads(params)
-    loss.backward()
-    adam_step(params, state, lr)
-    return loss.item()
-
-
 @dataclass(frozen=True)
 class StepRecord:
     """What a trainer's ``on_step`` hook gets after an update: the 1-based
@@ -323,9 +310,10 @@ def _train(d: Denoiser, images: Sequence[ImageSample], sched: NoiseSchedule,
            condition: Callable[[int], Tensor | None],
            on_step: Callable[[StepRecord], bool] | None = None) -> list[float]:
     """Both trainers' step loop: from one seeded generator, ``draws`` gives
-    each step's (image, t), then its noise is drawn; ``on_step`` as in
-    ``train_ispb``. Returns the per-step loss trace."""
+    each step's (image, t), then its noise, for one Adam update of ``params``;
+    ``on_step`` as in ``train_ispb``. Returns the per-step loss trace."""
     check_schedule(d, sched)
+    check_lr(lr)
     if steps < 1:
         raise ConfigError(f"steps must be at least 1, got {steps}")
     tensors = _image_tensors(d, images)
@@ -336,8 +324,12 @@ def _train(d: Denoiser, images: Sequence[ImageSample], sched: NoiseSchedule,
     for step in range(1, steps + 1):
         idx, t = next(schedule)
         eps = Tensor(rng.standard_normal(tensors[idx].data.shape))
-        loss = _noise_step(d, tensors[idx], t, eps, condition(idx), sched,
-                           params, state, lr)
+        loss = _squared_error(eps, d.predict_noise(
+            q_sample(tensors[idx], t, eps, sched), condition(idx)))
+        zero_grads(params)
+        loss.backward()
+        adam_step(params, state, lr)
+        loss = loss.item()  # frees the step's tape before the next forward
         trace.append(loss)
         if on_step is not None and on_step(StepRecord(step, t, idx, loss)):
             break
@@ -407,20 +399,9 @@ def train_ispb(d: Denoiser, entry: StyleBankEntry,
     """
     if not d.frozen:
         raise ContractError("bank training requires a frozen denoiser")
-    params, encode = attention.encoder(variant, entry.i_m, entry.ssam, seed)
-    seq = encode_prompt(entry.template, entry.artist, entry.channels)
+    params, condition = entry_condition(entry, variant, seed)
     return _train(d, style_images, sched, steps, seed, lr, params,
-                  _balanced_draws, lambda idx: assemble_condition(seq, encode()),
-                  on_step)
-
-
-def probe_condition(entry: StyleBankEntry, variant: str, seed: int) -> Tensor:
-    """The detached condition an entry gives under a ``variant`` encoder
-    built for ``seed``: what the probe scores, and the condition
-    ``train_ispb`` with that seed starts from."""
-    _, encode = attention.encoder(variant, entry.i_m, entry.ssam, seed)
-    seq = encode_prompt(entry.template, entry.artist, entry.channels)
-    return assemble_condition(seq, encode().detach())
+                  _balanced_draws, lambda idx: condition(), on_step)
 
 
 def probe_losses(d: Denoiser, conds: Sequence[Tensor | None],
@@ -460,7 +441,7 @@ def ispb_eval_loss(d: Denoiser, entry: StyleBankEntry,
     pre-training reference when measuring how fast an encoder variant
     converges; ``train_ispb`` with the same seed starts from the same encoder.
     """
-    cond = probe_condition(entry, variant, seed)
+    cond = entry_condition(entry, variant, seed)[1]().detach()
     return probe_losses(d, [cond], style_images, sched, seed)[0]
 
 

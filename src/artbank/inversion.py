@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import ssam_forward
-from .bank import StyleBank, assemble_condition, encode_prompt
+from .bank import StyleBank, entry_condition
 from .data_io import ImageSample
 from .diffusion import (NoiseSchedule, check_image_size, check_schedule,
                         q_sample, sample)
@@ -71,17 +70,15 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     deterministic sampling back to step zero. A pure function of (denoiser,
     entry, content, cfg).
 
-    Every bank entry is encoded with SSAM over its own weights. The
-    statistical baseline trains only the style matrix and projections, so an
-    entry it trained from scratch keeps its spatial weights at one, where
-    SSAM is that baseline bit for bit.
+    Every bank entry is encoded by ``entry_condition``'s ``ssam`` builder,
+    SSAM over its own weights. The statistical baseline trains only the
+    style matrix and projections, so an entry it trained from scratch keeps
+    its spatial weights at one, where SSAM is that baseline bit for bit.
     """
     entry = bank.get(style_id)
     check_image_size(d, content, "the content image")
-    seq = encode_prompt(entry.template, entry.artist, entry.channels)
     x0 = content.to_tensor()
     eps = (stochastic_invert(d, sched, content, cfg)[0] if use_inversion
            else Tensor(probe_noise(cfg, x0.data.shape)))
     start = q_sample(x0, start_timestep(cfg, sched), eps, sched)
-    cond = assemble_condition(seq, ssam_forward(entry.i_m.value, entry.ssam))
-    return sample(d, sched, cond, start)
+    return sample(d, sched, entry_condition(entry)[1](), start)

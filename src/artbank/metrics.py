@@ -23,10 +23,10 @@ import numpy as np
 
 from . import seeding
 from .attention import ENCODERS
-from .bank import StyleBankEntry, create_entry
+from .bank import StyleBankEntry, create_entry, entry_condition
 from .data_io import ImageSample
 from .diffusion import (Denoiser, NoiseSchedule, check_images, check_schedule,
-                        probe_condition, probe_losses, train_ispb)
+                        probe_losses, train_ispb)
 from .errors import ConfigError, DimensionError
 from .optim import check_lr
 from .tensor import Tensor, clamp_min, conv2d
@@ -201,8 +201,8 @@ def _probe_job(d: Denoiser, collection: Sequence[ImageSample],
                seed: int) -> list[float]:
     """One seed's probe job: each variant's initial probe loss, all variants
     sharing each draw's trunk."""
-    conds = [probe_condition(_bench_entry(v, seed, d.cond_dim, positions), v, seed)
-             for v in variants]
+    conds = [entry_condition(_bench_entry(v, seed, d.cond_dim, positions), v,
+                             seed)[1]().detach() for v in variants]
     return probe_losses(d, conds, collection, sched, seed)
 
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import artbank.bank as bank_mod
 from artbank.attention import ssam_forward
 from artbank.bank import (BANK_MAGIC, StyleBank, assemble_condition,
-                          bank_bytes, create_entry, encode_prompt, load_bank,
-                          save_bank)
+                          bank_bytes, create_entry, encode_prompt,
+                          entry_condition, load_bank, save_bank)
 from artbank.diffusion import Denoiser, checkpoint_bytes, load_checkpoint
 from artbank.errors import (BadMagicError, ConfigError, DimensionError,
                             DuplicateStyleError, FormatError,
@@ -270,7 +270,7 @@ class TestPersistence:
         (entry,) = load_bank(path).entries()
         assert (entry.channels, entry.positions) == (2, 3)
         assert entry.template == "a *"
-        assert all(np.all(p.value.data == 0.5) for p in entry.trainable_params())
+        assert all(np.all(p.value.data == 0.5) for p in entry_condition(entry)[0])
 
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "inf.ispb"
@@ -363,7 +363,7 @@ class TestCorruptFiles:
             return
         for entry in bank.entries():
             assert all(np.isfinite(p.value.data).all()
-                       for p in entry.trainable_params())
+                       for p in entry_condition(entry)[0])
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import artbank.bank as bank_mod
 import artbank.cli as cli_mod
+import artbank.data_io as data_io
 import artbank.diffusion as diffusion
 from artbank import desk, metrics
 from artbank.bank import StyleBank, bank_bytes, create_entry, save_bank
@@ -352,6 +353,34 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     code = run([command, *common, *args, flag, value])
     assert code == 2
     assert f"{flag[2:].replace('-', '_')} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["pretrain", "train-bank", "bench-attn"])
+def test_bad_lr_refused_before_any_file_is_read(dataset, untrained_checkpoint,
+                                                tmp_path, capsys, monkeypatch,
+                                                command, source):
+    reads = []
+    monkeypatch.setattr(diffusion, "load_checkpoint", lambda *a: reads.append(a))
+    monkeypatch.setattr(data_io, "read_ppm", lambda *a: reads.append(a))
+    out = tmp_path / "never"
+    paths = {"pretrain": ["--checkpoint", str(out)],
+             "train-bank": ["--checkpoint", str(untrained_checkpoint), "--bank",
+                            str(out), "--style-id", "checks"],
+             "bench-attn": ["--checkpoint", str(untrained_checkpoint), "--out",
+                            str(out), "--style-id", "checks"]}[command]
+    if source == "flag":
+        lr = ["--lr", "0"]
+    else:
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("lr = 0\n")
+        lr = ["--config", str(cfg)]
+    code = run([command, "--data", str(dataset), *paths, *lr])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "artbank: error: lr must be finite and positive, got 0.0"]
+    assert reads == []
     assert not out.exists()
 
 

@@ -11,16 +11,17 @@ import pytest
 import artbank.bank as bank_mod
 import artbank.diffusion as diffusion
 from artbank import metrics
+from artbank.attention import ENCODERS
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
-                          create_entry, encode_prompt)
+                          create_entry, encode_prompt, entry_condition)
 from artbank.data_io import (default_style_specs, gen_content_image,
                              gen_style_collection)
 from artbank.desk import ROOT_SEED
 from artbank.diffusion import (BETA_END, BETA_START, CHECKPOINT_MAGIC,
                                Denoiser, LatentState, checkpoint_bytes,
                                ispb_eval_loss, load_checkpoint, make_schedule,
-                               probe_condition, probe_losses, q_sample, sample,
-                               save_checkpoint, train_ispb, train_naive)
+                               probe_losses, q_sample, sample, save_checkpoint,
+                               train_ispb, train_naive)
 from artbank.errors import (BadMagicError, ConfigError, ContractError,
                             DimensionError, FormatError, MalformedHeaderError,
                             NumericError, TruncatedFileError,
@@ -252,7 +253,9 @@ class TestTrainNaive:
         before = checkpoint_bytes(d)
         imgs = [gen_content_image("photo", 8, seed=i) for i in range(2)]
         steps = []
-        monkeypatch.setattr(diffusion, "_noise_step", lambda *a: steps.append(a))
+        real_trunk = Denoiser.trunk
+        monkeypatch.setattr(Denoiser, "trunk",
+                            lambda *a: steps.append(a[1].t) or real_trunk(*a))
         message = f"one prompt per image, got {n_prompts} prompts for 2 images"
         with pytest.raises(ConfigError, match=message):
             train_naive(d, imgs, ["a photo *"] * n_prompts, make_schedule(10),
@@ -282,16 +285,16 @@ def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
     entry = create_entry("mixed", "mixed", 16, 4, seed=0)
     sched = make_schedule(10)
     steps = []
-    real_step = diffusion._noise_step
-    monkeypatch.setattr(diffusion, "_noise_step",
-                        lambda *a: steps.append(a[2]) or real_step(*a))
+    real_trunk = Denoiser.trunk
+    monkeypatch.setattr(Denoiser, "trunk",
+                        lambda *a: steps.append(a[1].t) or real_trunk(*a))
     if trainer == "naive":
         params = d.parameters()
         run = lambda: train_naive(d, images, ["a photo *"] * len(images), sched,
                                   20, seed=0)
     else:
         d.freeze()
-        params = entry.trainable_params()
+        params = entry_condition(entry)[0]
         run = lambda: train_ispb(d, entry, images, sched, 20, seed=0)
     before = [p.value.data.copy() for p in params]
     message = "image 6 has 1 channels, the denoiser takes in_channels=3"
@@ -302,6 +305,32 @@ def test_channel_mismatch_refused_before_any_step(monkeypatch, trainer):
     if trainer == "ispb":
         with pytest.raises(DimensionError, match=message):
             ispb_eval_loss(d, entry, images, sched, seed=0)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("trainer", ["naive", "ispb"])
+def test_bad_lr_refused_before_any_step(monkeypatch, trainer, lr):
+    images = [gen_content_image("photo", 8, seed=i) for i in range(2)]
+    d = Denoiser(3, 8, 16, seed=12, timesteps=10)
+    entry = create_entry("lr", "lr", 16, 4, seed=0)
+    calls = []
+    real_trunk = Denoiser.trunk
+    monkeypatch.setattr(Denoiser, "trunk",
+                        lambda *a: calls.append(a[1].t) or real_trunk(*a))
+    if trainer == "naive":
+        params = d.parameters()
+        run = lambda: train_naive(d, images, ["a photo *"] * 2, make_schedule(10),
+                                  5, seed=0, lr=lr)
+    else:
+        d.freeze()
+        params = entry_condition(entry)[0]
+        run = lambda: train_ispb(d, entry, images, make_schedule(10), 5, seed=0,
+                                 lr=lr)
+    before = [p.value.data.copy() for p in params]
+    with pytest.raises(ConfigError, match="^lr must be finite and positive, got"):
+        run()
+    assert calls == []
+    assert all(np.array_equal(p.value.data, b) for p, b in zip(params, before))
 
 
 @pytest.mark.parametrize("caller", ["naive", "ispb", "probe", "sample",
@@ -330,7 +359,7 @@ def test_schedule_mismatch_refused_before_any_step(monkeypatch, caller):
                                   seed=0)
     else:
         d.freeze()
-        params = entry.trainable_params()
+        params = entry_condition(entry)[0]
         bank = StyleBank()
         bank.add(entry)
         start = LatentState(Tensor(np.zeros((3, 8, 8))), steps)
@@ -403,13 +432,47 @@ class TestProbe:
     def test_shared_probe_gives_each_entry_its_own_value(self, desk):
         entries = [create_entry(f"probe-{v}", "x", 64, 16, seed=20 + i)
                    for i, v in enumerate(self.VARIANTS)]
-        conds = [probe_condition(e, v, 3) for e, v in zip(entries, self.VARIANTS)]
+        conds = [entry_condition(e, v, 3)[1]().detach()
+                 for e, v in zip(entries, self.VARIANTS)]
         shared = probe_losses(desk.backbone, conds, desk.style_collection,
                               desk.sched, 3)
         assert [loss.hex() for loss in shared] == [
             ispb_eval_loss(desk.backbone, e, desk.style_collection, desk.sched,
                            seed=3, variant=v).hex()
             for e, v in zip(entries, self.VARIANTS)]
+
+
+class TestEntryCondition:
+    """``bank.entry_condition`` is the one builder of an entry's condition:
+    the probe scores what training starts from, and the closure reads the
+    parameters training updates."""
+
+    @pytest.mark.parametrize("variant", ENCODERS)
+    def test_probe_scores_the_condition_training_starts_from(self, monkeypatch,
+                                                             variant):
+        images = [gen_content_image("photo", 8, seed=i) for i in range(2)]
+        sched = make_schedule(10)
+        d = Denoiser(3, 8, 16, seed=12, timesteps=10)
+        d.freeze()
+        entry = create_entry("one", "one", 16, 4, seed=0)
+        conds = []
+        real_head = Denoiser.head
+        monkeypatch.setattr(Denoiser, "head",
+                            lambda *a: conds.append(a[2].data.tobytes())
+                            or real_head(*a))
+        ispb_eval_loss(d, entry, images, sched, seed=5, variant=variant)
+        probed = conds[0]
+        conds.clear()
+        train_ispb(d, entry, images, sched, 1, seed=5, variant=variant)
+        assert conds == [probed]
+
+    def test_sanet_closure_reads_the_trained_output_projection(self):
+        entry = create_entry("sanet", "x", 16, 4, seed=0)
+        params, condition = entry_condition(entry, "sanet", seed=3)
+        before = condition().data.copy()
+        w_o = next(p for p in params if p.name == "w_o")
+        w_o.value.data += 0.1
+        assert not np.array_equal(condition().data, before)
 
 
 class TestAdaattnBytes:
@@ -444,11 +507,11 @@ class TestAdaattnBytes:
 class TestTrainIspb:
     def test_zero_steps_leaves_entry(self, desk):
         entry = create_entry("tmp", "tmp", 64, 16, seed=0)
-        before = [p.value.data.copy() for p in entry.trainable_params()]
+        before = [p.value.data.copy() for p in entry_condition(entry)[0]]
         with pytest.raises(ConfigError, match="steps must be at least 1"):
             train_ispb(desk.backbone, entry, desk.style_collection,
                        desk.sched, 0, seed=0)
-        for p, b in zip(entry.trainable_params(), before):
+        for p, b in zip(entry_condition(entry)[0], before):
             assert np.array_equal(p.value.data, b)
 
     def test_unfrozen_denoiser_rejected(self, desk):
