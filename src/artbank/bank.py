@@ -155,15 +155,20 @@ def check_array_size(values: int, what: str,
                     f"limit is {MAX_ARRAY_BYTES / 2**20:g} MiB per array")
 
 
-def create_entry(style_id: str, artist: str, channels: int = DEFAULT_CHANNELS,
-                 positions: int = DEFAULT_POSITIONS, seed: int = 0,
-                 template: str = DEFAULT_TEMPLATE) -> StyleBankEntry:
-    """Deterministically initialize a fresh bank entry."""
+def check_entry_size(channels: int, positions: int) -> None:
+    """Refuse entry dimensions below 1 or over the array budget."""
     if channels < 1 or positions < 1:
         raise ConfigError("entry dimensions must be positive")
     # The attention map is N x N, the projections C x C and the style matrix C x N.
     check_array_size(max(channels, positions) ** 2,
                      f"an entry with channels={channels} and positions={positions}")
+
+
+def create_entry(style_id: str, artist: str, channels: int = DEFAULT_CHANNELS,
+                 positions: int = DEFAULT_POSITIONS, seed: int = 0,
+                 template: str = DEFAULT_TEMPLATE) -> StyleBankEntry:
+    """Deterministically initialize a fresh bank entry."""
+    check_entry_size(channels, positions)
     rng = seeding.rng(seed)
     i_m = Parameter("i_m", Tensor(rng.normal(0.0, 0.02,
                                              size=(channels, positions))))

@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 from . import bank as bank_mod
 from . import attention, data_io, diffusion, inversion, metrics
 from .errors import ArtBankError, ConfigError
-from .optim import check_lr
 from .seeding import derive_seed
 
 PROG = "artbank"
@@ -103,8 +102,7 @@ def _coerce(key: str, raw: str):
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """The defaults, overridden by the ``--config`` file's keys, overridden by
-    the flags given. A file key must be a field the command takes as a flag;
-    a bad ``lr`` is refused here, before any file is read."""
+    the flags given. A file key must be a field the command takes as a flag."""
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     if getattr(args, "config", None):
@@ -125,8 +123,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             getattr(cfg, key).encode("utf-8")
         except UnicodeEncodeError:
             raise ConfigError(f"{key} must be valid UTF-8") from None
-    if "lr" in args.flag_fields:
-        check_lr(cfg.lr)
     return cfg
 
 
@@ -199,20 +195,12 @@ def _record_loss(trace: list[float], path: str) -> str:
     return summary
 
 
-def _check_traces(runs: int, steps: int, what: str) -> None:
-    """Refuse, before any file is read, a setting whose loss traces (``runs``
-    traces of up to ``steps`` losses) are over the array budget, so a
-    terabyte-scale count is exit 2 instead of a list or a run that never
-    ends. A count below 1 passes here and is refused where it is used."""
-    bank_mod.check_array_size(max(runs, 1) * max(steps, 1), what)
-
-
 def _throughput(steps: int, wall: float) -> str:
     return f"in {wall:.2f} s ({steps / wall:.1f} steps/s)"
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    _check_traces(1, cfg.steps, f"the loss trace of {cfg.steps} steps")
+    diffusion.check_training(cfg.steps, cfg.lr)
     root = Path(_require(cfg.data_root, "dataset root", Path.is_dir))
     if not cfg.checkpoint_path:
         raise ConfigError("pretrain requires a checkpoint output path")
@@ -236,12 +224,12 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 
 def cmd_train_bank(cfg: RunConfig) -> int:
-    _check_traces(1, cfg.steps, f"the loss trace of {cfg.steps} steps")
-    d, sched = _load_backbone(cfg)
+    diffusion.check_training(cfg.steps, cfg.lr)
     if not cfg.style_id:
         raise ConfigError("train-bank requires --style-id")
     if not cfg.bank_path:
         raise ConfigError("train-bank requires a bank output path")
+    d, sched = _load_backbone(cfg)
     images = _load_style_images(cfg)
     bank = (bank_mod.load_bank(cfg.bank_path)
             if Path(cfg.bank_path).is_file() else bank_mod.StyleBank())
@@ -263,17 +251,13 @@ def cmd_train_bank(cfg: RunConfig) -> int:
 
 
 def cmd_stylize(cfg: RunConfig) -> int:
-    bank = bank_mod.load_bank(_require(cfg.bank_path, "bank"))
-    content = data_io.read_ppm(_require(cfg.content_path, "content image"))
-    if not cfg.out_path:
-        raise ConfigError("stylize requires an output path")
-    entry = bank.get(cfg.style_id)
-    d, sched = _load_backbone(cfg)
-    if entry.channels != d.cond_dim:
-        raise ConfigError(f"bank entry width {entry.channels} does not match "
-                          f"checkpoint condition width {d.cond_dim}")
     inv_cfg = inversion.InversionConfig(
         strength=cfg.strength, seed=derive_seed(cfg.seed, "stylize"))
+    if not cfg.out_path:
+        raise ConfigError("stylize requires an output path")
+    bank = bank_mod.load_bank(_require(cfg.bank_path, "bank"))
+    content = data_io.read_ppm(_require(cfg.content_path, "content image"))
+    d, sched = _load_backbone(cfg)
     result = inversion.stylize(d, sched, bank, cfg.style_id, content, inv_cfg,
                                use_inversion=not cfg.no_inversion)
     data_io.write_ppm(result, cfg.out_path)
@@ -283,10 +267,8 @@ def cmd_stylize(cfg: RunConfig) -> int:
 
 def cmd_bench_attn(cfg: RunConfig) -> int:
     variants = [v.strip() for v in cfg.variants.split(",") if v.strip()]
-    # max(..., 1): with no variant the seed list is still built.
-    _check_traces(max(len(variants), 1) * cfg.bench_seeds, cfg.max_iters,
-                  f"{cfg.bench_seeds} seeds' loss traces of up to "
-                  f"{cfg.max_iters} steps for {len(variants)} variants")
+    metrics.check_benchmark(variants, cfg.bench_seeds, cfg.threshold,
+                            cfg.max_iters, cfg.lr)
     d, sched = _load_backbone(cfg)
     images = _load_style_images(cfg)
     seeds = metrics.convergence_seeds(cfg.seed, cfg.bench_seeds)

@@ -280,6 +280,14 @@ def check_schedule(d: Denoiser, sched: NoiseSchedule) -> None:
                           f"the denoiser's {d.timesteps} timesteps")
 
 
+def check_training(steps: int, lr: float) -> None:
+    """Both trainers' rule for the settings that need no file."""
+    if steps < 1:
+        raise ConfigError(f"steps must be at least 1, got {steps}")
+    check_array_size(steps, f"the loss trace of {steps} steps")
+    check_lr(lr)
+
+
 def _image_tensors(d: Denoiser, images: Sequence[ImageSample]) -> list[Tensor]:
     """The images as (C, H, W) tensors, once ``check_images`` passes them."""
     check_images(d, images)
@@ -313,9 +321,7 @@ def _train(d: Denoiser, images: Sequence[ImageSample], sched: NoiseSchedule,
     each step's (image, t), then its noise, for one Adam update of ``params``;
     ``on_step`` as in ``train_ispb``. Returns the per-step loss trace."""
     check_schedule(d, sched)
-    check_lr(lr)
-    if steps < 1:
-        raise ConfigError(f"steps must be at least 1, got {steps}")
+    check_training(steps, lr)
     tensors = _image_tensors(d, images)
     rng = seeding.rng(seed)
     schedule = draws(rng, len(tensors), sched.timesteps)

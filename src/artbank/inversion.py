@@ -76,6 +76,9 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     its spatial weights at one, where SSAM is that baseline bit for bit.
     """
     entry = bank.get(style_id)
+    if entry.channels != d.cond_dim:
+        raise ConfigError(f"bank entry width {entry.channels} does not match "
+                          f"checkpoint condition width {d.cond_dim}")
     check_image_size(d, content, "the content image")
     x0 = content.to_tensor()
     eps = (stochastic_invert(d, sched, content, cfg)[0] if use_inversion

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import seeding
 from .attention import ENCODERS
-from .bank import StyleBankEntry, create_entry, entry_condition
+from .bank import (StyleBankEntry, check_array_size, check_entry_size,
+                   create_entry, entry_condition)
 from .data_io import ImageSample
 from .diffusion import (Denoiser, NoiseSchedule, check_images, check_schedule,
                         probe_losses, train_ispb)
@@ -289,6 +290,28 @@ def convergence_seeds(root_seed: int, n: int) -> list[int]:
     return [seeding.derive_seed(root_seed, f"bench:{i}") for i in range(n)]
 
 
+def check_benchmark(variants: Sequence[str], n_seeds: int,
+                    loss_threshold: float, max_iters: int, lr: float) -> None:
+    """``convergence_benchmark``'s rule for the settings that need no file."""
+    if not variants:
+        raise ConfigError("variants must name at least one encoder")
+    if n_seeds < 3:
+        raise ConfigError("the benchmark needs at least 3 seeds")
+    if not (math.isfinite(loss_threshold) and loss_threshold > 0.0):
+        raise ConfigError(f"loss_threshold must be finite and positive, "
+                          f"got {loss_threshold}")
+    check_lr(lr)
+    if max_iters < MOVING_AVG_WINDOW:
+        raise ConfigError(f"max_iters must be at least the {MOVING_AVG_WINDOW}"
+                          f"-step moving-average window, got {max_iters}")
+    for v in variants:
+        if v not in ENCODERS:
+            raise ConfigError(f"unknown attention variant: {v!r}")
+    check_array_size(len(variants) * n_seeds * max_iters,
+                     f"{n_seeds} seeds' loss traces of up to {max_iters} "
+                     f"steps for {len(variants)} variants")
+
+
 def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
                           variants: Sequence[str], seeds: Sequence[int],
                           loss_threshold: float, max_iters: int, *,
@@ -315,24 +338,10 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     censored one, are worked out here, in job order, from the traces the
     workers return, so the reports do not depend on the worker count.
     """
-    if not variants:
-        raise ConfigError("variants must name at least one encoder")
-    if len(seeds) < 3:
-        raise ConfigError("the benchmark needs at least 3 seeds")
-    if not (math.isfinite(loss_threshold) and loss_threshold > 0.0):
-        raise ConfigError(f"loss_threshold must be finite and positive, "
-                          f"got {loss_threshold}")
-    check_lr(lr)
-    if max_iters < MOVING_AVG_WINDOW:
-        raise ConfigError(
-            f"max_iters must be at least the {MOVING_AVG_WINDOW}-step "
-            f"moving-average window, got {max_iters}")
-    for v in variants:  # reject an unknown name before any job trains
-        if v not in ENCODERS:
-            raise ConfigError(f"unknown attention variant: {v!r}")
-    # and a bad image or schedule before any draw or fork
+    check_benchmark(variants, len(seeds), loss_threshold, max_iters, lr)
     check_images(d, collection)
     check_schedule(d, sched)
+    check_entry_size(d.cond_dim, positions)
     # Per variant, each seed's (initial loss, training future), in seed order.
     trains: list[list] = [[] for _ in variants]
     reports = []

@@ -292,8 +292,9 @@ def _refuse(*args, **kwargs):
 def test_hostile_settings_exit_0_or_2(tiny_runs, data):
     """Any of these values in any of a command's settings ends in exit 0, or
     exit 2 with an error line; never in a traceback. ``bench-attn`` always
-    gets a ``--max-iters`` it refuses, so it stops before its worker pool
-    starts. Each example runs in a fresh working directory."""
+    gets a ``--max-iters`` it refuses, so it stops before it reads the
+    checkpoint or an image, or its worker pool starts. Each example runs in a
+    fresh working directory."""
     command = data.draw(st.sampled_from(sorted(tiny_runs)))
     bench = command == "bench-attn"
     hostile = data.draw(st.dictionaries(st.sampled_from(sorted(_flags(command))),
@@ -304,10 +305,18 @@ def test_hostile_settings_exit_0_or_2(tiny_runs, data):
     argv = _argv(command, {**tiny_runs[command], **hostile})
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
+    reads = []
+
+    def spy(read):
+        return lambda *args: reads.append(args) or read(*args)
+
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             mock.patch.object(os, "fork", _refuse), \
-            mock.patch.object(threading.Thread, "start", _refuse):
+            mock.patch.object(threading.Thread, "start", _refuse), \
+            mock.patch.object(diffusion, "load_checkpoint",
+                              spy(diffusion.load_checkpoint)), \
+            mock.patch.object(data_io, "read_ppm", spy(data_io.read_ppm)):
         os.chdir(tmp)
         try:
             code = cli_mod.run(argv)
@@ -316,6 +325,7 @@ def test_hostile_settings_exit_0_or_2(tiny_runs, data):
     lines = err.getvalue().splitlines()
     assert code == 0 or (code == 2 and any("error:" in line for line in lines)), \
         (argv, code, lines)
+    assert not (bench and reads), (argv, reads)
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -356,30 +366,64 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command", ["pretrain", "train-bank", "bench-attn"])
+@pytest.mark.parametrize("command, setting, message", [
+    *(pytest.param(command, source, "lr must be finite and positive, got 0.0",
+                   id=f"{command}-{source}")
+      for command in ("pretrain", "train-bank", "bench-attn")
+      for source in ("flag", "config")),
+    pytest.param("pretrain", ["--steps", "0"], "steps must be at least 1, got 0",
+                 id="pretrain-steps-0"),
+    pytest.param("train-bank", ["--steps", "0"],
+                 "steps must be at least 1, got 0", id="train-bank-steps-0"),
+    # An empty value is no value.
+    pytest.param("train-bank", ["--style-id", ""],
+                 "train-bank requires --style-id", id="train-bank-no-style-id"),
+    pytest.param("bench-attn", ["--threshold", "0"],
+                 "loss_threshold must be finite and positive, got 0.0",
+                 id="bench-attn-threshold-0"),
+    pytest.param("bench-attn", ["--max-iters", "50"],
+                 "max_iters must be at least the 100-step moving-average "
+                 "window, got 50", id="bench-attn-max-iters-50"),
+    pytest.param("bench-attn", ["--bench-seeds", "2"],
+                 "the benchmark needs at least 3 seeds",
+                 id="bench-attn-bench-seeds-2"),
+    pytest.param("bench-attn", ["--variants", "film"],
+                 "unknown attention variant: 'film'",
+                 id="bench-attn-variants-film"),
+    pytest.param("stylize", ["--strength", "0"],
+                 "strength must lie in (0, 1]: 0.0", id="stylize-strength-0"),
+    pytest.param("stylize", ["--out", ""], "stylize requires an output path",
+                 id="stylize-no-out"),
+])
 def test_bad_lr_refused_before_any_file_is_read(dataset, untrained_checkpoint,
                                                 tmp_path, capsys, monkeypatch,
-                                                command, source):
+                                                command, setting, message):
+    """A setting that needs no file (``lr`` from a flag or a config file,
+    and the others) is refused before the checkpoint, the bank or any image
+    is read."""
     reads = []
-    monkeypatch.setattr(diffusion, "load_checkpoint", lambda *a: reads.append(a))
-    monkeypatch.setattr(data_io, "read_ppm", lambda *a: reads.append(a))
+    for module, reader in ((diffusion, "load_checkpoint"),
+                           (bank_mod, "load_bank"), (data_io, "read_ppm")):
+        monkeypatch.setattr(module, reader, lambda *a: reads.append(a))
     out = tmp_path / "never"
-    paths = {"pretrain": ["--checkpoint", str(out)],
-             "train-bank": ["--checkpoint", str(untrained_checkpoint), "--bank",
-                            str(out), "--style-id", "checks"],
-             "bench-attn": ["--checkpoint", str(untrained_checkpoint), "--out",
-                            str(out), "--style-id", "checks"]}[command]
-    if source == "flag":
-        lr = ["--lr", "0"]
-    else:
+    bank = tmp_path / "b.ispb"
+    save_bank(StyleBank(), bank)
+    entry = ["--checkpoint", str(untrained_checkpoint), "--style-id", "checks"]
+    data = ["--data", str(dataset)]
+    base = {"pretrain": [*data, "--checkpoint", str(out)],
+            "train-bank": [*data, *entry, "--bank", str(out)],
+            "bench-attn": [*data, *entry, "--out", str(out)],
+            "stylize": [*entry, "--bank", str(bank), "--content",
+                        str(dataset / "content.ppm"), "--out", str(out)]}[command]
+    if setting == "flag":
+        setting = ["--lr", "0"]
+    elif setting == "config":
         cfg = tmp_path / "lr.cfg"
         cfg.write_text("lr = 0\n")
-        lr = ["--config", str(cfg)]
-    code = run([command, "--data", str(dataset), *paths, *lr])
+        setting = ["--config", str(cfg)]
+    code = run([command, *base, *setting])
     assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "artbank: error: lr must be finite and positive, got 0.0"]
+    assert capsys.readouterr().err.splitlines() == [f"artbank: error: {message}"]
     assert reads == []
     assert not out.exists()
 
@@ -415,9 +459,11 @@ def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
 @pytest.mark.parametrize("command, counts, gib", [
     # 3 default variants x 1e12 seeds x 5,000 steps of float64 losses.
     ("bench-attn", ["--bench-seeds", "1000000000000"], "111758709.0"),
-    # No variant: the 1e12 seeds are still refused before the list is built.
-    ("bench-attn", ["--variants", ",", "--bench-seeds", "1000000000000"],
-     "37252903.0"),
+    # No variant: refused by the empty-variants rule before the count.
+    pytest.param("bench-attn", ["--variants", ",", "--bench-seeds",
+                                "1000000000000"],
+                 "variants must name at least one encoder",
+                 id="bench-attn-no-variant"),
     ("bench-attn", ["--max-iters", "1000000000000"], "111758.7"),
     ("pretrain", ["--steps", "1000000000000"], "7450.6"),
     ("train-bank", ["--steps", "1000000000000"], "7450.6"),
@@ -440,7 +486,9 @@ def test_terabyte_count_refused_before_any_file_is_read(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("artbank: error:")
-    assert f"needs a {gib} GiB array" in err[0] and "256 MiB per array" in err[0]
+    # ``gib`` is the GiB figure of a budget refusal, or the whole message.
+    assert err[0] == f"artbank: error: {gib}" or (
+        f"needs a {gib} GiB array" in err[0] and "256 MiB per array" in err[0])
 
 
 @pytest.mark.parametrize("lr, diverged", [("1e10", True), ("1e-3", False)])

@@ -333,6 +333,29 @@ def test_bad_lr_refused_before_any_step(monkeypatch, trainer, lr):
     assert all(np.array_equal(p.value.data, b) for p, b in zip(params, before))
 
 
+@pytest.mark.parametrize("trainer", ["naive", "ispb"])
+def test_trace_over_budget_refused_before_any_step(monkeypatch, trainer):
+    # 20,000 losses take 160,000 bytes, over a budget that the denoiser, the
+    # entry and conv2's 9 * 8 * 8 * 8 float64 columns (36,864 bytes) fit in.
+    monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 100_000)
+    images = [gen_content_image("photo", 8, seed=i) for i in range(2)]
+    d = Denoiser(3, 8, 16, seed=12, timesteps=10)
+    entry = create_entry("long", "long", 16, 4, seed=0)
+
+    def no_step(*args):
+        raise AssertionError("took a step")
+
+    monkeypatch.setattr(Denoiser, "trunk", no_step)
+    with pytest.raises(ConfigError, match="^the loss trace of 20000 steps "
+                                          "needs a 0.0 GiB array"):
+        if trainer == "naive":
+            train_naive(d, images, ["a photo *"] * 2, make_schedule(10),
+                        20_000, seed=0)
+        else:
+            d.freeze()
+            train_ispb(d, entry, images, make_schedule(10), 20_000, seed=0)
+
+
 @pytest.mark.parametrize("caller", ["naive", "ispb", "probe", "sample",
                                     "invert", "stylize", "convergence"])
 def test_schedule_mismatch_refused_before_any_step(monkeypatch, caller):

@@ -78,6 +78,23 @@ class TestStylize:
             stylize(desk.backbone, desk.sched, desk.bank, "missing-style",
                     content, InversionConfig())
 
+    def test_entry_width_mismatch_refused_before_any_denoiser_call(
+            self, monkeypatch):
+        d = Denoiser(3, 8, 12, seed=0, timesteps=10)
+        d.freeze()
+        bank = StyleBank()
+        bank.add(create_entry("wide", "wide", 16, 4, seed=0))
+        calls = []
+        real_trunk = Denoiser.trunk
+        monkeypatch.setattr(Denoiser, "trunk",
+                            lambda *a: calls.append(a[1].t) or real_trunk(*a))
+        with pytest.raises(ConfigError, match=r"^bank entry width 16 does not "
+                                              r"match checkpoint condition "
+                                              r"width 12$"):
+            stylize(d, make_schedule(10), bank, "wide",
+                    gen_content_image("photo", 8, seed=0), InversionConfig())
+        assert calls == []
+
     def test_tiny_strength_preserves_content(self, desk):
         content = gen_content_image("shapes", 16, seed=5)
         cfg = InversionConfig(strength=0.01, seed=11)  # t0 clamps to 1

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import artbank.bank as bank_mod
 from artbank import diffusion, metrics
 from artbank.data_io import (ImageSample, default_style_specs,
                              gen_content_image, gen_style_collection)
@@ -441,6 +442,25 @@ def test_unknown_variant_refused_before_any_job(monkeypatch):
 def test_bad_lr_refused_before_any_job(monkeypatch, lr):
     assert _refused_before_any_job(monkeypatch, ["ssam"], lr=lr) == (
         f"lr must be finite and positive, got {lr}")
+
+
+@pytest.mark.parametrize("positions, message", [
+    (0, "entry dimensions must be positive"),
+    (100_000, "an entry with channels=12 and positions=100000 needs a 74.5 GiB "
+              "array; the limit is 256 MiB per array"),
+], ids=["0", "100000"])
+def test_bad_positions_refused_before_any_job(monkeypatch, positions, message):
+    assert _refused_before_any_job(monkeypatch, ["ssam"],
+                                   positions=positions) == message
+
+
+def test_trace_budget_refused_before_any_job(monkeypatch):
+    # 3 variants x 3 seeds x 100 losses take 7,200 bytes; the denoiser's
+    # largest weight takes 4,608.
+    monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 7_000)
+    message = _refused_before_any_job(monkeypatch, ["ssam", "sanet", "adaattn"])
+    assert message.startswith("3 seeds' loss traces of up to 100 steps for 3 "
+                              "variants needs a 0.0 GiB array")
 
 
 class TestSharedProbe:
