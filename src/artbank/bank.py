@@ -65,7 +65,7 @@ class StyleBankEntry:
     ssam: SsamParams
 
     def __post_init__(self) -> None:
-        _validate_template(self.template)
+        check_prompt(self.template, self.artist)
         check_style_matrix(self.i_m.value, self.channels, self.positions)
 
     @property
@@ -77,15 +77,17 @@ class StyleBankEntry:
         return self.ssam.positions
 
 
-def _validate_template(template: str,
-                       error: type[ArtBankError] = TemplateError) -> list[str]:
-    tokens = template.split()
-    count = sum(1 for t in tokens if t == PLACEHOLDER)
-    if count != 1:
-        raise error(
-            f"template must contain exactly one '{PLACEHOLDER}' token, "
-            f"found {count}: {template!r}")
-    return tokens
+def check_prompt(template: str, artist: str,
+                 error: type[ArtBankError] = TemplateError) -> list[str]:
+    """Refuse a template, or the prompt it makes with ``artist`` put in,
+    without exactly one placeholder token; return the prompt's tokens."""
+    prompt = template.replace("{artist}", artist)
+    for what, text in (("template", template), ("prompt", prompt)):
+        count = text.split().count(PLACEHOLDER)
+        if count != 1:
+            raise error(f"{what} must contain exactly one '{PLACEHOLDER}' "
+                        f"token, found {count}: {text!r}")
+    return prompt.split()
 
 
 def _token_id(token: str) -> int:
@@ -108,8 +110,7 @@ def _embedding_row(token_id: int, width: int) -> np.ndarray:
 def encode_prompt(template: str, artist: str,
                   width: int = DEFAULT_CHANNELS) -> TokenEmbeddingSeq:
     """Tokenize a prompt template and embed every token deterministically."""
-    text = template.replace("{artist}", artist)
-    tokens = _validate_template(text)
+    tokens = check_prompt(template, artist)
     table = np.stack([_embedding_row(_token_id(t), width) for t in tokens])
     return TokenEmbeddingSeq(tokens=tokens, embeddings=table,
                              placeholder_index=tokens.index(PLACEHOLDER))
@@ -155,20 +156,20 @@ def check_array_size(values: int, what: str,
                     f"limit is {MAX_ARRAY_BYTES / 2**20:g} MiB per array")
 
 
-def check_entry_size(channels: int, positions: int) -> None:
-    """Refuse entry dimensions below 1 or over the array budget."""
-    if channels < 1 or positions < 1:
-        raise ConfigError("entry dimensions must be positive")
-    # The attention map is N x N, the projections C x C and the style matrix C x N.
-    check_array_size(max(channels, positions) ** 2,
-                     f"an entry with channels={channels} and positions={positions}")
+def check_entry_dim(name: str, size: int) -> None:
+    """Refuse an entry's ``channels`` (C) or ``positions`` (N) below 1 or
+    over the array budget; its C x N style matrix fits when C x C and N x N do."""
+    if size < 1:
+        raise ConfigError(f"entry {name} must be at least 1, got {size}")
+    check_array_size(size ** 2, f"an entry with {name}={size}")
 
 
 def create_entry(style_id: str, artist: str, channels: int = DEFAULT_CHANNELS,
                  positions: int = DEFAULT_POSITIONS, seed: int = 0,
                  template: str = DEFAULT_TEMPLATE) -> StyleBankEntry:
     """Deterministically initialize a fresh bank entry."""
-    check_entry_size(channels, positions)
+    check_entry_dim("channels", channels)
+    check_entry_dim("positions", positions)
     rng = seeding.rng(seed)
     i_m = Parameter("i_m", Tensor(rng.normal(0.0, 0.02,
                                              size=(channels, positions))))
@@ -240,7 +241,7 @@ def load_bank(path) -> StyleBank:
         c, n = rd.u32("channels"), rd.u32("positions")
         if style_id in bank:
             raise MalformedHeaderError(f"duplicate style id: {style_id!r}")
-        _validate_template(template, MalformedHeaderError)
+        check_prompt(template, artist, MalformedHeaderError)
         if c < 1 or n < 1:
             raise MalformedHeaderError(
                 f"entry {style_id!r} has dimensions ({c}, {n})")

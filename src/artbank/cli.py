@@ -201,6 +201,7 @@ def _throughput(steps: int, wall: float) -> str:
 
 def cmd_pretrain(cfg: RunConfig) -> int:
     diffusion.check_training(cfg.steps, cfg.lr)
+    diffusion.check_denoiser(cfg.width, cfg.channels, cfg.timesteps)
     root = Path(_require(cfg.data_root, "dataset root", Path.is_dir))
     if not cfg.checkpoint_path:
         raise ConfigError("pretrain requires a checkpoint output path")
@@ -229,6 +230,8 @@ def cmd_train_bank(cfg: RunConfig) -> int:
         raise ConfigError("train-bank requires --style-id")
     if not cfg.bank_path:
         raise ConfigError("train-bank requires a bank output path")
+    bank_mod.check_prompt(cfg.template, cfg.artist or cfg.style_id)
+    bank_mod.check_entry_dim("positions", cfg.positions)
     d, sched = _load_backbone(cfg)
     images = _load_style_images(cfg)
     bank = (bank_mod.load_bank(cfg.bank_path)
@@ -268,7 +271,7 @@ def cmd_stylize(cfg: RunConfig) -> int:
 def cmd_bench_attn(cfg: RunConfig) -> int:
     variants = [v.strip() for v in cfg.variants.split(",") if v.strip()]
     metrics.check_benchmark(variants, cfg.bench_seeds, cfg.threshold,
-                            cfg.max_iters, cfg.lr)
+                            cfg.max_iters, cfg.lr, cfg.positions)
     d, sched = _load_backbone(cfg)
     images = _load_style_images(cfg)
     seeds = metrics.convergence_seeds(cfg.seed, cfg.bench_seeds)

@@ -46,10 +46,14 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
 
 
+def check_timesteps(timesteps: int, error: type[ArtBankError] = ConfigError) -> None:
+    """The one step-count rule of schedules and denoisers."""
+    if not 1 <= timesteps <= MAX_TIMESTEPS:
+        raise error(f"timesteps must lie in [1, {MAX_TIMESTEPS}], got {timesteps}")
+
+
 def make_schedule(timesteps: int = 100) -> NoiseSchedule:
-    if timesteps < 1:
-        raise ConfigError("timesteps must be at least 1")
-    check_array_size(timesteps + 1, f"a schedule of {timesteps} timesteps")
+    check_timesteps(timesteps)
     beta = np.zeros(timesteps + 1)
     beta[1:] = np.linspace(BETA_START, BETA_END, timesteps)
     return NoiseSchedule(timesteps=timesteps, alpha_bar=np.cumprod(1.0 - beta))
@@ -78,17 +82,23 @@ def q_sample(z0: Tensor, t: int, eps: Tensor, sched: NoiseSchedule) -> LatentSta
     return LatentState(z=z_t, t=t)
 
 
+def check_denoiser(width: int, cond_dim: int, timesteps: int,
+                   error: type[ArtBankError] = ConfigError) -> None:
+    """A denoiser's rule for the settings that need no image: its weights
+    are sized for 3 image channels, the most an image has."""
+    if width < 2 or cond_dim < 1:
+        raise error("width must be >= 2 and cond_dim >= 1")
+    # The largest weights: conv2/conv3, conv1/conv4 or the key/value projections.
+    check_array_size(width * max(9 * width, 27, cond_dim),
+                     f"a denoiser with width={width} and cond_dim={cond_dim}", error)
+    check_timesteps(timesteps, error)
+
+
 def _check_config(in_channels: int, width: int, cond_dim: int, timesteps: int,
                   error: type[ArtBankError] = ConfigError) -> None:
     if in_channels not in (1, 3):
         raise error("in_channels must be 1 or 3")
-    if width < 2 or cond_dim < 1:
-        raise error("width must be >= 2 and cond_dim >= 1")
-    # The largest weights: conv2/conv3, conv1/conv4 or the key/value projections.
-    check_array_size(width * max(9 * width, 9 * in_channels, cond_dim),
-                     f"a denoiser with width={width} and cond_dim={cond_dim}", error)
-    if not 1 <= timesteps <= MAX_TIMESTEPS:
-        raise error(f"timesteps must lie in [1, {MAX_TIMESTEPS}], got {timesteps}")
+    check_denoiser(width, cond_dim, timesteps, error)
 
 
 def _param_shapes(in_channels: int, width: int,

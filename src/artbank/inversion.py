@@ -84,4 +84,5 @@ def stylize(d, sched: NoiseSchedule, bank: StyleBank, style_id: str,
     eps = (stochastic_invert(d, sched, content, cfg)[0] if use_inversion
            else Tensor(probe_noise(cfg, x0.data.shape)))
     start = q_sample(x0, start_timestep(cfg, sched), eps, sched)
-    return sample(d, sched, entry_condition(entry)[1](), start)
+    # Detached, so the sampler's denoiser calls record no tape.
+    return sample(d, sched, entry_condition(entry)[1]().detach(), start)

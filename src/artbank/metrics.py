@@ -23,7 +23,7 @@ import numpy as np
 
 from . import seeding
 from .attention import ENCODERS
-from .bank import (StyleBankEntry, check_array_size, check_entry_size,
+from .bank import (StyleBankEntry, check_array_size, check_entry_dim,
                    create_entry, entry_condition)
 from .data_io import ImageSample
 from .diffusion import (Denoiser, NoiseSchedule, check_images, check_schedule,
@@ -290,8 +290,8 @@ def convergence_seeds(root_seed: int, n: int) -> list[int]:
     return [seeding.derive_seed(root_seed, f"bench:{i}") for i in range(n)]
 
 
-def check_benchmark(variants: Sequence[str], n_seeds: int,
-                    loss_threshold: float, max_iters: int, lr: float) -> None:
+def check_benchmark(variants: Sequence[str], n_seeds: int, loss_threshold: float,
+                    max_iters: int, lr: float, positions: int) -> None:
     """``convergence_benchmark``'s rule for the settings that need no file."""
     if not variants:
         raise ConfigError("variants must name at least one encoder")
@@ -307,6 +307,7 @@ def check_benchmark(variants: Sequence[str], n_seeds: int,
     for v in variants:
         if v not in ENCODERS:
             raise ConfigError(f"unknown attention variant: {v!r}")
+    check_entry_dim("positions", positions)
     check_array_size(len(variants) * n_seeds * max_iters,
                      f"{n_seeds} seeds' loss traces of up to {max_iters} "
                      f"steps for {len(variants)} variants")
@@ -338,10 +339,10 @@ def convergence_benchmark(d: Denoiser, collection: Sequence[ImageSample],
     censored one, are worked out here, in job order, from the traces the
     workers return, so the reports do not depend on the worker count.
     """
-    check_benchmark(variants, len(seeds), loss_threshold, max_iters, lr)
+    check_benchmark(variants, len(seeds), loss_threshold, max_iters, lr, positions)
     check_images(d, collection)
     check_schedule(d, sched)
-    check_entry_size(d.cond_dim, positions)
+    check_entry_dim("channels", d.cond_dim)
     # Per variant, each seed's (initial loss, training future), in seed order.
     trains: list[list] = [[] for _ in variants]
     reports = []

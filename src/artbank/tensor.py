@@ -10,7 +10,6 @@ reductions needed to form scalar losses. Gradients are accumulated into
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,23 +24,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 EPS = 1e-8  # the variance guard of every sqrt(var + EPS)
 
-# _check_finite confirms value by value any array whose sum overflows, so
-# numpy's overflow warning for that sum is about data that may well pass.
-# Only the reduce call below is attributed to this module.
-warnings.filterwarnings("ignore", message="overflow encountered in reduce",
-                        category=RuntimeWarning, module=r"artbank\.tensor")
-
 
 def _check_finite(data: Array, step: str) -> None:
-    # Summing is a single fast pass; any NaN/Inf poisons the total. Finite
-    # values can sum past the float64 range too, so a total that is not
-    # finite, or whose overflow warning is raised as an error, is confirmed
-    # value by value.
-    try:
-        if math.isfinite(float(np.add.reduce(data, axis=None))):
-            return
-    except (RuntimeWarning, FloatingPointError):
-        pass
     if not np.isfinite(data).all():
         raise NumericError(f"{step}: non-finite values")
 
@@ -129,7 +113,7 @@ def _from_op(data: Array, parents: tuple[Tensor, ...],
              backward: Callable[[Array], None], step: str,
              checked: bool = True) -> Tensor:
     """Record an op's output on the tape. ``checked=False`` skips the
-    finiteness sum: only an op whose output is finite whenever its inputs
+    finiteness check: only an op whose output is finite whenever its inputs
     are may pass it, so that a parameter an update left non-finite is
     still caught by the first checked op that reads it."""
     if checked:

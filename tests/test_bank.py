@@ -21,12 +21,12 @@ from artbank.errors import (BadMagicError, ConfigError, DimensionError,
 from artbank.tensor import Tensor, mean_all
 
 
-def raw_bank(*entries):
+def raw_bank(*entries, artist="artist"):
     """Version-1 bank bytes built by hand, one (style_id, template, c, n,
     fill) tuple per entry, every payload value equal to ``fill``."""
     out = BANK_MAGIC + struct.pack("<HI", 1, len(entries))
     for style_id, template, c, n, fill in entries:
-        for text in (style_id, "artist", template):
+        for text in (style_id, artist, template):
             raw = text.encode("utf-8")
             out += struct.pack("<I", len(raw)) + raw
         out += struct.pack("<II", c, n)
@@ -161,6 +161,11 @@ class TestCreateEntry:
         with pytest.raises(TemplateError):
             create_entry("s", "a", 4, 2, template="no placeholder")
 
+    def test_artist_adding_a_placeholder_rejected(self):
+        with pytest.raises(TemplateError, match=r"^prompt must contain exactly "
+                           r"one '\*' token, found 2: 'a painting by x \* \*'$"):
+            create_entry("s", "x *", 8, 4)
+
     def test_encoding_is_deterministic_function_of_entry(self):
         e = create_entry("s", "Van Gogh", 8, 4, seed=3)
         seq = encode_prompt(e.template, e.artist, 8)
@@ -283,6 +288,15 @@ class TestPersistence:
         path = tmp_path / "tmpl.ispb"
         path.write_bytes(raw_bank(("s", "a painting", 2, 3, 0.0)))
         with pytest.raises(MalformedHeaderError, match="exactly one"):
+            load_bank(path)
+
+    def test_artist_adding_a_placeholder(self, tmp_path):
+        # The template is fine; the prompt it makes holds two placeholders.
+        path = tmp_path / "artist.ispb"
+        path.write_bytes(raw_bank(("s", "by {artist} *", 2, 3, 0.0),
+                                  artist="x *"))
+        with pytest.raises(MalformedHeaderError, match="^prompt must contain "
+                           "exactly one"):
             load_bank(path)
 
     def test_duplicate_id(self, tmp_path):

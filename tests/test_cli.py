@@ -394,6 +394,26 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
                  "strength must lie in (0, 1]: 0.0", id="stylize-strength-0"),
     pytest.param("stylize", ["--out", ""], "stylize requires an output path",
                  id="stylize-no-out"),
+    pytest.param("train-bank", ["--template", "no placeholder"],
+                 "template must contain exactly one '*' token, found 0: "
+                 "'no placeholder'", id="train-bank-template-no-placeholder"),
+    pytest.param("train-bank", ["--artist", "x *"],
+                 "prompt must contain exactly one '*' token, found 2: "
+                 "'a painting by x * *'", id="train-bank-artist-placeholder"),
+    *(pytest.param(command, ["--positions", size], message,
+                   id=f"{command}-positions-{size}")
+      for command in ("train-bank", "bench-attn")
+      for size, message in (
+          ("0", "entry positions must be at least 1, got 0"),
+          ("100000", "an entry with positions=100000 needs a 74.5 GiB array; "
+                     "the limit is 256 MiB per array"))),
+    pytest.param("pretrain", ["--width", "1"],
+                 "width must be >= 2 and cond_dim >= 1", id="pretrain-width-1"),
+    pytest.param("pretrain", ["--channels", "0"],
+                 "width must be >= 2 and cond_dim >= 1", id="pretrain-channels-0"),
+    *(pytest.param("pretrain", ["--timesteps", steps],
+                   f"timesteps must lie in [1, 10000], got {steps}",
+                   id=f"pretrain-timesteps-{steps}") for steps in ("0", "10001")),
 ])
 def test_bad_lr_refused_before_any_file_is_read(dataset, untrained_checkpoint,
                                                 tmp_path, capsys, monkeypatch,
@@ -436,8 +456,9 @@ def test_bad_lr_refused_before_any_file_is_read(dataset, untrained_checkpoint,
     pytest.param("pretrain", ["--width", "200000"], "2682.2", id="pretrain-width"),
     pytest.param("pretrain", ["--width", "8", "--channels", "100000000000"],
                  "5960.5", id="pretrain-channels"),
-    # The noise schedule's 1e15 + 1 values.
-    pytest.param("pretrain", ["--timesteps", "1000000000000000"], "7450580.6",
+    # Over the step-count range, which bounds the schedule's values.
+    pytest.param("pretrain", ["--timesteps", "1000000000000000"],
+                 "timesteps must lie in [1, 10000], got 1000000000000000",
                  id="pretrain-timesteps"),
 ])
 def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
@@ -452,7 +473,9 @@ def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("artbank: error:")
-    assert f"{gib} GiB" in err[0] and "256 MiB per array" in err[0]
+    # ``gib`` is the GiB figure of a budget refusal, or the whole message.
+    assert err[0] == f"artbank: error: {gib}" or (
+        f"{gib} GiB" in err[0] and "256 MiB per array" in err[0])
     assert not out.exists()
 
 

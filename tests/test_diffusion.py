@@ -88,9 +88,14 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             make_schedule(0)
 
+    def test_schedule_over_max_timesteps_refused(self):
+        with pytest.raises(ConfigError, match=r"^timesteps must lie in "
+                           r"\[1, 10000\], got 10001$"):
+            make_schedule(10_001)
+
     def test_schedule_over_array_budget_refused(self):
-        with pytest.raises(ConfigError, match="a schedule of 1000000000000000 "
-                           "timesteps needs a 7450580.6 GiB array"):
+        with pytest.raises(ConfigError, match=r"^timesteps must lie in "
+                           r"\[1, 10000\], got 1000000000000000$"):
             make_schedule(10**15)
 
 

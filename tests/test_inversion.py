@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from artbank import inversion, tensor
 from artbank.attention import ssam_forward
 from artbank.bank import StyleBank, assemble_condition, create_entry, encode_prompt
 from artbank.data_io import gen_content_image
@@ -94,6 +95,31 @@ class TestStylize:
             stylize(d, make_schedule(10), bank, "wide",
                     gen_content_image("photo", 8, seed=0), InversionConfig())
         assert calls == []
+
+    def test_sampler_records_no_tape(self, monkeypatch):
+        # The entry's parameters require gradients, but nothing
+        # backpropagates through a stylization: the sampler's denoiser calls
+        # take the condition detached, so no op output joins a tape.
+        d = Denoiser(3, 8, 12, seed=0, timesteps=10)
+        d.freeze()
+        bank = StyleBank()
+        bank.add(create_entry("s", "s", 12, 4, seed=0))
+        taped = []
+        real_from_op, real_sample = tensor._from_op, inversion.sample
+
+        def spied_from_op(*args, **kwargs):
+            out = real_from_op(*args, **kwargs)
+            taped.append(out.requires_grad)
+            return out
+
+        def spied_sample(*args):
+            monkeypatch.setattr(tensor, "_from_op", spied_from_op)
+            return real_sample(*args)
+
+        monkeypatch.setattr(inversion, "sample", spied_sample)
+        stylize(d, make_schedule(10), bank, "s",
+                gen_content_image("photo", 8, seed=0), InversionConfig())
+        assert taped and not any(taped)
 
     def test_tiny_strength_preserves_content(self, desk):
         content = gen_content_image("shapes", 16, seed=5)

@@ -445,9 +445,9 @@ def test_bad_lr_refused_before_any_job(monkeypatch, lr):
 
 
 @pytest.mark.parametrize("positions, message", [
-    (0, "entry dimensions must be positive"),
-    (100_000, "an entry with channels=12 and positions=100000 needs a 74.5 GiB "
-              "array; the limit is 256 MiB per array"),
+    (0, "entry positions must be at least 1, got 0"),
+    (100_000, "an entry with positions=100000 needs a 74.5 GiB array; the "
+              "limit is 256 MiB per array"),
 ], ids=["0", "100000"])
 def test_bad_positions_refused_before_any_job(monkeypatch, positions, message):
     assert _refused_before_any_job(monkeypatch, ["ssam"],
