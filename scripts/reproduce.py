@@ -8,12 +8,18 @@ mean SSIM and Gram style scores of the stylized contents (criteria 08 and
 """
 
 import argparse
+import os
 import time
 
-import numpy as np
+# One OpenBLAS thread per process, read when numpy loads, so the convergence
+# part gets one worker per core (``metrics.job_workers``); the reports are
+# the same bytes either way. An OPENBLAS_NUM_THREADS already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from artbank import desk
-from artbank.metrics import (format_convergence_table, job_summary,
+import numpy as np  # noqa: E402
+
+from artbank import desk  # noqa: E402
+from artbank.metrics import (format_convergence_table, job_summary,  # noqa: E402
                              write_convergence_csv)
 
 

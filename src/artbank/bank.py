@@ -78,16 +78,16 @@ class StyleBankEntry:
 
 
 def check_prompt(template: str, artist: str,
-                 error: type[ArtBankError] = TemplateError) -> list[str]:
-    """Refuse a template, or the prompt it makes with ``artist`` put in,
-    without exactly one placeholder token; return the prompt's tokens."""
+                 error: type[ArtBankError] = TemplateError) -> str:
+    """The prompt ``template`` makes with ``artist`` put in. Refuse the
+    template, or the prompt, without exactly one placeholder token."""
     prompt = template.replace("{artist}", artist)
     for what, text in (("template", template), ("prompt", prompt)):
         count = text.split().count(PLACEHOLDER)
         if count != 1:
             raise error(f"{what} must contain exactly one '{PLACEHOLDER}' "
                         f"token, found {count}: {text!r}")
-    return prompt.split()
+    return prompt
 
 
 def _token_id(token: str) -> int:
@@ -110,7 +110,7 @@ def _embedding_row(token_id: int, width: int) -> np.ndarray:
 def encode_prompt(template: str, artist: str,
                   width: int = DEFAULT_CHANNELS) -> TokenEmbeddingSeq:
     """Tokenize a prompt template and embed every token deterministically."""
-    tokens = check_prompt(template, artist)
+    tokens = check_prompt(template, artist).split()
     table = np.stack([_embedding_row(_token_id(t), width) for t in tokens])
     return TokenEmbeddingSeq(tokens=tokens, embeddings=table,
                              placeholder_index=tokens.index(PLACEHOLDER))

@@ -141,8 +141,12 @@ def _image_files(root: Path) -> list[Path]:
     return sorted(root.glob("*.ppm")) + sorted(root.glob("*.pgm"))
 
 
-def _load_dir_images(root: Path) -> list[data_io.ImageSample]:
-    return [data_io.read_ppm(p) for p in _image_files(root)]
+def _read_images(root: Path) -> list[data_io.ImageSample]:
+    """The images of one directory; refuses a directory that has none."""
+    files = _image_files(root)
+    if not files:
+        raise ConfigError(f"no .ppm/.pgm images under {root}")
+    return [data_io.read_ppm(p) for p in files]
 
 
 def _load_backbone(cfg: RunConfig) -> tuple[diffusion.Denoiser,
@@ -157,23 +161,22 @@ def _load_backbone(cfg: RunConfig) -> tuple[diffusion.Denoiser,
 def _load_style_images(cfg: RunConfig) -> list[data_io.ImageSample]:
     """The images of the style collection ``<data_root>/<style_id>``."""
     root = Path(_require(cfg.data_root, "dataset root", Path.is_dir))
-    style_dir = _require(str(root / cfg.style_id), "style directory", Path.is_dir)
-    images = _load_dir_images(Path(style_dir))
-    if not images:
-        raise ConfigError(f"no .ppm/.pgm images under {style_dir}")
-    return images
+    return _read_images(Path(_require(str(root / cfg.style_id),
+                                      "style directory", Path.is_dir)))
 
 
 def _load_pool(root: Path) -> tuple[list[data_io.ImageSample], list[str]]:
-    """All images under the dataset root, prompted by their directory name."""
-    images: list[data_io.ImageSample] = []
-    prompts: list[str] = []
-    for sub in sorted(p for p in root.iterdir() if p.is_dir()) or [root]:
-        imgs = _load_dir_images(sub)
-        images.extend(imgs)
-        prompts.extend([bank_mod.DEFAULT_TEMPLATE.replace("{artist}", sub.name)]
-                       * len(imgs))
-    return images, prompts
+    """All images under the dataset root, prompted by their directory name.
+    Each directory's prompt is checked before any image is read; a
+    directory without images is skipped."""
+    listed = {sub: _image_files(sub) for sub in
+              sorted(p for p in root.iterdir() if p.is_dir()) or [root]}
+    prompts = [bank_mod.check_prompt(bank_mod.DEFAULT_TEMPLATE, sub.name)
+               for sub, files in listed.items() for _ in files]
+    if not prompts:
+        raise ConfigError(f"no .ppm/.pgm images under {root}")
+    return ([data_io.read_ppm(p) for files in listed.values() for p in files],
+            prompts)
 
 
 def _record_loss(trace: list[float], path: str) -> str:
@@ -206,8 +209,6 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     if not cfg.checkpoint_path:
         raise ConfigError("pretrain requires a checkpoint output path")
     images, prompts = _load_pool(root)
-    if not images:
-        raise ConfigError(f"no .ppm/.pgm images under {root}")
     sched = diffusion.make_schedule(cfg.timesteps)
     d = diffusion.Denoiser(in_channels=images[0].channels, width=cfg.width,
                            cond_dim=cfg.channels, timesteps=cfg.timesteps,
@@ -307,11 +308,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         _require(cfg.stylized_path, "stylized path", Path.exists))
     signature = None
     if cfg.style_dir:
-        collection = _load_dir_images(Path(_require(cfg.style_dir,
-                                                        "style directory", Path.is_dir)))
-        if not collection:
-            raise ConfigError(f"no images under {cfg.style_dir}")
-        signature = metrics.signature_of(collection)
+        signature = metrics.signature_of(_read_images(Path(_require(
+            cfg.style_dir, "style directory", Path.is_dir))))
     rows = []
     for content_p, stylized_p in pairs:
         content = data_io.read_ppm(content_p)

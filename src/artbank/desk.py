@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bank import DEFAULT_TEMPLATE, StyleBank, StyleBankEntry, create_entry
+from .bank import (DEFAULT_TEMPLATE, StyleBank, StyleBankEntry, check_prompt,
+                   create_entry)
 from .data_io import (CONTENT_KINDS, ImageSample, StyleSpec,
                       default_style_specs, gen_content_image,
                       gen_style_collection)
@@ -63,7 +64,7 @@ def _pool(root_seed: int) -> tuple[list[ImageSample], list[str]]:
         imgs = gen_style_collection(specs[name], POOL_PER_FAMILY, IMAGE_SIZE,
                                     seed=derive_seed(root_seed, f"pool:{name}"))
         pool.extend(imgs)
-        prompts.extend([DEFAULT_TEMPLATE.replace("{artist}", name)] * len(imgs))
+        prompts.extend([check_prompt(DEFAULT_TEMPLATE, name)] * len(imgs))
     for i in range(N_CONTENT_POOL):
         pool.append(gen_content_image(
             CONTENT_KINDS[i % len(CONTENT_KINDS)], IMAGE_SIZE,
@@ -77,7 +78,7 @@ def _pool(root_seed: int) -> tuple[list[ImageSample], list[str]]:
                                     IMAGE_SIZE,
                                     seed=derive_seed(root_seed, "pool-target"))
     pool.extend(exposure)
-    prompts.extend([DEFAULT_TEMPLATE.replace("{artist}", TARGET_STYLE_ID)]
+    prompts.extend([check_prompt(DEFAULT_TEMPLATE, TARGET_STYLE_ID)]
                    * len(exposure))
     return pool, prompts
 

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import artbank.bank as bank_mod
@@ -316,8 +316,12 @@ class TestPersistence:
     @given(
         c=st.integers(1, 6), n=st.integers(1, 6), seed=st.integers(0, 2**31),
         style_id=st.text(min_size=1, max_size=12),
-        artist=st.text(max_size=12),
+        # An artist that adds a second placeholder token is refused by the
+        # prompt rule; a '*' inside a token is not a placeholder.
+        artist=st.text(max_size=12).filter(
+            lambda a: bank_mod.PLACEHOLDER not in a.split()),
     )
+    @example(c=2, n=3, seed=0, style_id="s", artist="a*b")
     def test_random_entries_round_trip(self, tmp_path_factory, c, n, seed,
                                        style_id, artist):
         bank = StyleBank()

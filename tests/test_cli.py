@@ -448,6 +448,48 @@ def test_bad_lr_refused_before_any_file_is_read(dataset, untrained_checkpoint,
     assert not out.exists()
 
 
+def _pool(root, names, per_dir=2):
+    """A pretraining pool under ``root``: one directory per name, each with
+    ``per_dir`` images."""
+    for name in names:
+        sub = root / name
+        sub.mkdir(parents=True)
+        for i, img in enumerate(gen_style_collection(
+                default_style_specs()["checks"], per_dir, 8, seed=1)):
+            write_ppm(img, sub / f"img_{i}.ppm")
+    return root
+
+
+def test_pool_directory_prompt_refused_before_any_file_is_read(
+        tmp_path, capsys, monkeypatch):
+    """A pool directory whose name adds a second placeholder token to its
+    prompt is refused before any image or checkpoint is read."""
+    root = _pool(tmp_path / "data", ["stripes", "x *"])
+    reads = []
+    for module, reader in ((diffusion, "load_checkpoint"),
+                           (bank_mod, "load_bank"), (data_io, "read_ppm")):
+        monkeypatch.setattr(module, reader, lambda *a: reads.append(a))
+    out = tmp_path / "never.abdn"
+    code = run(["pretrain", "--data", str(root), "--checkpoint", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "artbank: error: prompt must contain exactly one '*' token, found 2: "
+        "'a painting by x * *'"]
+    assert reads == []
+    assert not out.exists()
+
+
+def test_pool_skips_an_empty_directory_whatever_its_name(tmp_path, capsys):
+    root = _pool(tmp_path / "data", ["stripes", "checks"])
+    (root / "x *").mkdir()
+    out = tmp_path / "ck.abdn"
+    code = run(["pretrain", "--data", str(root), "--checkpoint", str(out),
+                "--steps", "1", "--width", "8", "--channels", "12",
+                "--timesteps", "20"])
+    assert code == 0 and out.is_file()
+    assert "pretrained 1 steps on 4 images;" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command, size, gib", [
     # The 100000 x 100000 attention map alone would need 74.5 GiB.
     pytest.param("train-bank", ["--positions", "100000"], "74.5", id="train-bank"),
@@ -755,6 +797,19 @@ def test_eval_empty_directories_exit_2(tmp_path, capsys):
                 str(stylized), "--out", str(out)])
     assert code == 2
     assert f"no .ppm/.pgm images under {content}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_empty_style_dir_exits_2(dataset, tmp_path, capsys):
+    style = tmp_path / "style"
+    style.mkdir()
+    content = str(dataset / "content.ppm")
+    out = tmp_path / "e.csv"
+    code = run(["eval", "--content", content, "--stylized", content,
+                "--style-dir", str(style), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"artbank: error: no .ppm/.pgm images under {style}"]
     assert not out.exists()
 
 
