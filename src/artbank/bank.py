@@ -109,7 +109,10 @@ def _embedding_row(token_id: int, width: int) -> np.ndarray:
 
 def encode_prompt(template: str, artist: str,
                   width: int = DEFAULT_CHANNELS) -> TokenEmbeddingSeq:
-    """Tokenize a prompt template and embed every token deterministically."""
+    """Tokenize the prompt ``check_prompt`` builds and embed every token
+    deterministically in ``width`` columns."""
+    if width < 1:
+        raise ConfigError(f"embedding width must be at least 1, got {width}")
     tokens = check_prompt(template, artist).split()
     table = np.stack([_embedding_row(_token_id(t), width) for t in tokens])
     return TokenEmbeddingSeq(tokens=tokens, embeddings=table,

@@ -231,14 +231,15 @@ def cmd_train_bank(cfg: RunConfig) -> int:
         raise ConfigError("train-bank requires --style-id")
     if not cfg.bank_path:
         raise ConfigError("train-bank requires a bank output path")
-    bank_mod.check_prompt(cfg.template, cfg.artist or cfg.style_id)
+    artist = cfg.artist or cfg.style_id
+    bank_mod.check_prompt(cfg.template, artist)
     bank_mod.check_entry_dim("positions", cfg.positions)
     d, sched = _load_backbone(cfg)
     images = _load_style_images(cfg)
     bank = (bank_mod.load_bank(cfg.bank_path)
             if Path(cfg.bank_path).is_file() else bank_mod.StyleBank())
     entry = bank_mod.create_entry(
-        cfg.style_id, cfg.artist or cfg.style_id, d.cond_dim, cfg.positions,
+        cfg.style_id, artist, d.cond_dim, cfg.positions,
         seed=derive_seed(cfg.seed, f"entry:{cfg.style_id}"), template=cfg.template)
     bank.add(entry)  # refuses a duplicate id before any training step
     t0 = time.perf_counter()

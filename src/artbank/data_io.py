@@ -171,11 +171,20 @@ _RENDERERS = {
 }
 
 
+def _check_size(size: int) -> None:
+    """Refuse a generated image's side below 1, or one whose pixel plane is
+    over the array budget, before any array is made."""
+    if size < 1:
+        raise ConfigError(f"image size must be at least 1, got {size}")
+    check_array_size(size ** 2, f"a {size}x{size} image")
+
+
 def gen_style_collection(spec: StyleSpec, count: int, size: int,
                          seed: int) -> list[ImageSample]:
     """Render ``count`` images sharing one family's statistics."""
     if count < 1:
         raise ConfigError("count must be at least 1")
+    _check_size(size)
     rng = seeding.rng(seed)
     render = _RENDERERS[spec.family]
     images = []
@@ -239,6 +248,7 @@ def gen_content_image(kind: str, size: int, seed: int,
         raise ConfigError(f"unknown content kind: {kind!r}")
     if channels not in (1, 3):
         raise DimensionError("content images must have 1 or 3 channels")
+    _check_size(size)
     rng = seeding.rng(seed)
     render = {"gradient": _render_gradient, "shapes": _render_shapes,
               "photo": _render_photo}[kind]

@@ -205,10 +205,10 @@ class Denoiser:
         queries to the condition's rows, then conv3, GELU and conv4."""
         feats = trunk.feats
         if cond is not None:
-            if cond.data.shape[1] != self.cond_dim:
+            if cond.data.ndim != 2 or cond.data.shape[1] != self.cond_dim:
                 raise DimensionError(
-                    f"condition width {cond.data.shape[1]} does not match "
-                    f"cond_dim={self.cond_dim}")
+                    f"condition of shape {cond.data.shape} is not (rows, "
+                    f"cond_dim={self.cond_dim})")
             cond_t = transpose(cond)
             keys = matmul(self.attn_wk.value, cond_t)
             values = matmul(self.attn_wv.value, cond_t)
@@ -384,8 +384,8 @@ def train_naive(d: Denoiser, images: Sequence[ImageSample],
                           f"{len(prompts)} prompts for {len(images)} images")
     if d.frozen:
         raise ContractError("cannot run naive training on a frozen denoiser")
-    conds = {p: assemble_condition(encode_prompt(p, "", d.cond_dim), None)
-             for p in dict.fromkeys(prompts)}
+    conds = {p: assemble_condition(encode_prompt(p, "{artist}", d.cond_dim), None)
+             for p in dict.fromkeys(prompts)}  # p is built: "{artist}" is literal
     return _train(d, images, sched, steps, seed, lr, d.parameters(),
                   _uniform_draws, lambda idx: conds[prompts[idx]])
 

@@ -123,6 +123,9 @@ def signature_of(collection: Sequence[ImageSample]) -> np.ndarray:
 
 
 def gram_style_score(img: ImageSample, signature: np.ndarray) -> StyleScore:
+    if np.shape(signature) != (GRAM_CHANNELS ** 2,):
+        raise DimensionError(f"a Gram signature holds {GRAM_CHANNELS ** 2} "
+                             f"values, got shape {np.shape(signature)}")
     vec = _gram_vector(img)
     norm = float(np.linalg.norm(vec)) * float(np.linalg.norm(signature))
     if norm == 0.0:

@@ -61,6 +61,10 @@ class TestEncodePrompt:
         with pytest.raises(TemplateError):
             encode_prompt("two * stars *", "x")
 
+    def test_width_below_1_refused(self):
+        with pytest.raises(ConfigError, match="width must be at least 1, got 0"):
+            encode_prompt("a *", "", 0)
+
     def test_cached_rows_equal_uncached(self, monkeypatch):
         prompts = [("a painting by {artist} *", "Monet", 16),
                    ("a painting by {artist} *", "Monet", 8),

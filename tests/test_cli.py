@@ -490,6 +490,19 @@ def test_pool_skips_an_empty_directory_whatever_its_name(tmp_path, capsys):
     assert "pretrained 1 steps on 4 images;" in capsys.readouterr().out
 
 
+def test_pool_directory_trains_under_its_own_name(tmp_path):
+    """A directory named ``Mo{artist}net`` is not pretrained on as ``Monet``."""
+    def checkpoint(name):
+        root = _pool(tmp_path / name / "data", [name])
+        out = tmp_path / name / "ck.abdn"
+        assert run(["pretrain", "--data", str(root), "--checkpoint", str(out),
+                    "--steps", "3", "--width", "8", "--channels", "12",
+                    "--timesteps", "20"]) == 0
+        return out.read_bytes()
+
+    assert checkpoint("Mo{artist}net") != checkpoint("Monet")
+
+
 @pytest.mark.parametrize("command, size, gib", [
     # The 100000 x 100000 attention map alone would need 74.5 GiB.
     pytest.param("train-bank", ["--positions", "100000"], "74.5", id="train-bank"),

@@ -66,6 +66,21 @@ class TestGenerators:
         with pytest.raises(ConfigError):
             gen_style_collection(default_style_specs()["blobs"], 0, 16, 0)
 
+    @pytest.mark.parametrize("generate, message", [
+        (lambda: gen_style_collection(default_style_specs()["blobs"], 2, -3, 0),
+         "image size must be at least 1, got -3"),
+        (lambda: gen_style_collection(default_style_specs()["blobs"], 2, 0, 0),
+         "image size must be at least 1, got 0"),
+        (lambda: gen_content_image("shapes", 0, 0),
+         "image size must be at least 1, got 0"),
+        # 10**12 float64 values a plane, refused before any is allocated.
+        (lambda: gen_content_image("shapes", 10**6, 0),
+         "a 1000000x1000000 image needs a 7450.6 GiB array"),
+    ], ids=["style-negative", "style-zero", "content-zero", "content-huge"])
+    def test_size_refused(self, generate, message):
+        with pytest.raises(ConfigError, match=message):
+            generate()
+
     def test_gradient_monotone_along_x(self):
         img = gen_content_image("gradient", 32, seed=2)
         diffs = np.diff(img.pixels, axis=1)

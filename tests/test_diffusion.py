@@ -197,6 +197,13 @@ class TestDenoiser:
         out = d.predict_noise(state, empty)
         assert out.data.shape == (3, 4, 4)
 
+    @pytest.mark.parametrize("shape", [(8,), (2, 8, 1)])
+    def test_condition_not_2d_refused(self, shape):
+        d = Denoiser(3, 8, 8, seed=2, timesteps=10)
+        state = LatentState(Tensor(np.ones((3, 4, 4))), 3)
+        with pytest.raises(DimensionError, match=r"is not \(rows, cond_dim=8\)"):
+            sample(d, make_schedule(10), Tensor(np.ones(shape)), state)
+
     def test_gradient_into_style_row(self):
         rng = np.random.default_rng(7)
         d = Denoiser(1, 6, 5, seed=4)
@@ -267,6 +274,18 @@ class TestTrainNaive:
                         5, seed=0)
         assert steps == []
         assert checkpoint_bytes(d) == before
+
+    def test_built_prompt_trains_under_its_own_tokens(self):
+        # A pool directory named "Mo{artist}net" builds this prompt; it must
+        # not train as the prompt of a directory named "Monet".
+        imgs = [gen_content_image("photo", 8, seed=4)]
+
+        def trace(prompt):
+            d = Denoiser(3, 8, 16, seed=9, timesteps=20)
+            return train_naive(d, imgs, [prompt], make_schedule(20), 3, seed=11)
+
+        assert trace("a painting by Mo{artist}net *") != \
+            trace("a painting by Monet *")
 
     def test_deterministic_given_seed(self):
         imgs = [gen_content_image("photo", 8, seed=4),

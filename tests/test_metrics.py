@@ -89,6 +89,12 @@ class TestGramScores:
         with pytest.raises(DimensionError, match="at least 5x5"):
             gram_style_score(img, np.ones(metrics.GRAM_CHANNELS ** 2))
 
+    def test_signature_of_wrong_length_refused(self):
+        img = gen_content_image("shapes", 8, seed=1)
+        with pytest.raises(DimensionError,
+                           match=r"holds 256 values, got shape \(5,\)"):
+            gram_style_score(img, np.ones(5))
+
     def test_5x5_scores(self):
         img = gen_content_image("shapes", 5, seed=1)
         sig = signature_of([img])
