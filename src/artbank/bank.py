@@ -13,7 +13,6 @@ the columns of an encoded style matrix, or dropped when there is none.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -90,18 +89,11 @@ def check_prompt(template: str, artist: str,
     return prompt
 
 
-def _token_id(token: str) -> int:
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
 @functools.lru_cache(maxsize=1024)
 def _embedding_row(token_id: int, width: int) -> np.ndarray:
     """The token's frozen embedding row, read-only: callers share it."""
-    mixed = hashlib.sha256(
-        VOCAB_SEED.to_bytes(8, "little", signed=False)
-        + token_id.to_bytes(8, "little", signed=False)).digest()
-    rng = seeding.rng(int.from_bytes(mixed[:8], "little"))
+    rng = seeding.rng(seeding.hash_seed(VOCAB_SEED.to_bytes(8, "little")
+                                        + token_id.to_bytes(8, "little")))
     row = rng.uniform(-1.0, 1.0, size=width) / np.sqrt(width)
     row.flags.writeable = False
     return row
@@ -114,7 +106,9 @@ def encode_prompt(template: str, artist: str,
     if width < 1:
         raise ConfigError(f"embedding width must be at least 1, got {width}")
     tokens = check_prompt(template, artist).split()
-    table = np.stack([_embedding_row(_token_id(t), width) for t in tokens])
+    check_array_size(len(tokens) * width, f"a {len(tokens)}x{width} prompt table")
+    table = np.stack([_embedding_row(seeding.hash_seed(t.encode("utf-8")), width)
+                      for t in tokens])
     return TokenEmbeddingSeq(tokens=tokens, embeddings=table,
                              placeholder_index=tokens.index(PLACEHOLDER))
 

@@ -171,12 +171,13 @@ _RENDERERS = {
 }
 
 
-def _check_size(size: int) -> None:
-    """Refuse a generated image's side below 1, or one whose pixel plane is
-    over the array budget, before any array is made."""
+def _check_size(size: int, channels: int) -> None:
+    """Refuse a generated image's side below 1, or one whose pixels, counted
+    over every channel as ``read_ppm`` counts them, are over the array
+    budget, before any array is made."""
     if size < 1:
         raise ConfigError(f"image size must be at least 1, got {size}")
-    check_array_size(size ** 2, f"a {size}x{size} image")
+    check_array_size(channels * size ** 2, f"a {size}x{size} image")
 
 
 def gen_style_collection(spec: StyleSpec, count: int, size: int,
@@ -184,7 +185,7 @@ def gen_style_collection(spec: StyleSpec, count: int, size: int,
     """Render ``count`` images sharing one family's statistics."""
     if count < 1:
         raise ConfigError("count must be at least 1")
-    _check_size(size)
+    _check_size(size, 3)
     rng = seeding.rng(seed)
     render = _RENDERERS[spec.family]
     images = []
@@ -248,7 +249,7 @@ def gen_content_image(kind: str, size: int, seed: int,
         raise ConfigError(f"unknown content kind: {kind!r}")
     if channels not in (1, 3):
         raise DimensionError("content images must have 1 or 3 channels")
-    _check_size(size)
+    _check_size(size, channels)
     rng = seeding.rng(seed)
     render = {"gradient": _render_gradient, "shapes": _render_shapes,
               "photo": _render_photo}[kind]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import math
 import os
 import re
@@ -74,27 +73,19 @@ def ssim(a: ImageSample, b: ImageSample) -> float:
     return float(np.mean(np.stack(values)))
 
 
-@functools.cache
-def _gram_convs() -> tuple[Tensor, Tensor]:
-    """The feature bank: two frozen random 3x3 conv layers drawn from
-    ``GRAM_BANK_SEED``, (GRAM_CHANNELS, 3, 3, 3) then
-    (GRAM_CHANNELS, GRAM_CHANNELS, 3, 3)."""
-    rng = seeding.rng(GRAM_BANK_SEED)
-    conv1 = rng.normal(0.0, 1.0 / math.sqrt(3 * 9),
-                       size=(GRAM_CHANNELS, 3, 3, 3))
-    conv2 = rng.normal(0.0, 1.0 / math.sqrt(GRAM_CHANNELS * 9),
-                       size=(GRAM_CHANNELS, GRAM_CHANNELS, 3, 3))
-    return Tensor(conv1), Tensor(conv2)
-
-
 def _gram_vector(img: ImageSample) -> np.ndarray:
-    """Vectorized Gram matrix of the feature bank's rectified responses.
-    Two valid 3x3 convolutions leave no feature position below 5x5."""
+    """Vectorized Gram matrix of the rectified responses of the feature bank,
+    two random 3x3 conv layers drawn from ``GRAM_BANK_SEED``. Their two
+    valid convolutions leave no feature position below 5x5."""
     if min(img.height, img.width) < 5:
         raise DimensionError(
             f"Gram features need an image of at least 5x5 pixels, got "
             f"{img.width}x{img.height}")
-    conv1, conv2 = _gram_convs()
+    rng = seeding.rng(GRAM_BANK_SEED)
+    conv1 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(3 * 9),
+                              size=(GRAM_CHANNELS, 3, 3, 3)))
+    conv2 = Tensor(rng.normal(0.0, 1.0 / math.sqrt(GRAM_CHANNELS * 9),
+                              size=(GRAM_CHANNELS, GRAM_CHANNELS, 3, 3)))
     x = img.to_tensor()
     if img.channels == 1:
         x = Tensor(np.repeat(x.data, 3, axis=0))

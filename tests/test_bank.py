@@ -65,6 +65,19 @@ class TestEncodePrompt:
         with pytest.raises(ConfigError, match="width must be at least 1, got 0"):
             encode_prompt("a *", "", 0)
 
+    def test_table_over_array_budget_refused_before_any_row(self, monkeypatch):
+        # 2 tokens x 512 float64 columns take 8,192 bytes; x 256, 4,096.
+        monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 4096)
+        assert encode_prompt("a *", "", 256).embeddings.shape == (2, 256)
+
+        def no_row(*args):
+            raise AssertionError("drew a row")
+
+        monkeypatch.setattr(bank_mod, "_embedding_row", no_row)
+        with pytest.raises(ConfigError, match="a 2x512 prompt table needs a "
+                                              "0.0 GiB array"):
+            encode_prompt("a *", "", 512)
+
     def test_cached_rows_equal_uncached(self, monkeypatch):
         prompts = [("a painting by {artist} *", "Monet", 16),
                    ("a painting by {artist} *", "Monet", 8),

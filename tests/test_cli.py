@@ -605,12 +605,12 @@ def test_trainer_summary_ends_with_wall_time_and_rate(dataset, untrained_checkpo
 ])
 def test_oversized_content_image_exits_2(untrained_checkpoint, tmp_path, capsys,
                                          monkeypatch, budget, what):
+    content = tmp_path / "big.ppm"
+    write_ppm(gen_content_image("photo", 16, seed=1), content)
     monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", budget)
     bank = StyleBank()
     bank.add(create_entry("checks", "checks", 12, 4, seed=0))
     save_bank(bank, tmp_path / "b.ispb")
-    content = tmp_path / "big.ppm"
-    write_ppm(gen_content_image("photo", 16, seed=1), content)
     out = tmp_path / "never.ppm"
     code = run(["stylize", "--checkpoint", str(untrained_checkpoint), "--bank",
                 str(tmp_path / "b.ispb"), "--style-id", "checks", "--content",

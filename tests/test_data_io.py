@@ -75,11 +75,24 @@ class TestGenerators:
          "image size must be at least 1, got 0"),
         # 10**12 float64 values a plane, refused before any is allocated.
         (lambda: gen_content_image("shapes", 10**6, 0),
-         "a 1000000x1000000 image needs a 7450.6 GiB array"),
+         "a 1000000x1000000 image needs a 22351.7 GiB array"),
     ], ids=["style-negative", "style-zero", "content-zero", "content-huge"])
     def test_size_refused(self, generate, message):
         with pytest.raises(ConfigError, match=message):
             generate()
+
+    @pytest.mark.parametrize("generate", [
+        lambda: gen_style_collection(default_style_specs()["blobs"], 1, 16, 0),
+        lambda: gen_content_image("photo", 16, 1),
+    ], ids=["style", "content"])
+    def test_every_channel_counted(self, monkeypatch, generate):
+        # 16 x 16 x 3 float64 pixels take 6,144 bytes, as read_ppm counts
+        # them; one gray plane takes 2,048.
+        monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 4096)
+        with pytest.raises(ConfigError, match="a 16x16 image needs a 0.0 GiB "
+                                              "array"):
+            generate()
+        assert gen_content_image("photo", 16, 1, channels=1).channels == 1
 
     def test_gradient_monotone_along_x(self):
         img = gen_content_image("gradient", 32, seed=2)
@@ -193,9 +206,9 @@ class TestPpmIo:
     def test_image_over_array_budget_refused(self, tmp_path, monkeypatch,
                                              channels, refused):
         # 16 x 16 x 3 float64 pixels take 6,144 bytes, 16 x 16 x 1 take 2,048.
-        monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 4096)
         path = tmp_path / "big.ppm"
         write_ppm(gen_content_image("photo", 16, seed=1, channels=channels), path)
+        monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 4096)
         if not refused:
             assert read_ppm(path).height == 16
             return
