@@ -24,7 +24,7 @@ from .errors import (ArtBankError, ConfigError, ContractError,
                      DimensionError, MalformedHeaderError)
 from .optim import AdamState, adam_step, check_lr, zero_grads
 from .tensor import (Parameter, Tensor, conv2d, gelu, matmul, mean_all,
-                     reshape, softmax_rows, transpose)
+                     reshape, softmax_cols, transpose)
 
 CHECKPOINT_MAGIC = b"ABDN"
 CHECKPOINT_VERSION = 2
@@ -115,10 +115,11 @@ def _param_shapes(in_channels: int, width: int,
 
 class Trunk(NamedTuple):
     """``Denoiser.trunk``'s output for one latent: its (width, H*W) features
-    after conv2, their transposed queries (H*W, width) and its (H, W)."""
+    after conv2, their (width, H*W) queries, one column per position, and
+    its (H, W)."""
 
     feats: Tensor
-    queries_t: Tensor
+    queries: Tensor
     size: tuple[int, int]
 
 
@@ -186,7 +187,8 @@ class Denoiser:
 
     def trunk(self, state: LatentState) -> Trunk:
         """The part of ``predict_noise`` that does not read the condition:
-        conv1 plus the time features, conv2, both GELUs and the queries."""
+        conv1 plus the time features, conv2, both GELUs and the queries
+        ``attn_wq @ feats``, one column per position."""
         z = state.z
         if z.data.ndim != 3 or z.data.shape[0] != self.in_channels:
             raise DimensionError(
@@ -197,12 +199,13 @@ class Denoiser:
                  + self._time_features(state.t))
         x = gelu(conv2d(x, self.conv2_w.value, self.conv2_b.value))
         feats = reshape(x, (self.width, h * w_img))
-        queries = matmul(self.attn_wq.value, feats)
-        return Trunk(feats, transpose(queries), (h, w_img))
+        return Trunk(feats, matmul(self.attn_wq.value, feats), (h, w_img))
 
     def head(self, trunk: Trunk, cond: Tensor | None) -> Tensor:
         """The rest of ``predict_noise``: cross-attention from the trunk's
-        queries to the condition's rows, then conv3, GELU and conv4."""
+        queries to the condition's rows, then conv3, GELU and conv4. The
+        (L, H*W) map is key-major: the scaled keys times the queries, each
+        position's column normalized by ``softmax_cols``; values @ map attend."""
         feats = trunk.feats
         if cond is not None:
             if cond.data.ndim != 2 or cond.data.shape[1] != self.cond_dim:
@@ -210,12 +213,10 @@ class Denoiser:
                     f"condition of shape {cond.data.shape} is not (rows, "
                     f"cond_dim={self.cond_dim})")
             cond_t = transpose(cond)
-            keys = matmul(self.attn_wk.value, cond_t)
+            keys = transpose(matmul(self.attn_wk.value, cond_t)) * self._attn_scale
             values = matmul(self.attn_wv.value, cond_t)
-            scores = matmul(trunk.queries_t, keys) * self._attn_scale
-            attn = softmax_rows(scores)
-            attended = matmul(values, transpose(attn))
-            feats = feats + matmul(self.attn_wo.value, attended)
+            attn = softmax_cols(matmul(keys, trunk.queries))
+            feats = feats + matmul(self.attn_wo.value, matmul(values, attn))
         x = reshape(feats, (self.width, *trunk.size))
         x = gelu(conv2d(x, self.conv3_w.value, self.conv3_b.value))
         return conv2d(x, self.conv4_w.value, self.conv4_b.value)

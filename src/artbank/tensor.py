@@ -2,9 +2,9 @@
 
 Every operation used by the attention encoders and the denoiser lives here:
 elementwise arithmetic with numpy-style broadcasting, 2-d matrix product,
-row softmax, channel (per-row) normalization, 3x3 convolution, GELU, and the
-reductions needed to form scalar losses. Gradients are accumulated into
-``.grad`` buffers by ``Tensor.backward()`` on a scalar output.
+row and column softmax, channel (per-row) normalization, 2-d convolution,
+GELU, and the reductions needed to form scalar losses. Gradients are
+accumulated into ``.grad`` buffers by ``Tensor.backward()`` on a scalar output.
 """
 
 from __future__ import annotations
@@ -152,8 +152,18 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
+def _elementwise(op: np.ufunc, a: Tensor, b: Tensor, step: str) -> Array:
+    """``op`` on the operands' values, broadcast numpy's way; shapes that do
+    not broadcast are a ``DimensionError`` naming both."""
+    try:
+        return op(a.data, b.data)
+    except ValueError:
+        raise DimensionError(f"{step}: shapes {a.data.shape} and {b.data.shape} "
+                             "do not broadcast") from None
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    data = _elementwise(np.add, a, b, "add")
 
     def backward(g: Array) -> None:
         if a.requires_grad:
@@ -165,7 +175,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
+    data = _elementwise(np.subtract, a, b, "sub")
 
     def backward(g: Array) -> None:
         if a.requires_grad:
@@ -177,7 +187,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
+    data = _elementwise(np.multiply, a, b, "mul")
 
     def backward(g: Array) -> None:
         if a.requires_grad:
@@ -247,23 +257,36 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _from_op(data, tuple(parts), backward, "concat_rows", checked=False)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for stability."""
+def _softmax(a: Tensor, axis: int, step: str) -> Tensor:
+    """Softmax along ``axis`` of a 2-d tensor, each line shifted by its max."""
     if a.data.ndim != 2:
-        raise DimensionError("softmax_rows requires a 2-d tensor")
+        raise DimensionError(f"{step} requires a 2-d tensor")
+    if a.data.shape[axis] == 0:
+        raise DimensionError(f"{step} of a {a.data.shape} tensor: the softmax "
+                             "axis is empty")
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = a.data - a.data.max(axis=1, keepdims=True)
+        shifted = a.data - a.data.max(axis=axis, keepdims=True)
         shifted = np.maximum(shifted, -745.0)  # exp underflows to 0 below this
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g: Array) -> None:
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=axis, keepdims=True)
         _accum(a, y * (g - dot))
 
     # Unchecked: every value lies in [0, 1]. The shift and the clamp keep exp
-    # finite, and each row sums to at least the exp(0) = 1 of its maximum.
-    return _from_op(y, (a,), backward, "softmax_rows", checked=False)
+    # finite, and each line sums to at least the exp(0) = 1 of its maximum.
+    return _from_op(y, (a,), backward, step, checked=False)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise softmax with per-row max subtraction for stability."""
+    return _softmax(a, 1, "softmax_rows")
+
+
+def softmax_cols(a: Tensor) -> Tensor:
+    """Column-wise softmax: ``softmax_rows`` of the transpose, transposed."""
+    return _softmax(a, 0, "softmax_cols")
 
 
 def channel_norm(a: Tensor) -> Tensor:
@@ -349,16 +372,22 @@ def mean_all(a: Tensor) -> Tensor:
     return _from_op(data, (a,), backward, "mean_all")
 
 
-def im2col(x: Array, kh: int, kw: int, pad: int) -> tuple[Array, tuple[int, int]]:
+def im2col(x: Array, kh: int, kw: int,
+           pad: int | tuple[int, int]) -> tuple[Array, tuple[int, int]]:
     """Unfold a (C, H, W) array into (C*kh*kw, out_h*out_w) patch columns.
 
+    ``pad`` is one margin for both spatial axes or a (rows, columns) pair;
+    a negative margin crops that many values from each end of its axis.
     The columns are always a fresh array of their own, never a view of ``x``.
     """
+    ph, pw = (pad, pad) if isinstance(pad, int) else pad
     c, h, w = x.shape
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, pad:pad + h, pad:pad + w] = x
-    out_h = h + 2 * pad - kh + 1
-    out_w = w + 2 * pad - kw + 1
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=np.float64)
+    top, left, cut_h, cut_w = max(ph, 0), max(pw, 0), max(-ph, 0), max(-pw, 0)
+    xp[:, top:top + h - 2 * cut_h, left:left + w - 2 * cut_w] = \
+        x[:, cut_h:h - cut_h, cut_w:w - cut_w]
+    out_h = h + 2 * ph - kh + 1
+    out_w = w + 2 * pw - kw + 1
     sc, sh, sw = xp.strides
     shape = (c, kh, kw, out_h, out_w)
     windows = np.ndarray(shape, np.float64, xp, 0, (sc, sh, sw, sh, sw))
@@ -367,52 +396,11 @@ def im2col(x: Array, kh: int, kw: int, pad: int) -> tuple[Array, tuple[int, int]
     return cols.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)
 
 
-def col2im(dcols: Array, shape: tuple[int, int, int], kh: int, kw: int,
-           pad: int) -> Array:
-    """Sum (C*kh*kw, out_h*out_w) patch-column gradients back onto the
-    (C, H, W) input: the adjoint of ``im2col``. ``dcols`` must be a fresh
-    array, since its taps may be overwritten.
-
-    Each tap is one flat add of C contiguous rows into a 1-D buffer, shifted
-    by dy * grid width + dx, taps in im2col's order, so every input value
-    sums its terms in the order one strided add per tap would. What a shift
-    moves off the grid rows is +0.0 when it is added, and because the buffer
-    starts at +0.0 no sum is ever -0.0, so adding +0.0 changes no bit.
-    """
-    c, h, w = shape
-    oh, ow = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    taps = dcols.reshape(c, kh, kw, oh, ow)
-    same = oh == h and ow == w
-    if same:
-        # Same padding: tap (dy, dx) lies on the input grid shifted by
-        # (dy - pad, dx - pad). Zero in place what it shifts into the padding.
-        for d in range(pad):
-            taps[:, d, :, :pad - d] = 0.0
-            taps[:, kh - 1 - d, :, max(h - pad + d, 0):] = 0.0
-            taps[:, :, d, :, :pad - d] = 0.0
-            taps[:, :, kw - 1 - d, :, max(w - pad + d, 0):] = 0.0
-        gh, gw = h, w
-    else:
-        # Copy the taps onto the padded grid, where no shift leaves a row.
-        gh, gw = h + 2 * pad, w + 2 * pad
-        grid = np.zeros((c, kh, kw, gh, gw), dtype=np.float64)
-        grid[..., :oh, :ow] = taps
-        taps = grid
-    n = gh * gw
-    buf = np.zeros(c * n + (kh - 1) * gw + kw - 1, dtype=np.float64)
-    for dy in range(kh):
-        for dx in range(kw):
-            o = dy * gw + dx
-            part = buf[o:o + c * n].reshape(c, n)
-            part += taps[:, dy, dx].reshape(c, n)
-    if same:
-        o = pad * w + pad
-        return buf[o:o + c * n].reshape(c, h, w)
-    return buf[:c * n].reshape(c, gh, gw)[:, pad:pad + h, pad:pad + w]
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
-    """2-d convolution of a (C_in, H, W) map with (C_out, C_in, kh, kw) kernels."""
+    """2-d convolution of a (C_in, H, W) map, zero-padded by ``pad``, with
+    (C_out, C_in, kh, kw) kernels. The input gradient is one gather GEMM:
+    the flipped, channel-swapped kernels times the patch columns of the
+    output gradient padded by (kh - 1 - pad, kw - 1 - pad)."""
     if x.data.ndim != 3 or w.data.ndim != 4:
         raise DimensionError("conv2d expects (C,H,W) input and (O,C,kh,kw) kernels")
     cin, h, ww = x.data.shape
@@ -421,12 +409,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
         raise DimensionError(f"conv2d channel mismatch: {cin} vs {cin_w}")
     if b.data.shape != (cout,):
         raise DimensionError("conv2d bias must have one entry per output channel")
+    if min(kh, kw, h, ww) < 1 or pad < 0:
+        raise DimensionError(
+            f"conv2d needs a kernel and an input of at least 1x1 and a pad of at "
+            f"least 0, got a {kh}x{kw} kernel, a {h}x{ww} input and pad {pad}")
     if kh > h + 2 * pad or kw > ww + 2 * pad:
         raise DimensionError(
             f"conv2d kernel {kh}x{kw} exceeds the {h}x{ww} input padded by {pad}")
     cols, (oh, ow) = im2col(x.data, kh, kw, pad)
-    w_mat = w.data.reshape(cout, cin * kh * kw)
-    data = w_mat @ cols
+    data = w.data.reshape(cout, cin * kh * kw) @ cols
     data += b.data[:, None]
     data = data.reshape(cout, oh, ow)
 
@@ -437,7 +428,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
         if b.requires_grad:
             _accum(b, g_mat.sum(axis=1))
         if x.requires_grad:
-            _accum(x, col2im(w_mat.T @ g_mat, x.data.shape, kh, kw, pad))
+            w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            g_cols = im2col(g, kh, kw, (kh - 1 - pad, kw - 1 - pad))[0]
+            # Contiguous: a reversed view would skip BLAS and sum in another order.
+            w_mat = np.ascontiguousarray(w_flip).reshape(cin, cout * kh * kw)
+            _accum(x, (w_mat @ g_cols).reshape(cin, h, ww))
 
     return _from_op(data, (x, w, b), backward, "conv2d")
 

@@ -122,6 +122,27 @@ def im2col_ref(x: np.ndarray, kh: int, kw: int, pad: int):
     return cols.reshape(c * kh * kw, out_h * out_w), (out_h, out_w)
 
 
+def pad_or_crop(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """A (C, H, W) array zero-padded by ``ph`` rows and ``pw`` columns on
+    each side (``np.pad``), a negative margin cropping that many instead."""
+    x = np.pad(x, ((0, 0), (max(ph, 0), max(ph, 0)), (max(pw, 0), max(pw, 0))))
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    return x[:, ch:x.shape[1] - ch, cw:x.shape[2] - cw]
+
+
+def conv_input_grad_ref(w: np.ndarray, g: np.ndarray, pad: int) -> np.ndarray:
+    """The input gradient of a pad-``pad`` convolution with (C_out, C_in,
+    kh, kw) kernels ``w`` at the output gradient ``g``, in gather form: ``g``
+    padded or cropped by (kh - 1 - pad, kw - 1 - pad), its patch columns,
+    and the kernels flipped in both spatial axes with their channel axes
+    swapped, times those columns."""
+    cout, cin, kh, kw = w.shape
+    cols, (h, w_in) = im2col_ref(pad_or_crop(g, kh - 1 - pad, kw - 1 - pad),
+                                 kh, kw, 0)
+    flipped = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return (flipped.reshape(cin, cout * kh * kw) @ cols).reshape(cin, h, w_in)
+
+
 def col2im_ref(dcols: np.ndarray, shape, kh: int, kw: int, pad: int):
     """Column gradients summed onto the input by one strided add per kernel
     offset into a zero-padded grid, whose border is then dropped."""

@@ -1039,9 +1039,9 @@ class TestPipeline:
                    for name, path in files.items()}
         assert digests == {
             "backbone.abdn":
-                "434c81cd6915a3a5208cb39e0277d0a1f94b550c90c08490cd08615131719a9d",
+                "690bfe09959f60967ce18012c6fcba3574cf7d204c75e1b3e6d71ac07143fde9",
             "styles.ispb":
-                "9d4b4401ab1d122cc0d747aef5d7d85c03afbca13aa715bd5c7c35980fc16fc7",
+                "006630e6cdc1619e64842f3c8385efb846648a23d3d51fb89a21c0a61085d4ed",
             "styled.ppm":
                 "b6ba660ba495f1b07efa3d0200e081fbd6927c51e11f646cf81154c5bcca6602",
             "pretrain.csv":

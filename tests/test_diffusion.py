@@ -530,10 +530,10 @@ class TestAdaattnBytes:
 
     @pytest.mark.parametrize("variants, digest", [
         (["adaattn"],
-         "bb8aedf963598182e8ef265de70ec36a6a387f7678f776642b4563acd1828d6d"),
+         "f573cef2c418aaa5613c9952302fc720e73dfbad601bf77859ad604c27794c84"),
         (["ssam", "adaattn"],
-         "9c55d8c0f291ab4f701a2f6a5fcca72dfbaf2db410ecc011bd4bb8cca645b258"),
-    ])
+         "ead1e5e9abb2b0f38ce5e86c65659d7056e673a524ae84cc81a635770f7c55c1"),
+    ], ids=["adaattn", "ssam-then-adaattn"])
     def test_trace_and_bank_bytes_pinned(self, variants, digest):
         images = gen_style_collection(default_style_specs()["waves"], 3, 8, seed=2)
         sched = make_schedule(10)

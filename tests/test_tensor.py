@@ -7,21 +7,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import artbank
-from artbank.errors import (ContractError, DimensionError, MissingGradError,
-                            NumericError)
+from artbank.errors import (ArtBankError, ContractError, DimensionError,
+                            MissingGradError, NumericError)
 from artbank.optim import AdamState, adam_step, zero_grads
 from artbank.tensor import (Parameter, Tensor, add, channel_norm, clamp_min,
                             concat_rows, conv2d, gelu, im2col, matmul,
-                            mean_all, mul, reshape, softmax_rows, sqrt, sub,
-                            sum_all, transpose)
+                            mean_all, mul, reshape, softmax_cols, softmax_rows,
+                            sqrt, sub, sum_all, transpose)
 
-from oracles import (adam_step_ref, channel_norm_ref, col2im_ref, grad_check,
-                     im2col_ref, matmul_loops, softmax_rows_ref)
+from oracles import (adam_step_ref, channel_norm_ref, col2im_ref,
+                     conv_input_grad_ref, grad_check, im2col_ref, matmul_loops,
+                     pad_or_crop, softmax_rows_ref)
 
 
 def finite_matrices(max_side=6, lo=-1e6, hi=1e6):
@@ -101,6 +102,32 @@ class TestSoftmaxRows:
         with pytest.raises(DimensionError):
             softmax_rows(Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("op, shape", [(softmax_rows, (3, 0)),
+                                           (softmax_cols, (0, 3))],
+                             ids=["rows", "cols"])
+    def test_empty_softmax_axis_refused(self, op, shape):
+        with pytest.raises(DimensionError, match=r"softmax_\w+ of a \(\d, \d\) "
+                                                 r"tensor: the softmax axis is empty"):
+            op(Tensor(np.zeros(shape)))
+        # The other axis may be empty: there is nothing to normalize.
+        assert op(Tensor(np.zeros(shape[::-1]))).data.shape == shape[::-1]
+
+
+class TestSoftmaxCols:
+    @settings(max_examples=60, deadline=None)
+    @given(finite_matrices(lo=-1e100, hi=1e100))
+    def test_matches_transposed_row_reference(self, x):
+        out = softmax_cols(Tensor(x))
+        np.testing.assert_allclose(out.data, softmax_rows_ref(x.T).T, atol=1e-14)
+        np.testing.assert_allclose(out.data.sum(axis=0), np.ones(x.shape[1]),
+                                   atol=1e-9)
+
+    def test_gradient(self):
+        rng = np.random.default_rng(12)
+        x = Parameter("x", Tensor(rng.normal(size=(4, 3))))
+        c = Tensor(rng.normal(size=(4, 3)))
+        assert grad_check(lambda: sum_all(softmax_cols(x.value) * c), [x]) < 1e-8
+
 
 class TestChannelNorm:
     def test_single_position_is_zero(self):
@@ -142,8 +169,8 @@ def conv_inputs(draw, elements=st.floats(allow_nan=False, allow_infinity=False))
     the padded input."""
     c, h, w = (draw(st.integers(1, 5)), draw(st.integers(1, 9)),
                draw(st.integers(1, 9)))
-    kh, kw = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 3]))
-    pad = draw(st.sampled_from([0, 1]))
+    kh, kw = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2, 3]))
+    pad = draw(st.sampled_from([0, 1, 2]))
     assume(kh <= h + 2 * pad and kw <= w + 2 * pad)
     layout = draw(st.sampled_from(["contiguous", "transposed", "sliced"]))
     base_shape = {"contiguous": (c, h, w), "transposed": (c, w, h),
@@ -186,11 +213,27 @@ class TestConv2d:
         assert not np.shares_memory(cols, x)
         assert cols.flags.writeable
 
+    @settings(max_examples=100, deadline=None)
+    @given(conv_inputs(), st.integers(-2, 2), st.integers(-2, 2))
+    def test_im2col_pads_each_axis_or_crops(self, case, ph, pw):
+        x, kh, kw, _ = case
+        c, h, w = x.shape
+        assume(kh <= h + 2 * ph and kw <= w + 2 * pw)
+        cols, out_hw = im2col(x, kh, kw, (ph, pw))
+        ref, ref_hw = im2col_ref(pad_or_crop(x, ph, pw), kh, kw, 0)
+        assert out_hw == ref_hw
+        assert cols.tobytes() == ref.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(conv_gradients(), st.booleans())
     @example((np.ones((2, 3, 3)), 3, 3, 1, np.full((1, 2, 3, 3), -0.0),
               np.full((1, 3, 3), 1e300)), False)
     def test_input_gradient_matches_strided_scatter(self, case, weights_on_tape):
+        """The gather GEMM sums each input's K = C_out * kh * kw products in
+        another order than the column gradient's strided adds, so the two
+        agree within twice the float64 dot-product bound K * 2**-53 * the
+        sum of the terms' magnitudes, plus, for products that underflow,
+        twice K half-ulps of the smallest subnormal."""
         x, kh, kw, pad, wts, g = case
         cout = wts.shape[0]
         xt = Tensor(x, requires_grad=True)
@@ -198,9 +241,45 @@ class TestConv2d:
         sum_all(mul(conv2d(xt, wt, Tensor(np.zeros(cout)), pad), Tensor(g))).backward()
         ref = col2im_ref(wts.reshape(cout, -1).T @ g.reshape(cout, -1),
                          x.shape, kh, kw, pad)
+        magnitude = col2im_ref(np.abs(wts.reshape(cout, -1)).T
+                               @ np.abs(g.reshape(cout, -1)), x.shape, kh, kw, pad)
+        k = cout * kh * kw
         assert xt.grad.shape == x.shape
-        assert xt.grad.tobytes() == ref.tobytes()
+        assert np.all(np.abs(xt.grad - ref)
+                      <= 2 * k * 2.0**-53 * magnitude + k * 2.0**-1074)
         assert (wt.grad is not None) == weights_on_tape
+
+    @settings(max_examples=200, deadline=None)
+    @given(conv_gradients())
+    @example((np.ones((2, 3, 3)), 3, 3, 1, np.full((1, 2, 3, 3), -0.0),
+              np.full((1, 3, 3), 1e300)))
+    def test_input_gradient_matches_gather_oracle(self, case):
+        x, kh, kw, pad, wts, g = case
+        xt = Tensor(x, requires_grad=True)
+        out = conv2d(xt, Tensor(wts), Tensor(np.zeros(wts.shape[0])), pad)
+        sum_all(mul(out, Tensor(g))).backward()
+        assert xt.grad.tobytes() == conv_input_grad_ref(wts, g, pad).tobytes()
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((1, 4, 4), (2, 1, 0, 3)), ((1, 4, 4), (2, 1, 3, 0)),
+        ((1, 0, 4), (2, 1, 1, 1)), ((1, 4, 0), (2, 1, 1, 1))],
+        ids=["0x3-kernel", "3x0-kernel", "0x4-input", "4x0-input"])
+    def test_empty_kernel_or_input_refused(self, x_shape, w_shape):
+        with pytest.raises(DimensionError, match="at least 1x1"):
+            conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)),
+                   Tensor(np.zeros(2)))
+
+    def test_zero_channel_input_gets_an_empty_gradient(self):
+        x = Tensor(np.zeros((0, 2, 2)), requires_grad=True)
+        out = conv2d(x, Tensor(np.zeros((1, 0, 3, 3))), Tensor([0.5]))
+        sum_all(out).backward()
+        assert out.data.tolist() == [[[0.5, 0.5], [0.5, 0.5]]]
+        assert x.grad.shape == (0, 2, 2)
+
+    def test_negative_pad_refused(self):
+        with pytest.raises(DimensionError, match="pad -1"):
+            conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((2, 1, 1, 1))),
+                   Tensor(np.zeros(2)), pad=-1)
 
     def test_kernel_larger_than_padded_input_rejected(self):
         x = Tensor(np.ones((2, 1, 1)))
@@ -425,8 +504,23 @@ def _stacked_1e308() -> Tensor:
     return Tensor([[1e308], [1e308]])
 
 
+class TestBroadcastShapes:
+    @pytest.mark.parametrize("run, step, shapes", [
+        (lambda: Tensor(np.zeros(3)) + Tensor(np.zeros(4)), "add", r"\(3,\) and \(4,\)"),
+        (lambda: Tensor(np.zeros(3)) - Tensor(np.zeros(4)), "sub", r"\(3,\) and \(4,\)"),
+        (lambda: Tensor(np.zeros((2, 3))) * Tensor(np.zeros((3, 2))), "mul",
+         r"\(2, 3\) and \(3, 2\)"),
+        (lambda: 1.0 - Tensor(np.zeros((2, 3))) * Tensor(np.zeros(2)), "mul",
+         r"\(2, 3\) and \(2,\)"),
+    ], ids=["add", "sub", "mul", "mul-in-expression"])
+    def test_shapes_that_do_not_broadcast_refused(self, run, step, shapes):
+        with pytest.raises(DimensionError, match=rf"^{step}: shapes {shapes} do not "
+                                                 r"broadcast$"):
+            run()
+
+
 class TestFiniteness:
-    """Five ops skip the finiteness sum because finite inputs give finite
+    """Six ops skip the finiteness sum because finite inputs give finite
     outputs; every other op that can overflow still raises under its name."""
 
     @settings(max_examples=150, deadline=None)
@@ -435,7 +529,7 @@ class TestFiniteness:
         # The constructor accepts x even where its sum passes 1.8e308.
         t = Tensor(x)
         for out in (transpose(t), reshape(t, (x.size,)), concat_rows([t, t]),
-                    gelu(t), softmax_rows(t)):
+                    gelu(t), softmax_rows(t), softmax_cols(t)):
             assert np.isfinite(out.data).all()
 
     @pytest.mark.parametrize("name, run", [
@@ -510,3 +604,93 @@ class TestInvariants:
 
         a, b = pipeline(), pipeline()
         assert np.array_equal(a, b)
+
+
+# Finite extremes, and the non-finite values that reach an op through
+# ``.data`` as an update may leave a parameter, or that the constructor refuses.
+_FINITE = [0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 5e-324]
+_HOSTILE = _FINITE + [np.nan, np.inf, -np.inf]
+_CHECKED = {"add", "sub", "mul", "matmul", "channel_norm", "conv2d"}
+
+
+def _hostile_args(draw, name):
+    """Operand shapes for ``name``: any rank up to 4 for the elementwise ops,
+    mostly matrices for softmax and channel norm, matrices with often
+    matching inner extents for matmul, and conv shapes with empty and
+    mismatched extents for conv2d."""
+    def shape(rank=None, side=st.integers(0, 3)):
+        rank = draw(st.integers(0, 4)) if rank is None else rank
+        return tuple(draw(side) for _ in range(rank))
+
+    if name in ("add", "sub", "mul"):
+        return [shape(), shape()], {}
+    if name == "matmul":
+        m, k, n = shape(3)
+        return [draw(st.sampled_from([(m, k), (m,), (1, m, k)])), (k, n)], {}
+    if name == "conv2d":
+        c, o = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        x = [c, *shape(2, st.integers(1, 4))]
+        w, bias = [o, c, *shape(2, st.integers(1, 3))], [o]
+        pad = draw(st.integers(0, 2))
+        flaw = draw(st.sampled_from(["none", "none", "none", "empty input",
+                                     "empty kernel", "channels", "rank", "bias",
+                                     "pad"]))
+        if flaw == "empty input":
+            x[draw(st.sampled_from([1, 2]))] = 0
+        elif flaw == "empty kernel":
+            w[draw(st.sampled_from([2, 3]))] = 0
+        elif flaw == "channels":
+            w[1] += 1
+        elif flaw == "rank":
+            x = [1, *x]
+        elif flaw == "bias":
+            bias = [o + 1]
+        elif flaw == "pad":
+            pad = -1
+        return [tuple(x), tuple(w), tuple(bias)], {"pad": pad}
+    return [shape(draw(st.sampled_from([1, 2, 2, 3])))], {}
+
+
+_OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b, "matmul": matmul,
+        "softmax_rows": softmax_rows, "softmax_cols": softmax_cols,
+        "channel_norm": channel_norm, "conv2d": conv2d}
+
+
+class TestHostileInputs:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_hostile_operands_end_in_a_result_or_an_artbank_error(self, data):
+        """Any op on operands of any rank, with empty axes, nan or infinities
+        (given to the constructor or set on ``.data`` as an update would),
+        gives a result, or an ``ArtBankError`` in the forward or backward
+        pass. A checked op's result is finite; an unchecked op's is finite
+        when its operands are. numpy's warnings about non-finite values are
+        off: what is checked is how each call ends."""
+        name = data.draw(st.sampled_from(sorted(_OPS)))
+        shapes, kwargs = _hostile_args(data.draw, name)
+        pool = data.draw(st.sampled_from([_FINITE, _HOSTILE]))
+        values = [data.draw(arrays(np.float64, s, elements=st.sampled_from(pool)))
+                  for s in shapes]
+        injected = data.draw(st.booleans())
+        with np.errstate(all="ignore"):
+            try:
+                args = []
+                for v in values:
+                    t = Tensor(np.zeros(v.shape) if injected else v,
+                               requires_grad=data.draw(st.booleans()))
+                    if injected:
+                        t.data = v
+                    args.append(t)
+                out = _OPS[name](*args, **kwargs)
+                if out.requires_grad:
+                    sum_all(out).backward()
+            except ArtBankError as exc:
+                event(f"{name} {type(exc).__name__}")
+                return
+        event(f"{name} result grad={out.requires_grad}")
+        assert isinstance(out, Tensor)
+        if name in _CHECKED or all(np.isfinite(v).all() for v in values):
+            assert np.isfinite(out.data).all(), name
+        for t in args:
+            assert t.grad is None or t.grad.shape == t.data.shape, name
