@@ -58,14 +58,18 @@ def init_ssam_params(channels: int, positions: int,
     weightings start at all-ones with alpha = 0.5, which makes the encoder
     coincide with the plain statistical baseline until training moves them.
     """
-    bound = 1.0 / np.sqrt(channels)
-
-    def proj(name: str) -> Parameter:
-        w = rng.uniform(-bound, bound, size=(channels, channels))
-        return Parameter(name, Tensor(w))
-
-    return SsamParams(w_q=proj("w_q"), w_k=proj("w_k"), w_v=proj("w_v"),
+    return SsamParams(w_q=_projection("w_q", channels, rng),
+                      w_k=_projection("w_k", channels, rng),
+                      w_v=_projection("w_v", channels, rng),
                       **_unit_spatial(positions))
+
+
+def _projection(name: str, channels: int,
+                rng: np.random.Generator) -> Parameter:
+    """A C x C projection drawn uniform in (-1/sqrt(C), 1/sqrt(C))."""
+    bound = 1.0 / np.sqrt(channels)
+    w = rng.uniform(-bound, bound, size=(channels, channels))
+    return Parameter(name, Tensor(w))
 
 
 def _unit_spatial(positions: int) -> dict[str, Parameter]:
@@ -78,9 +82,7 @@ def _unit_spatial(positions: int) -> dict[str, Parameter]:
 def init_output_proj(channels: int, rng: np.random.Generator) -> Parameter:
     """Extra C x C output projection ``w_o`` used by the residual (SANet)
     baseline."""
-    bound = 1.0 / np.sqrt(channels)
-    return Parameter("w_o", Tensor(rng.uniform(-bound, bound,
-                                               size=(channels, channels))))
+    return _projection("w_o", channels, rng)
 
 
 def check_style_matrix(i_m: Tensor, channels: int,

@@ -37,7 +37,7 @@ class Tensor:
     buffer and in-place parameter updates performed by the optimizer.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grads")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.array(values, dtype=np.float64, order="C")
@@ -46,7 +46,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[Array], None] | None = None
+        self._grads: tuple[Callable[[Array], Array], ...] = ()
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -57,7 +57,9 @@ class Tensor:
         return Tensor(self.data)
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output. Each node's gradient
+        functions run only for the parents on the tape, so no product is
+        computed for an input off it."""
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
         if not self.requires_grad:
@@ -79,8 +81,12 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node.grad is None:
+                continue
+            for parent, grad in zip(node._parents, node._grads):
+                if parent.requires_grad:
+                    g = grad(node.grad)
+                    parent.grad = g if parent.grad is None else parent.grad + g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -110,12 +116,14 @@ def _wrap(value) -> Tensor:
 
 
 def _from_op(data: Array, parents: tuple[Tensor, ...],
-             backward: Callable[[Array], None], step: str,
+             grads: tuple[Callable[[Array], Array], ...], step: str,
              checked: bool = True) -> Tensor:
-    """Record an op's output on the tape. ``checked=False`` skips the
-    finiteness check: only an op whose output is finite whenever its inputs
-    are may pass it, so that a parameter an update left non-finite is
-    still caught by the first checked op that reads it."""
+    """Record an op's output on the tape with ``grads``: in ``parents``
+    order, one function per parent from the output's gradient to that
+    parent's. ``checked=False`` skips the finiteness check: only an op whose
+    output is finite whenever its inputs are may pass it, so that a
+    parameter an update left non-finite is still caught by the first
+    checked op that reads it."""
     if checked:
         _check_finite(data, step)
     out = Tensor.__new__(Tensor)
@@ -128,16 +136,11 @@ def _from_op(data: Array, parents: tuple[Tensor, ...],
             break
     if out.requires_grad:
         out._parents = parents
-        out._backward = backward
+        out._grads = grads
     else:
         out._parents = ()
-        out._backward = None
+        out._grads = ()
     return out
-
-
-def _accum(t: Tensor, g: Array) -> None:
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -164,38 +167,21 @@ def _elementwise(op: np.ufunc, a: Tensor, b: Tensor, step: str) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = _elementwise(np.add, a, b, "add")
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _from_op(data, (a, b), backward, "add")
+    return _from_op(data, (a, b), (lambda g: _unbroadcast(g, a.data.shape),
+                                   lambda g: _unbroadcast(g, b.data.shape)), "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = _elementwise(np.subtract, a, b, "sub")
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _from_op(data, (a, b), backward, "sub")
+    return _from_op(data, (a, b), (lambda g: _unbroadcast(g, a.data.shape),
+                                   lambda g: _unbroadcast(-g, b.data.shape)), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = _elementwise(np.multiply, a, b, "mul")
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _from_op(data, (a, b), backward, "mul")
+    return _from_op(data, (a, b), (
+        lambda g: _unbroadcast(g * b.data, a.data.shape),
+        lambda g: _unbroadcast(g * a.data, b.data.shape)), "mul")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -206,36 +192,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"matmul inner extents differ: {a.data.shape} x {b.data.shape}")
     data = a.data @ b.data
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return _from_op(data, (a, b), backward, "matmul")
+    return _from_op(data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
+                    "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise DimensionError("transpose requires a 2-d tensor")
-
-    def backward(g: Array) -> None:
-        _accum(a, g.T)
-
     # Unchecked: moves values only.
-    return _from_op(np.ascontiguousarray(a.data.T), (a,), backward, "transpose",
-                    checked=False)
+    return _from_op(np.ascontiguousarray(a.data.T), (a,), (lambda g: g.T,),
+                    "transpose", checked=False)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
-
-    def backward(g: Array) -> None:
-        _accum(a, g.reshape(a.data.shape))
-
     # Unchecked: moves values only.
-    return _from_op(data, (a,), backward, "reshape", checked=False)
+    return _from_op(data, (a,), (lambda g: g.reshape(a.data.shape),), "reshape",
+                    checked=False)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -248,13 +221,10 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             raise DimensionError("concat_rows parts must be 2-d with equal width")
     data = np.concatenate([p.data for p in parts], axis=0)
     offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def backward(g: Array) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi])
-
+    grads = tuple(lambda g, lo=lo, hi=hi: g[lo:hi]
+                  for lo, hi in zip(offsets[:-1], offsets[1:]))
     # Unchecked: moves values only.
-    return _from_op(data, tuple(parts), backward, "concat_rows", checked=False)
+    return _from_op(data, tuple(parts), grads, "concat_rows", checked=False)
 
 
 def _softmax(a: Tensor, axis: int, step: str) -> Tensor:
@@ -270,13 +240,13 @@ def _softmax(a: Tensor, axis: int, step: str) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def backward(g: Array) -> None:
+    def a_grad(g: Array) -> Array:
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - dot))
+        return y * (g - dot)
 
     # Unchecked: every value lies in [0, 1]. The shift and the clamp keep exp
     # finite, and each line sums to at least the exp(0) = 1 of its maximum.
-    return _from_op(y, (a,), backward, step, checked=False)
+    return _from_op(y, (a,), (a_grad,), step, checked=False)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -308,12 +278,12 @@ def channel_norm(a: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(var + EPS)
     y = centered * inv
 
-    def backward(g: Array) -> None:
+    def a_grad(g: Array) -> Array:
         gm = g.mean(axis=1, keepdims=True)
         gy = (g * y).mean(axis=1, keepdims=True)
-        _accum(a, (g - gm - y * gy) * inv)
+        return (g - gm - y * gy) * inv
 
-    return _from_op(y, (a,), backward, "channel_norm")
+    return _from_op(y, (a,), (a_grad,), "channel_norm")
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -321,22 +291,14 @@ def sqrt(a: Tensor) -> Tensor:
     if a.data.size and float(a.data.min()) < 0.0:
         raise NumericError("sqrt: negative input")
     y = np.sqrt(a.data)
-
-    def backward(g: Array) -> None:
-        _accum(a, g * (0.5 / y))
-
-    return _from_op(y, (a,), backward, "sqrt")
+    return _from_op(y, (a,), (lambda g: g * (0.5 / y),), "sqrt")
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """Elementwise max(floor, x); subgradient 0 on the clamped side."""
     mask = a.data > floor
     data = np.maximum(a.data, floor)
-
-    def backward(g: Array) -> None:
-        _accum(a, g * mask)
-
-    return _from_op(data, (a,), backward, "clamp_min")
+    return _from_op(data, (a,), (lambda g: g * mask,), "clamp_min")
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -345,31 +307,24 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     y = x * cdf
 
-    def backward(g: Array) -> None:
+    def a_grad(g: Array) -> Array:
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accum(a, g * (cdf + x * pdf))
+        return g * (cdf + x * pdf)
 
     # Unchecked: |y| <= |x|.
-    return _from_op(y, (a,), backward, "gelu", checked=False)
+    return _from_op(y, (a,), (a_grad,), "gelu", checked=False)
 
 
 def sum_all(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
-
-    def backward(g: Array) -> None:
-        _accum(a, np.full(a.data.shape, g))
-
-    return _from_op(data, (a,), backward, "sum_all")
+    return _from_op(data, (a,), (lambda g: np.full(a.data.shape, g),), "sum_all")
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     data = np.asarray(a.data.sum() / n)
-
-    def backward(g: Array) -> None:
-        _accum(a, np.full(a.data.shape, g / n))
-
-    return _from_op(data, (a,), backward, "mean_all")
+    return _from_op(data, (a,), (lambda g: np.full(a.data.shape, g / n),),
+                    "mean_all")
 
 
 def im2col(x: Array, kh: int, kw: int,
@@ -421,20 +376,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, pad: int = 1) -> Tensor:
     data += b.data[:, None]
     data = data.reshape(cout, oh, ow)
 
-    def backward(g: Array) -> None:
-        g_mat = g.reshape(cout, oh * ow)
-        if w.requires_grad:
-            _accum(w, (g_mat @ cols.T).reshape(w.data.shape))
-        if b.requires_grad:
-            _accum(b, g_mat.sum(axis=1))
-        if x.requires_grad:
-            w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            g_cols = im2col(g, kh, kw, (kh - 1 - pad, kw - 1 - pad))[0]
-            # Contiguous: a reversed view would skip BLAS and sum in another order.
-            w_mat = np.ascontiguousarray(w_flip).reshape(cin, cout * kh * kw)
-            _accum(x, (w_mat @ g_cols).reshape(cin, h, ww))
+    def x_grad(g: Array) -> Array:
+        w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        g_cols = im2col(g, kh, kw, (kh - 1 - pad, kw - 1 - pad))[0]
+        # Contiguous: a reversed view would skip BLAS and sum in another order.
+        w_mat = np.ascontiguousarray(w_flip).reshape(cin, cout * kh * kw)
+        return (w_mat @ g_cols).reshape(cin, h, ww)
 
-    return _from_op(data, (x, w, b), backward, "conv2d")
+    return _from_op(data, (x, w, b), (
+        x_grad,
+        lambda g: (g.reshape(cout, oh * ow) @ cols.T).reshape(w.data.shape),
+        lambda g: g.reshape(cout, oh * ow).sum(axis=1)), "conv2d")
 
 
 @dataclass

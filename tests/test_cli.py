@@ -328,59 +328,28 @@ def test_hostile_settings_exit_0_or_2(tiny_runs, data):
     assert not (bench and reads), (argv, reads)
 
 
-@pytest.mark.parametrize("command, flag, value", [
-    ("pretrain", "--lr", "-1"),
-    ("pretrain", "--lr", "nan"),
-    ("train-bank", "--lr", "-1"),
-    ("pretrain", "--steps", "0"),
-    ("pretrain", "--steps", "-3"),
-    ("train-bank", "--steps", "0"),
-    ("train-bank", "--artist", "\udcff"),
-    ("train-bank", "--template", "a \udcff *"),
-    ("bench-attn", "--variants", ","),
-    ("bench-attn", "--max-iters", "50"),
-    ("bench-attn", "--threshold", "0"),
-    ("bench-attn", "--threshold", "nan"),
-    ("bench-attn", "--threshold", "-1"),
-    ("bench-attn", "--threshold", "inf"),
-    ("pretrain", "--timesteps", "10001"),
-])
-def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
-                                           tmp_path, capsys, command, flag,
-                                           value):
-    out = tmp_path / "never"
-    common = ["--data", str(dataset), "--seed", "7"]
-    args = {
-        "pretrain": ["--checkpoint", str(out), "--steps", "1", "--width", "8",
-                     "--channels", "12"],
-        "train-bank": ["--checkpoint", str(untrained_checkpoint), "--bank",
-                       str(out), "--style-id", "checks", "--steps", "1",
-                       "--positions", "4"],
-        "bench-attn": ["--checkpoint", str(untrained_checkpoint), "--out",
-                       str(out), "--style-id", "checks", "--bench-seeds", "3",
-                       "--max-iters", "100", "--positions", "4"],
-    }[command]
-    code = run([command, *common, *args, flag, value])
-    assert code == 2
-    assert f"{flag[2:].replace('-', '_')} must" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command, setting, message", [
     *(pytest.param(command, source, "lr must be finite and positive, got 0.0",
                    id=f"{command}-{source}")
       for command in ("pretrain", "train-bank", "bench-attn")
       for source in ("flag", "config")),
-    pytest.param("pretrain", ["--steps", "0"], "steps must be at least 1, got 0",
-                 id="pretrain-steps-0"),
-    pytest.param("train-bank", ["--steps", "0"],
-                 "steps must be at least 1, got 0", id="train-bank-steps-0"),
+    *(pytest.param(command, ["--lr", lr], f"lr must be finite and positive, got {got}",
+                   id=f"{command}-lr-{lr}")
+      for command, lr, got in (("pretrain", "-1", "-1.0"), ("pretrain", "nan", "nan"),
+                               ("train-bank", "-1", "-1.0"))),
+    *(pytest.param(command, ["--steps", steps],
+                   f"steps must be at least 1, got {steps}",
+                   id=f"{command}-steps-{steps}")
+      for command, steps in (("pretrain", "0"), ("pretrain", "-3"),
+                             ("train-bank", "0"))),
     # An empty value is no value.
     pytest.param("train-bank", ["--style-id", ""],
                  "train-bank requires --style-id", id="train-bank-no-style-id"),
-    pytest.param("bench-attn", ["--threshold", "0"],
-                 "loss_threshold must be finite and positive, got 0.0",
-                 id="bench-attn-threshold-0"),
+    *(pytest.param("bench-attn", ["--threshold", value],
+                   f"loss_threshold must be finite and positive, got {got}",
+                   id=f"bench-attn-threshold-{value}")
+      for value, got in (("0", "0.0"), ("nan", "nan"), ("-1", "-1.0"),
+                         ("inf", "inf"))),
     pytest.param("bench-attn", ["--max-iters", "50"],
                  "max_iters must be at least the 100-step moving-average "
                  "window, got 50", id="bench-attn-max-iters-50"),
@@ -390,6 +359,9 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     pytest.param("bench-attn", ["--variants", "film"],
                  "unknown attention variant: 'film'",
                  id="bench-attn-variants-film"),
+    pytest.param("bench-attn", ["--variants", ","],
+                 "variants must name at least one encoder",
+                 id="bench-attn-variants-empty"),
     pytest.param("stylize", ["--strength", "0"],
                  "strength must lie in (0, 1]: 0.0", id="stylize-strength-0"),
     pytest.param("stylize", ["--out", ""], "stylize requires an output path",
@@ -400,6 +372,9 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
     pytest.param("train-bank", ["--artist", "x *"],
                  "prompt must contain exactly one '*' token, found 2: "
                  "'a painting by x * *'", id="train-bank-artist-placeholder"),
+    *(pytest.param("train-bank", [f"--{key}", value], f"{key} must be valid UTF-8",
+                   id=f"train-bank-{key}-undecodable")
+      for key, value in (("artist", "\udcff"), ("template", "a \udcff *"))),
     *(pytest.param(command, ["--positions", size], message,
                    id=f"{command}-positions-{size}")
       for command in ("train-bank", "bench-attn")
@@ -415,12 +390,12 @@ def test_unusable_training_setting_exits_2(dataset, untrained_checkpoint,
                    f"timesteps must lie in [1, 10000], got {steps}",
                    id=f"pretrain-timesteps-{steps}") for steps in ("0", "10001")),
 ])
-def test_bad_lr_refused_before_any_file_is_read(dataset, untrained_checkpoint,
-                                                tmp_path, capsys, monkeypatch,
-                                                command, setting, message):
+def test_setting_refused_before_any_file_is_read(dataset, untrained_checkpoint,
+                                                 tmp_path, capsys, monkeypatch,
+                                                 command, setting, message):
     """A setting that needs no file (``lr`` from a flag or a config file,
-    and the others) is refused before the checkpoint, the bank or any image
-    is read."""
+    and the others) is refused with one error line before the checkpoint,
+    the bank or any image is read, and no output file is written."""
     reads = []
     for module, reader in ((diffusion, "load_checkpoint"),
                            (bank_mod, "load_bank"), (data_io, "read_ppm")):
@@ -516,8 +491,8 @@ def test_pool_directory_trains_under_its_own_name(tmp_path):
                  "timesteps must lie in [1, 10000], got 1000000000000000",
                  id="pretrain-timesteps"),
 ])
-def test_positions_100000_exits_2(dataset, untrained_checkpoint, tmp_path,
-                                  capsys, command, size, gib):
+def test_oversized_setting_exits_2(dataset, untrained_checkpoint, tmp_path,
+                                   capsys, command, size, gib):
     out = tmp_path / "never"
     entry = ["--checkpoint", str(untrained_checkpoint), "--style-id", "checks"]
     target = {"train-bank": [*entry, "--bank", str(out), "--steps", "1"],

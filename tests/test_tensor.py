@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import artbank
+from artbank import tensor
 from artbank.errors import (ArtBankError, ContractError, DimensionError,
                             MissingGradError, NumericError)
 from artbank.optim import AdamState, adam_step, zero_grads
@@ -259,6 +260,30 @@ class TestConv2d:
         out = conv2d(xt, Tensor(wts), Tensor(np.zeros(wts.shape[0])), pad)
         sum_all(mul(out, Tensor(g))).backward()
         assert xt.grad.tobytes() == conv_input_grad_ref(wts, g, pad).tobytes()
+
+    @pytest.mark.parametrize("x_on, calls", [(False, 1), (True, 2)],
+                             ids=["weights-on-tape", "input-on-tape"])
+    def test_no_input_gradient_product_off_the_tape(self, monkeypatch, x_on,
+                                                    calls):
+        """The input gradient's im2col (and its GEMM) runs only for an input
+        on the tape. With only w and b on it, as conv1 reading the latent in
+        pretraining, the forward's im2col is the one call; with only x on it,
+        as conv3 and conv4 in bank training, the backward makes a second."""
+        real_im2col = tensor.im2col
+        counted = []
+
+        def counting_im2col(*args):
+            counted.append(args)
+            return real_im2col(*args)
+
+        monkeypatch.setattr(tensor, "im2col", counting_im2col)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=x_on)
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=not x_on)
+        b = Tensor(np.zeros(3), requires_grad=not x_on)
+        sum_all(conv2d(x, w, b)).backward()
+        assert len(counted) == calls
+        assert (x.grad is not None, w.grad is not None) == (x_on, not x_on)
 
     @pytest.mark.parametrize("x_shape, w_shape", [
         ((1, 4, 4), (2, 1, 0, 3)), ((1, 4, 4), (2, 1, 3, 0)),
