@@ -328,6 +328,15 @@ def test_hostile_settings_exit_0_or_2(tiny_runs, data):
     assert not (bench and reads), (argv, reads)
 
 
+# Settings under which each command would run.
+_RUNNABLE = {
+    "pretrain": ["--seed", "7", "--steps", "1", "--width", "8", "--channels", "12"],
+    "train-bank": ["--seed", "7", "--steps", "1", "--positions", "4"],
+    "bench-attn": ["--seed", "7", "--bench-seeds", "3", "--max-iters", "100",
+                   "--positions", "4"],
+}
+
+
 @pytest.mark.parametrize("command, setting, message", [
     *(pytest.param(command, source, "lr must be finite and positive, got 0.0",
                    id=f"{command}-{source}")
@@ -389,6 +398,20 @@ def test_hostile_settings_exit_0_or_2(tiny_runs, data):
     *(pytest.param("pretrain", ["--timesteps", steps],
                    f"timesteps must lie in [1, 10000], got {steps}",
                    id=f"pretrain-timesteps-{steps}") for steps in ("0", "10001")),
+    # The same refusals with the value last, after settings that would run,
+    # so a bad --steps or --max-iters overrides a good one.
+    *(pytest.param(command, [*_RUNNABLE[command], flag, value], message,
+                   id=f"{command}-{flag[2:]}-{value}-after-runnable-settings")
+      for command, flag, value, message in (
+          ("pretrain", "--steps", "0", "steps must be at least 1, got 0"),
+          ("train-bank", "--steps", "0", "steps must be at least 1, got 0"),
+          ("bench-attn", "--threshold", "0",
+           "loss_threshold must be finite and positive, got 0.0"),
+          ("bench-attn", "--max-iters", "50",
+           "max_iters must be at least the 100-step moving-average window, "
+           "got 50"),
+          ("pretrain", "--timesteps", "10001",
+           "timesteps must lie in [1, 10000], got 10001"))),
 ])
 def test_setting_refused_before_any_file_is_read(dataset, untrained_checkpoint,
                                                  tmp_path, capsys, monkeypatch,
