@@ -37,8 +37,7 @@ def main(argv: list[str] | None = None) -> None:
     rig = desk.build(args.seed, args.pretrain_steps, args.entry_steps)
     variants = ["ssam", "sanet", "adaattn"]
     t0 = time.perf_counter()
-    reports = desk.convergence(rig, variants, args.seeds, args.max_iters,
-                               root_seed=args.seed)
+    reports = desk.convergence(rig, variants, args.seeds, args.max_iters)
     wall = time.perf_counter() - t0
     write_convergence_csv(reports, args.out)
     print(format_convergence_table(reports))

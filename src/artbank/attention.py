@@ -85,17 +85,15 @@ def init_output_proj(channels: int, rng: np.random.Generator) -> Parameter:
     return _projection("w_o", channels, rng)
 
 
-def check_style_matrix(i_m: Tensor, channels: int,
-                       positions: int | None = None) -> None:
-    """Refuse a style matrix that is not 2-d with ``channels`` rows and, when
-    ``positions`` is given, that many columns."""
+def check_style_matrix(i_m: Tensor, channels: int, positions: int) -> None:
+    """Refuse a style matrix that is not 2-d with ``channels`` rows and
+    ``positions`` columns."""
     shape = i_m.data.shape
     if len(shape) != 2:
         raise DimensionError("style matrix must be 2-d (C x N)")
-    if shape[0] != channels or positions not in (None, shape[1]):
-        raise DimensionError(
-            f"style matrix shape {shape} does not match encoder dims "
-            f"({channels}, {'N' if positions is None else positions})")
+    if shape != (channels, positions):
+        raise DimensionError(f"style matrix shape {shape} does not match "
+                             f"encoder dims ({channels}, {positions})")
 
 
 def _attention_map(src: Tensor, w_q: Parameter, w_k: Parameter) -> Tensor:
@@ -132,13 +130,12 @@ def ssam_forward(i_m: Tensor, p: SsamParams) -> Tensor:
     return _statistical(i_m, p.w_v, weighted)
 
 
-def sanet_forward(i_m: Tensor, w_q: Parameter, w_k: Parameter,
-                  w_v: Parameter, w_o: Parameter) -> Tensor:
-    """Residual baseline: attention over the normalized input, projected and
-    added back onto the raw style matrix."""
-    check_style_matrix(i_m, w_q.value.data.shape[0])
-    attn = _attention_map(channel_norm(i_m), w_q, w_k)
-    v = matmul(w_v.value, i_m)
+def sanet_forward(i_m: Tensor, p: SsamParams, w_o: Parameter) -> Tensor:
+    """Residual baseline: attention over the normalized input under ``p``'s
+    projections, then ``w_o``, added back onto the raw style matrix."""
+    check_style_matrix(i_m, p.channels, p.positions)
+    attn = _attention_map(channel_norm(i_m), p.w_q, p.w_k)
+    v = matmul(p.w_v.value, i_m)
     return i_m + matmul(w_o.value, matmul(v, transpose(attn)))
 
 
@@ -170,5 +167,5 @@ def encoder(variant: str, i_m: Parameter, params: SsamParams, seed: int
     if variant == "sanet":
         w_o = init_output_proj(p.channels, seeding.rng_for(seed, "sanet-output-proj"))
         return ([i_m, p.w_q, p.w_k, p.w_v, w_o],
-                lambda: sanet_forward(i_m.value, p.w_q, p.w_k, p.w_v, w_o))
+                lambda: sanet_forward(i_m.value, p, w_o))
     raise ConfigError(f"unknown attention variant: {variant!r}")

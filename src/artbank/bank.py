@@ -24,16 +24,13 @@ from .attention import SsamParams, check_style_matrix, encoder, init_ssam_params
 from .errors import (ArtBankError, ConfigError, DimensionError,
                      DuplicateStyleError, MalformedHeaderError, TemplateError,
                      UnknownStyleError)
-from .tensor import Parameter, Tensor, concat_rows, transpose
+from .tensor import Parameter, Tensor, check_array_size, concat_rows, transpose
 
 PLACEHOLDER = "*"
 DEFAULT_TEMPLATE = "a painting by {artist} *"
 DEFAULT_CHANNELS = 64
 DEFAULT_POSITIONS = 16
 VOCAB_SEED = 97  # seeds the frozen token-embedding table; fixed, not a setting
-# The tape keeps several arrays of a model's largest size alive per step,
-# so one such array may take only a fraction of a desk machine's memory.
-MAX_ARRAY_BYTES = 1 << 28
 
 BANK_MAGIC = b"ISPB"
 BANK_VERSION = 1
@@ -142,15 +139,6 @@ def entry_condition(entry: StyleBankEntry, variant: str = "ssam", seed: int = 0
     params, encode = encoder(variant, entry.i_m, entry.ssam, seed)
     seq = encode_prompt(entry.template, entry.artist, entry.channels)
     return params, lambda: assemble_condition(seq, encode())
-
-
-def check_array_size(values: int, what: str,
-                     error: type[ArtBankError] = ConfigError) -> None:
-    """Refuse ``what`` if its largest float64 array, ``values`` long, is
-    over ``MAX_ARRAY_BYTES``."""
-    if 8 * values > MAX_ARRAY_BYTES:
-        raise error(f"{what} needs a {8 * values / 2**30:.1f} GiB array; the "
-                    f"limit is {MAX_ARRAY_BYTES / 2**20:g} MiB per array")
 
 
 def check_entry_dim(name: str, size: int) -> None:

@@ -2,8 +2,9 @@
 stylize images, and run the benchmark/evaluation tools.
 
 All randomness flows from one root ``--seed`` split by labeled hashing, so
-identical configs produce byte-identical artifacts. A ``key = value`` config
-file can supply defaults; explicit CLI flags override it.
+identical configs produce byte-identical artifacts on the same numpy and
+scipy build and kernels (numpy's active SIMD targets, OpenBLAS's core). A
+``key = value`` config file can supply defaults; explicit flags override it.
 """
 
 from __future__ import annotations

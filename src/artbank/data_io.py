@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .bank import check_array_size
 from .errors import (ConfigError, DimensionError, MalformedHeaderError,
                      TruncatedFileError, UnsupportedFormatError)
-from .tensor import Tensor
+from .tensor import Tensor, check_array_size
 
-FAMILIES = ("stripes", "blobs", "checks", "waves")
 CONTENT_KINDS = ("shapes", "gradient", "photo")
 
 
@@ -47,7 +45,7 @@ class ImageSample:
 
     @classmethod
     def from_array(cls, pixels: np.ndarray) -> "ImageSample":
-        pixels = np.asarray(pixels, dtype=np.float64)
+        pixels = np.ascontiguousarray(pixels, dtype=np.float64)
         if pixels.ndim == 2:
             pixels = pixels[:, :, None]
         h, w, ch = pixels.shape
@@ -56,13 +54,6 @@ class ImageSample:
     def to_tensor(self) -> Tensor:
         """Planar (ch, H, W) tensor view used by the diffusion model."""
         return Tensor(np.ascontiguousarray(self.pixels.transpose(2, 0, 1)))
-
-    @classmethod
-    def from_tensor(cls, t: Tensor) -> "ImageSample":
-        data = np.asarray(t.data, dtype=np.float64)
-        if data.ndim != 3:
-            raise DimensionError("expected a (ch, H, W) tensor")
-        return cls.from_array(np.ascontiguousarray(data.transpose(1, 2, 0)))
 
 
 @dataclass
@@ -76,7 +67,7 @@ class StyleSpec:
     jitter: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in _RENDERERS:
             raise ConfigError(f"unknown style family: {self.family!r}")
         if not self.palette:
             raise ConfigError("palette must be non-empty")
@@ -104,9 +95,9 @@ def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _lerp(c0, c1, t: np.ndarray) -> np.ndarray:
-    c0 = np.asarray(c0, dtype=np.float64)
-    c1 = np.asarray(c1, dtype=np.float64)
+def _two_tone(spec: StyleSpec, t: np.ndarray) -> np.ndarray:
+    c0 = np.asarray(spec.palette[0], dtype=np.float64)
+    c1 = np.asarray(spec.palette[1 % len(spec.palette)], dtype=np.float64)
     return c0[None, None, :] + (c1 - c0)[None, None, :] * t[:, :, None]
 
 
@@ -117,8 +108,7 @@ def _render_stripes(spec: StyleSpec, size: int,
     phase = spec.jitter * rng.uniform(0.0, 1.0)
     u = (x * math.cos(theta) + y * math.sin(theta)) / spec.scale + phase
     band = 0.5 * (1.0 + np.tanh(3.0 * np.sin(2.0 * math.pi * u)))
-    c1 = spec.palette[1 % len(spec.palette)]
-    return _lerp(spec.palette[0], c1, band)
+    return _two_tone(spec, band)
 
 
 def _render_waves(spec: StyleSpec, size: int,
@@ -130,8 +120,7 @@ def _render_waves(spec: StyleSpec, size: int,
     v = (-x * math.sin(theta) + y * math.cos(theta)) / (spec.scale * 1.7)
     wobble = 0.6 * np.sin(2.0 * math.pi * v + phase)
     val = 0.5 + 0.5 * np.sin(2.0 * math.pi * u + wobble + phase)
-    c1 = spec.palette[1 % len(spec.palette)]
-    return _lerp(spec.palette[0], c1, val)
+    return _two_tone(spec, val)
 
 
 def _render_checks(spec: StyleSpec, size: int,
@@ -141,8 +130,7 @@ def _render_checks(spec: StyleSpec, size: int,
     oy = spec.jitter * rng.uniform(0.0, spec.scale)
     parity = (np.floor((x + ox) / spec.scale)
               + np.floor((y + oy) / spec.scale)) % 2.0
-    c1 = spec.palette[1 % len(spec.palette)]
-    return _lerp(spec.palette[0], c1, parity)
+    return _two_tone(spec, parity)
 
 
 def _render_blobs(spec: StyleSpec, size: int,

@@ -85,8 +85,8 @@ def _pool(root_seed: int) -> tuple[list[ImageSample], list[str]]:
 
 @dataclass
 class DeskRig:
-    """The pretrained, frozen backbone, the target collection, and the full
-    and drop-text entries trained on it and their bank."""
+    """The pretrained, frozen backbone, the target collection, the full and
+    drop-text entries trained on it, their bank, and ``build``'s root seed."""
 
     sched: NoiseSchedule
     backbone: Denoiser
@@ -96,6 +96,7 @@ class DeskRig:
     entry_full_trace: list[float]
     entry_droptext: StyleBankEntry
     bank: StyleBank
+    root_seed: int
 
 
 def build(root_seed: int = ROOT_SEED, pretrain_steps: int = PRETRAIN_STEPS,
@@ -125,7 +126,7 @@ def build(root_seed: int = ROOT_SEED, pretrain_steps: int = PRETRAIN_STEPS,
     for entry in entries:
         bank.add(entry)
     return DeskRig(sched, backbone, trace, collection, entries[0], traces[0],
-                   entries[1], bank)
+                   entries[1], bank, root_seed)
 
 
 def contents(n: int) -> list[tuple[ImageSample, InversionConfig]]:
@@ -137,12 +138,11 @@ def contents(n: int) -> list[tuple[ImageSample, InversionConfig]]:
             for i in range(n)]
 
 
-def convergence(rig: DeskRig, variants: Sequence[str],
-                n_seeds: int = BENCH_SEEDS, max_iters: int = BENCH_MAX_ITERS,
-                root_seed: int = ROOT_SEED) -> list[ConvergenceReport]:
+def convergence(rig: DeskRig, variants: Sequence[str], n_seeds: int = BENCH_SEEDS,
+                max_iters: int = BENCH_MAX_ITERS) -> list[ConvergenceReport]:
     """Criterion 07: ``convergence_benchmark``'s reports for ``variants`` at
-    the ``convergence_seeds`` of ``root_seed``, the seed of ``rig``."""
-    seeds = convergence_seeds(root_seed, n_seeds)
+    the ``convergence_seeds`` of the rig's root seed."""
+    seeds = convergence_seeds(rig.root_seed, n_seeds)
     return convergence_benchmark(
         rig.backbone, rig.style_collection, variants, seeds,
         loss_threshold=BENCH_THRESHOLD, max_iters=max_iters, sched=rig.sched,

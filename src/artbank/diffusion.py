@@ -17,14 +17,14 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import container, seeding
-from .bank import (StyleBankEntry, assemble_condition, check_array_size,
-                   encode_prompt, entry_condition)
+from .bank import (StyleBankEntry, assemble_condition, encode_prompt,
+                   entry_condition)
 from .data_io import ImageSample
 from .errors import (ArtBankError, ConfigError, ContractError,
                      DimensionError, MalformedHeaderError)
 from .optim import AdamState, adam_step, check_lr, zero_grads
-from .tensor import (Parameter, Tensor, conv2d, gelu, matmul, mean_all,
-                     reshape, softmax_cols, transpose)
+from .tensor import (Parameter, Tensor, check_array_size, conv2d, gelu,
+                     matmul, mean_all, reshape, softmax_cols, transpose)
 
 CHECKPOINT_MAGIC = b"ABDN"
 CHECKPOINT_VERSION = 2
@@ -88,8 +88,7 @@ def check_denoiser(width: int, cond_dim: int, timesteps: int,
     are sized for 3 image channels, the most an image has."""
     if width < 2 or cond_dim < 1:
         raise error("width must be >= 2 and cond_dim >= 1")
-    # The largest weights: conv2/conv3, conv1/conv4 or the key/value projections.
-    check_array_size(width * max(9 * width, 27, cond_dim),
+    check_array_size(max(map(math.prod, _param_shapes(3, width, cond_dim).values())),
                      f"a denoiser with width={width} and cond_dim={cond_dim}", error)
     check_timesteps(timesteps, error)
 
@@ -475,4 +474,4 @@ def sample(d, sched: NoiseSchedule, cond: Tensor | None,
         ab_prev = sched.alpha_bar[t - 1]
         x0 = (z - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
         z = np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps_hat
-    return ImageSample.from_tensor(Tensor(np.clip(z, 0.0, 1.0)))
+    return ImageSample.from_array(np.clip(z, 0.0, 1.0).transpose(1, 2, 0))

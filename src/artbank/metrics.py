@@ -22,14 +22,14 @@ import numpy as np
 
 from . import seeding
 from .attention import ENCODERS
-from .bank import (StyleBankEntry, check_array_size, check_entry_dim,
-                   create_entry, entry_condition)
+from .bank import (StyleBankEntry, check_entry_dim, create_entry,
+                   entry_condition)
 from .data_io import ImageSample
 from .diffusion import (Denoiser, NoiseSchedule, check_images, check_schedule,
                         probe_losses, train_ispb)
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericError
 from .optim import check_lr
-from .tensor import Tensor, clamp_min, conv2d
+from .tensor import Tensor, check_array_size, clamp_min, conv2d
 
 SSIM_WINDOW = 8
 SSIM_C1 = 0.01 ** 2
@@ -117,6 +117,8 @@ def gram_style_score(img: ImageSample, signature: np.ndarray) -> StyleScore:
     if np.shape(signature) != (GRAM_CHANNELS ** 2,):
         raise DimensionError(f"a Gram signature holds {GRAM_CHANNELS ** 2} "
                              f"values, got shape {np.shape(signature)}")
+    if not np.isfinite(signature).all():
+        raise NumericError("a Gram signature must be finite")
     vec = _gram_vector(img)
     norm = float(np.linalg.norm(vec)) * float(np.linalg.norm(signature))
     if norm == 0.0:
@@ -298,9 +300,11 @@ def check_benchmark(variants: Sequence[str], n_seeds: int, loss_threshold: float
     if max_iters < MOVING_AVG_WINDOW:
         raise ConfigError(f"max_iters must be at least the {MOVING_AVG_WINDOW}"
                           f"-step moving-average window, got {max_iters}")
-    for v in variants:
+    for i, v in enumerate(variants):
         if v not in ENCODERS:
             raise ConfigError(f"unknown attention variant: {v!r}")
+        if v in variants[:i]:
+            raise ConfigError(f"repeated attention variant: {v!r}")
     check_entry_dim("positions", positions)
     check_array_size(len(variants) * n_seeds * max_iters,
                      f"{n_seeds} seeds' loss traces of up to {max_iters} "

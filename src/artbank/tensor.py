@@ -16,13 +16,26 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import (ArtBankError, ConfigError, ContractError, DimensionError,
+                     NumericError)
 
 Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 EPS = 1e-8  # the variance guard of every sqrt(var + EPS)
+# The tape keeps several arrays of a model's largest size alive per step,
+# so one such array may take only a fraction of a desk machine's memory.
+MAX_ARRAY_BYTES = 1 << 28
+
+
+def check_array_size(values: int, what: str,
+                     error: type[ArtBankError] = ConfigError) -> None:
+    """Refuse ``what`` if its largest float64 array, ``values`` long, is
+    over ``MAX_ARRAY_BYTES``."""
+    if 8 * values > MAX_ARRAY_BYTES:
+        raise error(f"{what} needs a {8 * values / 2**30:.1f} GiB array; the "
+                    f"limit is {MAX_ARRAY_BYTES / 2**20:g} MiB per array")
 
 
 def _check_finite(data: Array, step: str) -> None:

@@ -191,7 +191,7 @@ class TestSanetForward:
         inst = random_ssam_instance(rng, 3, 4)
         i_m, p = params_from_instance(inst)
         w_o = Parameter("w_o", Tensor(np.zeros((3, 3))))
-        out = sanet_forward(i_m, p.w_q, p.w_k, p.w_v, w_o)
+        out = sanet_forward(i_m, p, w_o)
         np.testing.assert_array_equal(out.data, inst["i_m"])
 
     def test_single_position_identity_projections_double(self):
@@ -200,7 +200,7 @@ class TestSanetForward:
         inst["w_v"] = np.eye(3)
         i_m, p = params_from_instance(inst)
         w_o = Parameter("w_o", Tensor(np.eye(3)))
-        out = sanet_forward(i_m, p.w_q, p.w_k, p.w_v, w_o)
+        out = sanet_forward(i_m, p, w_o)
         np.testing.assert_allclose(out.data, 2.0 * inst["i_m"], atol=1e-12)
 
     def test_matches_oracle(self):
@@ -209,10 +209,20 @@ class TestSanetForward:
         w_o_arr = rng.normal(size=(2, 2))
         i_m, p = params_from_instance(inst)
         w_o = Parameter("w_o", Tensor(w_o_arr))
-        out = sanet_forward(i_m, p.w_q, p.w_k, p.w_v, w_o)
+        out = sanet_forward(i_m, p, w_o)
         expected = sanet_ref(inst["i_m"], inst["w_q"], inst["w_k"],
                              inst["w_v"], w_o_arr)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_style_matrix_of_other_positions_refused(self):
+        rng = np.random.default_rng(9)
+        _, p = params_from_instance(random_ssam_instance(rng, 3, 4))
+        w_o = Parameter("w_o", Tensor(np.eye(3)))
+        for n in (1, 5):
+            with pytest.raises(DimensionError, match=(
+                    rf"style matrix shape \(3, {n}\) does not match encoder "
+                    r"dims \(3, 4\)")):
+                sanet_forward(Tensor(rng.normal(size=(3, n))), p, w_o)
 
 
 class TestEncoder:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import artbank.bank as bank_mod
+import artbank.tensor as tensor_mod
 from artbank.attention import ssam_forward
 from artbank.bank import (BANK_MAGIC, StyleBank, assemble_condition,
                           bank_bytes, create_entry, encode_prompt,
@@ -67,7 +68,7 @@ class TestEncodePrompt:
 
     def test_table_over_array_budget_refused_before_any_row(self, monkeypatch):
         # 2 tokens x 512 float64 columns take 8,192 bytes; x 256, 4,096.
-        monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 4096)
+        monkeypatch.setattr(tensor_mod, "MAX_ARRAY_BYTES", 4096)
         assert encode_prompt("a *", "", 256).embeddings.shape == (2, 256)
 
         def no_row(*args):

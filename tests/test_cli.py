@@ -22,6 +22,7 @@ import artbank.bank as bank_mod
 import artbank.cli as cli_mod
 import artbank.data_io as data_io
 import artbank.diffusion as diffusion
+import artbank.tensor as tensor_mod
 from artbank import desk, metrics
 from artbank.bank import StyleBank, bank_bytes, create_entry, save_bank
 from artbank.cli import build_config, build_parser, parse_config_file, run
@@ -371,6 +372,11 @@ _RUNNABLE = {
     pytest.param("bench-attn", ["--variants", ","],
                  "variants must name at least one encoder",
                  id="bench-attn-variants-empty"),
+    # Each variant is one row of the report, so a repeat would train and
+    # print it twice.
+    pytest.param("bench-attn", ["--variants", "ssam,ssam"],
+                 "repeated attention variant: 'ssam'",
+                 id="bench-attn-variants-repeated"),
     pytest.param("stylize", ["--strength", "0"],
                  "strength must lie in (0, 1]: 0.0", id="stylize-strength-0"),
     pytest.param("stylize", ["--out", ""], "stylize requires an output path",
@@ -605,7 +611,7 @@ def test_oversized_content_image_exits_2(untrained_checkpoint, tmp_path, capsys,
                                          monkeypatch, budget, what):
     content = tmp_path / "big.ppm"
     write_ppm(gen_content_image("photo", 16, seed=1), content)
-    monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", budget)
+    monkeypatch.setattr(tensor_mod, "MAX_ARRAY_BYTES", budget)
     bank = StyleBank()
     bank.add(create_entry("checks", "checks", 12, 4, seed=0))
     save_bank(bank, tmp_path / "b.ispb")
@@ -941,8 +947,9 @@ def test_bench_attn_seeds_are_criterion_07s(dataset, untrained_checkpoint,
     seen = []
     monkeypatch.setattr(desk, "convergence_benchmark",
                         lambda d, images, variants, seeds, **kw: seen.append(seeds))
-    base = SimpleNamespace(backbone=None, style_collection=None, sched=None)
-    desk.convergence(base, ["ssam"], n_seeds=3, root_seed=7)
+    base = SimpleNamespace(backbone=None, style_collection=None, sched=None,
+                           root_seed=7)
+    desk.convergence(base, ["ssam"], n_seeds=3)
     assert csv_seeds == seen[0] and len(set(csv_seeds)) == 3
 
 

@@ -1,9 +1,13 @@
 """Synthetic image generators and PPM/PGM round-trips."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-import artbank.bank as bank_mod
+import artbank.data_io as data_io
+import artbank.tensor as tensor_mod
 from artbank.data_io import (ImageSample, StyleSpec, default_style_specs,
                              gen_content_image, gen_style_collection,
                              read_ppm, write_ppm)
@@ -24,9 +28,29 @@ class TestImageSample:
                 ImageSample.from_array(pixels)
 
     def test_tensor_round_trip(self):
+        # Both directions keep the arrays row-major (C-contiguous).
         img = gen_content_image("photo", 8, seed=1)
-        back = ImageSample.from_tensor(img.to_tensor())
-        assert np.array_equal(back.pixels, img.pixels)
+        planar = img.to_tensor().data
+        assert planar.flags.c_contiguous
+        assert np.array_equal(planar, img.pixels.transpose(2, 0, 1))
+        back = ImageSample.from_array(planar.transpose(1, 2, 0)).pixels
+        assert back.flags.c_contiguous and np.array_equal(back, img.pixels)
+
+
+def test_imports_only_errors_seeding_and_tensor_from_the_package():
+    """The data layer sits below the bank and the models: of the package it
+    takes only the error classes, the seeds and the array budget."""
+    imported = set()
+    tree = ast.parse(Path(data_io.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module} if node.module
+                         else {a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("artbank"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("artbank")}
+    assert imported <= {"errors", "seeding", "tensor"}, imported
 
 
 class TestGenerators:
@@ -88,7 +112,7 @@ class TestGenerators:
     def test_every_channel_counted(self, monkeypatch, generate):
         # 16 x 16 x 3 float64 pixels take 6,144 bytes, as read_ppm counts
         # them; one gray plane takes 2,048.
-        monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 4096)
+        monkeypatch.setattr(tensor_mod, "MAX_ARRAY_BYTES", 4096)
         with pytest.raises(ConfigError, match="a 16x16 image needs a 0.0 GiB "
                                               "array"):
             generate()
@@ -208,7 +232,7 @@ class TestPpmIo:
         # 16 x 16 x 3 float64 pixels take 6,144 bytes, 16 x 16 x 1 take 2,048.
         path = tmp_path / "big.ppm"
         write_ppm(gen_content_image("photo", 16, seed=1, channels=channels), path)
-        monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 4096)
+        monkeypatch.setattr(tensor_mod, "MAX_ARRAY_BYTES", 4096)
         if not refused:
             assert read_ppm(path).height == 16
             return

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import artbank.bank as bank_mod
 import artbank.diffusion as diffusion
+import artbank.tensor as tensor_mod
 from artbank import metrics
 from artbank.attention import ENCODERS
 from artbank.bank import (StyleBank, assemble_condition, bank_bytes,
@@ -361,7 +361,7 @@ def test_bad_lr_refused_before_any_step(monkeypatch, trainer, lr):
 def test_trace_over_budget_refused_before_any_step(monkeypatch, trainer):
     # 20,000 losses take 160,000 bytes, over a budget that the denoiser, the
     # entry and conv2's 9 * 8 * 8 * 8 float64 columns (36,864 bytes) fit in.
-    monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 100_000)
+    monkeypatch.setattr(tensor_mod, "MAX_ARRAY_BYTES", 100_000)
     images = [gen_content_image("photo", 8, seed=i) for i in range(2)]
     d = Denoiser(3, 8, 16, seed=12, timesteps=10)
     entry = create_entry("long", "long", 16, 4, seed=0)
@@ -433,7 +433,7 @@ def test_schedule_mismatch_refused_before_any_step(monkeypatch, caller):
 def test_oversized_image_refused_before_any_step(monkeypatch, caller):
     # A budget under conv2's 9 * 8 * 16 * 16 float64 columns (147,456 bytes)
     # but over the images' own pixels, so nothing large is allocated.
-    monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 100_000)
+    monkeypatch.setattr(tensor_mod, "MAX_ARRAY_BYTES", 100_000)
     images = [gen_content_image("photo", 16, seed=i) for i in range(3)]
     d = Denoiser(3, 8, 12, seed=12, timesteps=10)
     entry = create_entry("big", "big", 12, 4, seed=0)

@@ -10,11 +10,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import artbank.bank as bank_mod
+import artbank.tensor as tensor_mod
 from artbank import diffusion, metrics
 from artbank.data_io import (ImageSample, default_style_specs,
                              gen_content_image, gen_style_collection)
-from artbank.errors import ConfigError, DimensionError
+from artbank.errors import ConfigError, DimensionError, NumericError
 from artbank.metrics import (MOVING_AVG_WINDOW, ConvergenceReport,
                              _gram_vector, convergence_benchmark,
                              format_convergence_table, gram_style_score,
@@ -93,6 +93,15 @@ class TestGramScores:
         with pytest.raises(DimensionError,
                            match=r"holds 256 values, got shape \(5,\)"):
             gram_style_score(img, np.ones(5))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_signature_refused(self, value):
+        img = gen_content_image("shapes", 8, seed=1)
+        signature = signature_of([img]).copy()
+        signature[3] = value
+        with pytest.raises(NumericError, match="a Gram signature must be finite"):
+            gram_style_score(img, signature)
 
     def test_5x5_scores(self):
         img = gen_content_image("shapes", 5, seed=1)
@@ -462,7 +471,7 @@ def test_bad_positions_refused_before_any_job(monkeypatch, positions, message):
 def test_trace_budget_refused_before_any_job(monkeypatch):
     # 3 variants x 3 seeds x 100 losses take 7,200 bytes; the denoiser's
     # largest weight takes 4,608.
-    monkeypatch.setattr(bank_mod, "MAX_ARRAY_BYTES", 7_000)
+    monkeypatch.setattr(tensor_mod, "MAX_ARRAY_BYTES", 7_000)
     message = _refused_before_any_job(monkeypatch, ["ssam", "sanet", "adaattn"])
     assert message.startswith("3 seeds' loss traces of up to 100 steps for 3 "
                               "variants needs a 0.0 GiB array")

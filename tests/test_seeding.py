@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import artbank
-import artbank.bank as bank_mod
+import artbank.tensor as tensor_mod
 from artbank.bank import create_entry, encode_prompt
 from artbank.data_io import (default_style_specs, gen_content_image,
                              gen_style_collection)
@@ -128,7 +128,7 @@ def test_hostile_seeds_and_sizes_end_in_a_result_or_an_artbank_error(data):
     """Any of these seeds with any of these sizes gives a result or an
     ``ArtBankError``; a size other than 1 is always refused. Nothing starts
     a thread or a process."""
-    with mock.patch.object(bank_mod, "MAX_ARRAY_BYTES", _BUDGET), \
+    with mock.patch.object(tensor_mod, "MAX_ARRAY_BYTES", _BUDGET), \
             mock.patch.object(os, "fork", _refuse), \
             mock.patch.object(threading.Thread, "start", _refuse):
         calls = _sweep_calls()
