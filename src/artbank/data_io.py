@@ -19,8 +19,6 @@ from .errors import (ConfigError, DimensionError, MalformedHeaderError,
                      TruncatedFileError, UnsupportedFormatError)
 from .tensor import Tensor, check_array_size
 
-CONTENT_KINDS = ("shapes", "gradient", "photo")
-
 
 @dataclass
 class ImageSample:
@@ -230,17 +228,26 @@ def _render_photo(size: int, rng: np.random.Generator,
     return np.stack(chans, axis=-1)
 
 
+# Callers pick a kind by its position here, so the order is part of every
+# generated dataset's bytes.
+_CONTENT_RENDERERS = {
+    "shapes": _render_shapes,
+    "gradient": _render_gradient,
+    "photo": _render_photo,
+}
+CONTENT_KINDS = tuple(_CONTENT_RENDERERS)
+
+
 def gen_content_image(kind: str, size: int, seed: int,
                       channels: int = 3) -> ImageSample:
     """Render one deterministic content image of the requested kind."""
-    if kind not in CONTENT_KINDS:
+    if kind not in _CONTENT_RENDERERS:
         raise ConfigError(f"unknown content kind: {kind!r}")
     if channels not in (1, 3):
         raise DimensionError("content images must have 1 or 3 channels")
     _check_size(size, channels)
     rng = seeding.rng(seed)
-    render = {"gradient": _render_gradient, "shapes": _render_shapes,
-              "photo": _render_photo}[kind]
+    render = _CONTENT_RENDERERS[kind]
     return ImageSample.from_array(np.clip(render(size, rng, channels), 0.0, 1.0))
 
 

@@ -9,17 +9,52 @@ accumulated into ``.grad`` buffers by ``Tensor.backward()`` on a scalar output.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
+import scipy
 
 from .errors import (ArtBankError, ConfigError, ContractError, DimensionError,
                      NumericError)
 
 Array = np.ndarray
+_ERF_MODULE = "scipy.special._special_ufuncs"
+
+
+def _load_erf():
+    """scipy's ``erf`` ufunc, without running ``scipy.special``'s
+    ``__init__``, which imports dozens of modules the tape never calls.
+
+    The extension module that holds it loads from its file alone and is
+    registered under its own name, so a later ``import scipy.special``
+    reuses it and its ``erf`` is this object. A scipy without that module,
+    or whose module has no ``erf``, gives the public ``scipy.special.erf``.
+    """
+    module = sys.modules.get(_ERF_MODULE)
+    if module is None:
+        # Not importlib.util.find_spec: it would import the parent package.
+        folder = Path(scipy.__file__).parent / "special"
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = folder / f"_special_ufuncs{suffix}"
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location(_ERF_MODULE, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_ERF_MODULE] = module
+                break
+    if hasattr(module, "erf"):
+        return module.erf
+    from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)

@@ -55,6 +55,18 @@ class TestSsim:
         a = gen_content_image("photo", 4, seed=6)
         assert ssim(a, a) == 1.0
 
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 5, 3), (5, 0, 1)],
+                             ids=["0x0", "5x0", "0x5-gray"])
+    def test_image_without_pixels_refused(self, shape):
+        # Its windows are empty, so unchecked it would warn "Mean of empty
+        # slice" and score nan.
+        img = ImageSample.from_array(np.zeros(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="ssim needs an image "
+                               f"with pixels, got {shape[1]}x{shape[0]}"):
+                ssim(img, img)
+
 
 class TestGramScores:
     def test_single_image_signature_scores_one(self):

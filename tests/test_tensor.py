@@ -1,12 +1,16 @@
 """Core tensor ops, gradients, and the Adam update."""
 
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -595,14 +599,60 @@ class TestFiniteness:
                   "    Tensor([float('inf')])\n"
                   "except NumericError:\n"
                   "    print('refused')\n")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-        src = str(Path(artbank.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == ""
-        assert proc.stdout == "refused\n"
+        assert _run_fresh(script) == "refused\n"
+
+
+def _run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that finds this package, with
+    Python's default warning filters; return its stdout, asserting that it
+    exited 0 and wrote nothing to stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(artbank.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+class TestErfLoader:
+    """The tape takes scipy's ``erf`` ufunc from its extension module alone,
+    so ``scipy.special``'s ``__init__`` does not run."""
+
+    def test_cli_import_leaves_scipy_special_out(self):
+        # A fresh interpreter: this one has imported scipy.special.
+        script = ("import sys\n"
+                  "import artbank.cli\n"
+                  "from artbank import tensor\n"
+                  "print('scipy.special' in sys.modules)\n"
+                  "import scipy.special\n"
+                  "print(scipy.special.erf is tensor.erf)\n"
+                  "print(scipy.special.gamma(5.0) == 24.0)\n")
+        assert _run_fresh(script) == "False\nTrue\nTrue\n"
+
+    def test_loaded_module_is_reused(self, monkeypatch):
+        def load_again(*args, **kwargs):
+            raise AssertionError("the extension file was loaded again")
+
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", load_again)
+        assert tensor._load_erf() is scipy.special.erf
+
+    @pytest.mark.parametrize("hide", [
+        lambda mp, tmp: mp.setattr(importlib.machinery, "EXTENSION_SUFFIXES", []),
+        lambda mp, tmp: mp.setattr(scipy, "__file__", str(tmp / "__init__.py")),
+    ], ids=["no-suffixes", "empty-folder"])
+    def test_missing_extension_falls_back_to_scipy_special(self, monkeypatch,
+                                                           tmp_path, hide):
+        monkeypatch.delitem(sys.modules, tensor._ERF_MODULE)
+        hide(monkeypatch, tmp_path)
+        assert tensor._load_erf() is scipy.special.erf
+        assert tensor._ERF_MODULE not in sys.modules
+
+    def test_module_without_erf_falls_back_to_scipy_special(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, tensor._ERF_MODULE,
+                            types.ModuleType(tensor._ERF_MODULE))
+        assert tensor._load_erf() is scipy.special.erf
 
 
 class TestInvariants:
