@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import container, seeding
-from .attention import SsamParams, check_style_matrix, encoder, init_ssam_params
+from .attention import SsamParams, encoder, init_ssam_params
 from .errors import (ArtBankError, ConfigError, DimensionError,
                      DuplicateStyleError, MalformedHeaderError, TemplateError,
                      UnknownStyleError)
@@ -45,8 +45,11 @@ class TokenEmbeddingSeq:
     placeholder_index: int
 
     def __post_init__(self) -> None:
-        if self.embeddings.shape[0] != len(self.tokens):
-            raise DimensionError("embedding row count must equal token count")
+        pi = self.placeholder_index
+        if self.embeddings.ndim != 2 or len(self.embeddings) != len(self.tokens):
+            raise DimensionError("embeddings must be one row per token")
+        if not (0 <= pi < len(self.tokens) and self.tokens[pi] == PLACEHOLDER):
+            raise TemplateError(f"token {pi} of {self.tokens} is not the placeholder")
 
 
 @dataclass
@@ -62,7 +65,10 @@ class StyleBankEntry:
 
     def __post_init__(self) -> None:
         check_prompt(self.template, self.artist)
-        check_style_matrix(self.i_m.value, self.channels, self.positions)
+        params = {"i_m": self.i_m, **vars(self.ssam)}
+        shapes = {name: p.value.data.shape for name, p in params.items()}
+        if len(shapes["i_m"]) != 2 or shapes != _entry_shapes(*shapes["i_m"]):
+            raise DimensionError(f"parameter shapes {shapes} do not fit a C x N entry")
 
     @property
     def channels(self) -> int:

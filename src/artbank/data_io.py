@@ -20,38 +20,32 @@ from .errors import (ConfigError, DimensionError, MalformedHeaderError,
 from .tensor import Tensor, check_array_size
 
 
-@dataclass
 class ImageSample:
-    """An H x W x ch float64 image with all values in [0, 1]."""
+    """An (H, W, C) C-contiguous float64 image, C in {1, 3}, with a pixel and
+    all values in [0, 1]. The constructor is the one statement of that rule:
+    it takes an (H, W) or (H, W, C) array, copied only if not C-contiguous
+    float64, and refuses any other shape (``DimensionError``) and any value
+    outside [0, 1] (``ConfigError``)."""
 
-    width: int
-    height: int
-    channels: int
-    pixels: np.ndarray  # (H, W, ch), row-major, channel-interleaved
-
-    def __post_init__(self) -> None:
-        if self.channels not in (1, 3):
-            raise DimensionError("images must have 1 or 3 channels")
-        if self.pixels.shape != (self.height, self.width, self.channels):
-            raise DimensionError(
-                f"pixel buffer shape {self.pixels.shape} does not match "
-                f"({self.height}, {self.width}, {self.channels})")
+    def __init__(self, pixels: np.ndarray) -> None:
+        arr = np.asarray(pixels, dtype=np.float64, order="C")
+        if arr.ndim == 2:
+            arr = arr[:, :, None]
+        if arr.ndim != 3 or arr.shape[2] not in (1, 3) or not arr.size:
+            raise DimensionError(f"an image is (H, W) or (H, W, C) with C in "
+                                 f"(1, 3) and a pixel, got {np.shape(pixels)}")
         # Written so that a NaN, which compares false, fails it.
-        if self.pixels.size and not (0.0 <= float(self.pixels.min())
-                                     and float(self.pixels.max()) <= 1.0):
+        if not (0.0 <= float(arr.min()) and float(arr.max()) <= 1.0):
             raise ConfigError("pixel values must lie in [0, 1]")
+        self.pixels = arr  # (H, W, C), row-major, channel-interleaved
 
-    @classmethod
-    def from_array(cls, pixels: np.ndarray) -> "ImageSample":
-        pixels = np.ascontiguousarray(pixels, dtype=np.float64)
-        if pixels.ndim == 2:
-            pixels = pixels[:, :, None]
-        h, w, ch = pixels.shape
-        return cls(width=w, height=h, channels=ch, pixels=pixels)
+    height = property(lambda self: self.pixels.shape[0])
+    width = property(lambda self: self.pixels.shape[1])
+    channels = property(lambda self: self.pixels.shape[2])
 
     def to_tensor(self) -> Tensor:
-        """Planar (ch, H, W) tensor view used by the diffusion model."""
-        return Tensor(np.ascontiguousarray(self.pixels.transpose(2, 0, 1)))
+        """Planar (C, H, W) tensor copy used by the diffusion model."""
+        return Tensor(self.pixels.transpose(2, 0, 1))
 
 
 @dataclass
@@ -174,11 +168,8 @@ def gen_style_collection(spec: StyleSpec, count: int, size: int,
     _check_size(size, 3)
     rng = seeding.rng(seed)
     render = _RENDERERS[spec.family]
-    images = []
-    for _ in range(count):
-        pixels = np.clip(render(spec, size, rng), 0.0, 1.0)
-        images.append(ImageSample.from_array(pixels))
-    return images
+    return [ImageSample(np.clip(render(spec, size, rng), 0.0, 1.0))
+            for _ in range(count)]
 
 
 def _render_gradient(size: int, rng: np.random.Generator,
@@ -248,14 +239,14 @@ def gen_content_image(kind: str, size: int, seed: int,
     _check_size(size, channels)
     rng = seeding.rng(seed)
     render = _CONTENT_RENDERERS[kind]
-    return ImageSample.from_array(np.clip(render(size, rng, channels), 0.0, 1.0))
+    return ImageSample(np.clip(render(size, rng, channels), 0.0, 1.0))
 
 
 def write_ppm(img: ImageSample, path) -> None:
     """Write binary P6 (RGB) or P5 (gray), maxval 255, canonical header."""
     magic = "P6" if img.channels == 3 else "P5"
     header = f"{magic}\n{img.width} {img.height}\n255\n".encode("ascii")
-    payload = np.rint(img.pixels * 255.0).clip(0, 255).astype(np.uint8).tobytes()
+    payload = np.rint(img.pixels * 255.0).astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
         fh.write(header + payload)
 
@@ -310,5 +301,4 @@ def read_ppm(path) -> ImageSample:
         raise TruncatedFileError(
             f"payload has {len(payload)} bytes, expected {expected}")
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    return ImageSample(width=width, height=height, channels=channels,
-                       pixels=pixels.reshape(height, width, channels))
+    return ImageSample(pixels.reshape(height, width, channels))

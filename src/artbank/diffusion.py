@@ -67,14 +67,14 @@ class LatentState:
     t: int
 
 
-def _check_t(t: int, sched: NoiseSchedule) -> None:
-    if not (1 <= t <= sched.timesteps):
-        raise ConfigError(f"timestep {t} outside [1, {sched.timesteps}]")
+def _check_t(t: int, timesteps: int) -> None:
+    if not (1 <= t <= timesteps):
+        raise ConfigError(f"timestep {t} outside [1, {timesteps}]")
 
 
 def q_sample(z0: Tensor, t: int, eps: Tensor, sched: NoiseSchedule) -> LatentState:
     """Forward-noise a clean tensor to timestep t."""
-    _check_t(t, sched)
+    _check_t(t, sched.timesteps)
     if eps.data.shape != z0.data.shape:
         raise DimensionError("noise must match the clean tensor's shape")
     ab = sched.alpha_bar[t]
@@ -193,6 +193,7 @@ class Denoiser:
             raise DimensionError(
                 f"latent shape {z.data.shape} does not match in_channels="
                 f"{self.in_channels}")
+        _check_t(state.t, self.timesteps)
         _, h, w_img = z.data.shape
         x = gelu(conv2d(z, self.conv1_w.value, self.conv1_b.value)
                  + self._time_features(state.t))
@@ -466,7 +467,7 @@ def sample(d, sched: NoiseSchedule, cond: Tensor | None,
     """Run DDIM (eta = 0, no noise drawn) from the start state ``init`` back
     to step zero; the output is clamped to [0, 1]."""
     check_schedule(d, sched)
-    _check_t(init.t, sched)
+    _check_t(init.t, sched.timesteps)
     z = init.z.data.copy()
     for t in range(init.t, 0, -1):
         eps_hat = d.predict_noise(LatentState(Tensor(z), t), cond).data
@@ -474,4 +475,4 @@ def sample(d, sched: NoiseSchedule, cond: Tensor | None,
         ab_prev = sched.alpha_bar[t - 1]
         x0 = (z - np.sqrt(1.0 - ab_t) * eps_hat) / np.sqrt(ab_t)
         z = np.sqrt(ab_prev) * x0 + np.sqrt(1.0 - ab_prev) * eps_hat
-    return ImageSample.from_array(np.clip(z, 0.0, 1.0).transpose(1, 2, 0))
+    return ImageSample(np.clip(z, 0.0, 1.0).transpose(1, 2, 0))

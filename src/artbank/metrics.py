@@ -54,11 +54,8 @@ def _window_means(x: np.ndarray, k: int) -> np.ndarray:
 
 def ssim(a: ImageSample, b: ImageSample) -> float:
     """Mean structural similarity over sliding windows and channels."""
-    if (a.width, a.height, a.channels) != (b.width, b.height, b.channels):
+    if a.pixels.shape != b.pixels.shape:
         raise DimensionError("ssim requires images of identical dimensions")
-    if min(a.height, a.width) < 1:
-        raise DimensionError(
-            f"ssim needs an image with pixels, got {a.width}x{a.height}")
     k = min(SSIM_WINDOW, a.height, a.width)
     values = []
     for ch in range(a.channels):

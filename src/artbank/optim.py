@@ -58,6 +58,9 @@ def adam_step(params: Sequence[Parameter], state: AdamState,
     elif state.m.size != g.size:
         raise ContractError(f"the Adam state holds {state.m.size} values but the "
                             f"parameters have {g.size}")
+    elif not state.m.shape == np.shape(state.v) == g.shape:
+        raise ContractError(f"the Adam state's moments have shapes {state.m.shape} "
+                            f"and {np.shape(state.v)}, not {g.shape}")
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - ADAM_BETA1 ** t

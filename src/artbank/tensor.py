@@ -381,16 +381,18 @@ def im2col(x: Array, kh: int, kw: int,
 
     ``pad`` is one margin for both spatial axes or a (rows, columns) pair;
     a negative margin crops that many values from each end of its axis.
-    The columns are always a fresh array of their own, never a view of ``x``.
+    The columns are always a fresh array of their own, never a view of ``x``,
+    refused before any allocation if over the array budget.
     """
     ph, pw = (pad, pad) if isinstance(pad, int) else pad
     c, h, w = x.shape
+    out_h = h + 2 * ph - kh + 1
+    out_w = w + 2 * pw - kw + 1
+    check_array_size(c * kh * kw * out_h * out_w, f"im2col of a {c}x{h}x{w} map")
     xp = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=np.float64)
     top, left, cut_h, cut_w = max(ph, 0), max(pw, 0), max(-ph, 0), max(-pw, 0)
     xp[:, top:top + h - 2 * cut_h, left:left + w - 2 * cut_w] = \
         x[:, cut_h:h - cut_h, cut_w:w - cut_w]
-    out_h = h + 2 * ph - kh + 1
-    out_w = w + 2 * pw - kw + 1
     sc, sh, sw = xp.strides
     shape = (c, kh, kw, out_h, out_w)
     windows = np.ndarray(shape, np.float64, xp, 0, (sc, sh, sw, sh, sw))

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 import artbank.bank as bank_mod
 import artbank.tensor as tensor_mod
-from artbank.attention import ssam_forward
-from artbank.bank import (BANK_MAGIC, StyleBank, assemble_condition,
-                          bank_bytes, create_entry, encode_prompt,
-                          entry_condition, load_bank, save_bank)
+from artbank.attention import SsamParams, ssam_forward
+from artbank.bank import (BANK_MAGIC, StyleBank, StyleBankEntry,
+                          TokenEmbeddingSeq, assemble_condition, bank_bytes,
+                          create_entry, encode_prompt, entry_condition,
+                          load_bank, save_bank)
 from artbank.diffusion import Denoiser, checkpoint_bytes, load_checkpoint
 from artbank.errors import (BadMagicError, ConfigError, DimensionError,
                             DuplicateStyleError, FormatError,
                             MalformedHeaderError, TemplateError,
                             TruncatedFileError, UnknownStyleError,
                             VersionMismatchError)
-from artbank.tensor import Tensor, mean_all
+from artbank.tensor import Parameter, Tensor, mean_all
 
 
 def raw_bank(*entries, artist="artist"):
@@ -153,6 +154,20 @@ class TestAssembleCondition:
         with pytest.raises(DimensionError):
             assemble_condition(seq, Tensor(np.zeros((5, 3))))
 
+    @pytest.mark.parametrize("embeddings", [np.zeros(()), np.zeros(2),
+                                            np.zeros((2, 6, 1))],
+                             ids=["rank-0", "rank-1", "rank-3"])
+    def test_embeddings_not_one_row_per_token_refused(self, embeddings):
+        with pytest.raises(DimensionError, match="one row per token"):
+            TokenEmbeddingSeq(["a", "*"], embeddings, 1)
+
+    @pytest.mark.parametrize("index", [-1, 0, 2])
+    def test_index_off_the_placeholder_refused(self, index):
+        # Unrefused, -1 spliced every row in after the text before the
+        # placeholder, and 0 and 2 kept the placeholder's own row.
+        with pytest.raises(TemplateError, match=f"^token {index} of"):
+            TokenEmbeddingSeq(["a", "*"], np.zeros((2, 6)), index)
+
 
 class TestCreateEntry:
     def test_same_seed_identical(self):
@@ -174,6 +189,19 @@ class TestCreateEntry:
     def test_invalid_dims(self):
         with pytest.raises(ConfigError):
             create_entry("s", "a", 0, 4)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("i_m", (2, 3, 1)), ("w_q", ()), ("w_k", (4,)), ("w_col", (3,)),
+        ("alpha", (1,))])
+    def test_parameter_of_another_shape_refused(self, name, shape):
+        # Unrefused, a rank-0 w_q raised IndexError, and the others were
+        # saved in a layout that loads misread or not at all.
+        entry = create_entry("s", "a", 2, 3)
+        params = {"i_m": entry.i_m, **vars(entry.ssam),
+                  name: Parameter(name, Tensor(np.zeros(shape)))}
+        with pytest.raises(DimensionError, match="do not fit a C x N entry"):
+            StyleBankEntry("s", "a", entry.template, params.pop("i_m"),
+                           SsamParams(**params))
 
     def test_bad_template_rejected(self):
         with pytest.raises(TemplateError):

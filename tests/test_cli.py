@@ -959,7 +959,7 @@ def test_bench_attn_worker_error_exits_2(dataset, untrained_checkpoint,
     gray.mkdir(parents=True)
     spec = default_style_specs()["checks"]
     for i, img in enumerate(gen_style_collection(spec, 3, 8, seed=3)):
-        write_ppm(ImageSample.from_array(img.pixels.mean(axis=2)),
+        write_ppm(ImageSample(img.pixels.mean(axis=2)),
                   gray / f"img_{i}.pgm")
     monkeypatch.setattr(metrics, "_workers",
                         lambda jobs, environ, cores: min(jobs, 2))

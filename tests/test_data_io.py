@@ -1,6 +1,7 @@
 """Synthetic image generators and PPM/PGM round-trips."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,21 +12,22 @@ import artbank.tensor as tensor_mod
 from artbank.data_io import (ImageSample, StyleSpec, default_style_specs,
                              gen_content_image, gen_style_collection,
                              read_ppm, write_ppm)
-from artbank.errors import (ConfigError, MalformedHeaderError,
-                            TruncatedFileError, UnsupportedFormatError)
+from artbank.errors import (ArtBankError, ConfigError, DimensionError,
+                            MalformedHeaderError, TruncatedFileError,
+                            UnsupportedFormatError)
 
 
 class TestImageSample:
     def test_range_enforced(self):
         with pytest.raises(ConfigError):
-            ImageSample.from_array(np.full((2, 2, 3), 1.5))
+            ImageSample(np.full((2, 2, 3), 1.5))
 
     def test_nan_pixels_rejected(self):
         one_nan = np.full((8, 8, 3), 0.5)
         one_nan[3, 4, 1] = np.nan
         for pixels in (np.full((8, 8, 3), np.nan), one_nan):
             with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
-                ImageSample.from_array(pixels)
+                ImageSample(pixels)
 
     def test_tensor_round_trip(self):
         # Both directions keep the arrays row-major (C-contiguous).
@@ -33,8 +35,71 @@ class TestImageSample:
         planar = img.to_tensor().data
         assert planar.flags.c_contiguous
         assert np.array_equal(planar, img.pixels.transpose(2, 0, 1))
-        back = ImageSample.from_array(planar.transpose(1, 2, 0)).pixels
+        back = ImageSample(planar.transpose(1, 2, 0)).pixels
         assert back.flags.c_contiguous and np.array_equal(back, img.pixels)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 5, 3), (5, 0, 1)],
+                             ids=["0x0", "5x0", "0x5-gray"])
+    def test_image_without_pixels_refused(self, shape):
+        # Unrefused, ssim's windows over it would be empty and score nan.
+        with pytest.raises(DimensionError, match="and a pixel, got "
+                           rf"\({shape[0]}, {shape[1]}, {shape[2]}\)"):
+            ImageSample(np.zeros(shape))
+
+    def test_hostile_arrays_give_an_image_or_an_artbank_error(self, tmp_path):
+        """Every array here gives an image exactly when it is rank 2, or rank
+        3 with 1 or 3 channels, holds a pixel and lies in [0, 1], and an
+        ``ArtBankError`` otherwise. Each image holds its array's values as
+        C-contiguous float64 and keeps its shape through ``write_ppm`` and
+        ``read_ppm``."""
+        escapes = []
+        for label, arr in _hostile_arrays():
+            fits = (arr.size > 0 and (arr.ndim == 2 or arr.ndim == 3
+                                      and arr.shape[2] in (1, 3))
+                    and bool(np.all((arr >= 0) & (arr <= 1))))
+            img = None
+            try:
+                img = ImageSample(arr)
+                write_ppm(img, tmp_path / "img.ppm")
+                back = read_ppm(tmp_path / "img.ppm")
+            except ArtBankError as exc:
+                if fits or img is not None:  # refused, or written unreadable
+                    escapes.append(f"{label}: {exc!r}")
+            except Exception as exc:
+                escapes.append(f"{label}: {exc!r}")
+            else:
+                if not (fits and img.pixels.dtype == np.float64
+                        and img.pixels.flags.c_contiguous
+                        and img.pixels.shape == arr.shape + (1,) * (3 - arr.ndim)
+                        and np.array_equal(img.pixels.reshape(arr.shape), arr)
+                        and back.pixels.shape == img.pixels.shape):
+                    escapes.append(f"{label}: gave {img.pixels.shape}")
+        assert not escapes
+
+
+def _hostile_arrays():
+    """(label, array) pairs: ranks 0 to 4, empty axes, 0, 2 or 4 channels,
+    each filled with in-range values, nan, infinities or values outside
+    [0, 1], in C and Fortran order and as transposed views, and as bool and
+    int arrays."""
+    shapes = [(), (4,), (0,), (2, 3), (0, 3), (3, 0), (2, 3, 1), (2, 3, 3),
+              (0, 4, 3), (4, 0, 1), (0, 0, 3), (2, 3, 0), (2, 3, 2), (2, 3, 4),
+              (1, 2, 3, 3), (2, 2, 2, 1)]
+    for shape in shapes:
+        for fill in (0.0, 0.5, 1.0, np.nan, np.inf, -np.inf, -0.5, 1.5):
+            arr = np.full(shape, fill)
+            yield f"{shape} of {fill}", arr
+            yield f"{shape} of {fill}, Fortran order", np.asfortranarray(arr)
+        ramp = np.linspace(0.0, 1.0, math.prod(shape)).reshape(shape)
+        yield f"{shape} ramp transposed", ramp.T
+        if ramp.ndim >= 2:
+            yield f"{shape} ramp, first two axes swapped", ramp.swapaxes(0, 1)
+        yield f"{shape} of True", np.ones(shape, dtype=bool)
+        for value in (0, 1, 255, -1):
+            yield f"{shape} of int {value}", np.full(shape, value)
+    one_nan = np.full((4, 4, 3), 0.5)
+    one_nan[1, 2, 0] = np.nan
+    yield "one nan among in-range values", one_nan
 
 
 def test_imports_only_errors_seeding_and_tensor_from_the_package():
@@ -150,7 +215,7 @@ class TestGenerators:
 
 class TestPpmIo:
     def test_white_pixel_exact_bytes(self, tmp_path):
-        img = ImageSample.from_array(np.ones((1, 1, 3)))
+        img = ImageSample(np.ones((1, 1, 3)))
         path = tmp_path / "white.ppm"
         write_ppm(img, path)
         assert path.read_bytes() == b"P6\n1 1\n255\n\xff\xff\xff"

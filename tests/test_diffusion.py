@@ -197,6 +197,15 @@ class TestDenoiser:
         out = d.predict_noise(state, empty)
         assert out.data.shape == (3, 4, 4)
 
+    @pytest.mark.parametrize("t", [-1, 0, 11, 10**400],
+                             ids=["-1", "0", "11", "10**400"])
+    def test_timestep_outside_the_schedule_refused(self, t):
+        # Unrefused, -1, 0 and 11 ran on made-up time features, and 10**400
+        # overflowed converting to float.
+        d = Denoiser(3, 8, 8, seed=2, timesteps=10)
+        with pytest.raises(ConfigError, match=r"outside \[1, 10\]$"):
+            d.predict_noise(LatentState(Tensor(np.ones((3, 4, 4))), t), None)
+
     @pytest.mark.parametrize("shape", [(8,), (2, 8, 1)])
     def test_condition_not_2d_refused(self, shape):
         d = Denoiser(3, 8, 8, seed=2, timesteps=10)

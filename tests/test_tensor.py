@@ -5,6 +5,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import artbank
 from artbank import tensor
-from artbank.errors import (ArtBankError, ContractError, DimensionError,
-                            MissingGradError, NumericError)
+from artbank.errors import (ArtBankError, ConfigError, ContractError,
+                            DimensionError, MissingGradError, NumericError)
 from artbank.optim import AdamState, adam_step, zero_grads
 from artbank.tensor import (Parameter, Tensor, add, channel_norm, clamp_min,
                             concat_rows, conv2d, gelu, im2col, matmul,
@@ -204,6 +205,22 @@ def conv_gradients(draw):
 
 
 class TestConv2d:
+    def test_patch_matrix_over_budget_refused_before_allocation(self, monkeypatch):
+        # A 2 x 8 x 8 input, 3 x 3 kernel and pad 1: 18 x 64 patch values,
+        # 9,216 bytes.
+        x, w, b = Tensor(np.ones((2, 8, 8))), Tensor(np.ones((1, 2, 3, 3))), Tensor([0.0])
+        monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", 9216)
+        assert conv2d(x, w, b).data.shape == (1, 8, 8)
+        monkeypatch.setattr(tensor, "MAX_ARRAY_BYTES", 9215)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="^im2col of a 2x8x8 map needs"):
+                conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9216
+
     @settings(max_examples=200, deadline=None)
     @given(conv_inputs())
     @example((np.arange(9.0).reshape(1, 3, 3), 1, 1, 0))
@@ -457,6 +474,18 @@ class TestAdam:
             for p, q in zip(flat, ref):
                 assert p.value.data.shape == q.value.data.shape
                 assert p.value.data.tobytes() == q.value.data.tobytes()
+
+    @pytest.mark.parametrize("m, v", [((2, 2), (2, 2)), ((4,), None),
+                                      ((4,), (2, 2))],
+                             ids=["rank-2", "no-v", "v-rank-2"])
+    def test_state_moments_of_other_shapes_refused(self, m, v):
+        # Unrefused, these raised numpy's ValueError or a TypeError.
+        p = Parameter("p", Tensor(np.zeros((2, 2))))
+        p.value.grad = np.ones((2, 2))
+        state = AdamState(1, np.zeros(m), None if v is None else np.zeros(v))
+        with pytest.raises(ContractError, match="moments have shapes"):
+            adam_step([p], state)
+        np.testing.assert_array_equal(p.value.data, 0.0)
 
     def test_resized_parameter_list_on_used_state_refused(self):
         a = Parameter("a", Tensor(np.ones((2, 3))))
