@@ -89,8 +89,6 @@ def check_style_matrix(i_m: Tensor, channels: int, positions: int) -> None:
     """Refuse a style matrix that is not 2-d with ``channels`` rows and
     ``positions`` columns."""
     shape = i_m.data.shape
-    if len(shape) != 2:
-        raise DimensionError("style matrix must be 2-d (C x N)")
     if shape != (channels, positions):
         raise DimensionError(f"style matrix shape {shape} does not match "
                              f"encoder dims ({channels}, {positions})")

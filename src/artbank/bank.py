@@ -55,7 +55,8 @@ class TokenEmbeddingSeq:
 @dataclass
 class StyleBankEntry:
     """One collection's trainable state: the style matrix, its attention
-    encoder, and the prompt template it is trained under."""
+    encoder, and the prompt template it is trained under. Every rule of an
+    entry is checked here, when it is built or loaded."""
 
     style_id: str
     artist: str
@@ -64,11 +65,14 @@ class StyleBankEntry:
     ssam: SsamParams
 
     def __post_init__(self) -> None:
+        seeding.utf8(self.style_id, "style_id")
         check_prompt(self.template, self.artist)
         params = {"i_m": self.i_m, **vars(self.ssam)}
         shapes = {name: p.value.data.shape for name, p in params.items()}
         if len(shapes["i_m"]) != 2 or shapes != _entry_shapes(*shapes["i_m"]):
             raise DimensionError(f"parameter shapes {shapes} do not fit a C x N entry")
+        if min(shapes["i_m"]) < 1:
+            raise DimensionError(f"entry dimensions {shapes['i_m']} must be at least 1")
 
     @property
     def channels(self) -> int:
@@ -79,16 +83,17 @@ class StyleBankEntry:
         return self.ssam.positions
 
 
-def check_prompt(template: str, artist: str,
-                 error: type[ArtBankError] = TemplateError) -> str:
-    """The prompt ``template`` makes with ``artist`` put in. Refuse the
-    template, or the prompt, without exactly one placeholder token."""
+def check_prompt(template: str, artist: str) -> str:
+    """The prompt ``template`` makes with ``artist`` put in. Refuse text that is
+    not UTF-8, and a template or prompt without exactly one placeholder token."""
+    seeding.utf8(template, "template")
+    seeding.utf8(artist, "artist")
     prompt = template.replace("{artist}", artist)
     for what, text in (("template", template), ("prompt", prompt)):
         count = text.split().count(PLACEHOLDER)
         if count != 1:
-            raise error(f"{what} must contain exactly one '{PLACEHOLDER}' "
-                        f"token, found {count}: {text!r}")
+            raise TemplateError(f"{what} must contain exactly one '{PLACEHOLDER}' "
+                                f"token, found {count}: {text!r}")
     return prompt
 
 
@@ -110,8 +115,8 @@ def encode_prompt(template: str, artist: str,
         raise ConfigError(f"embedding width must be at least 1, got {width}")
     tokens = check_prompt(template, artist).split()
     check_array_size(len(tokens) * width, f"a {len(tokens)}x{width} prompt table")
-    table = np.stack([_embedding_row(seeding.hash_seed(t.encode("utf-8")), width)
-                      for t in tokens])
+    table = np.stack([_embedding_row(seeding.hash_seed(seeding.utf8(t, "token")),
+                                     width) for t in tokens])
     return TokenEmbeddingSeq(tokens=tokens, embeddings=table,
                              placeholder_index=tokens.index(PLACEHOLDER))
 
@@ -177,7 +182,8 @@ class StyleBank:
 
     def add(self, entry: StyleBankEntry) -> None:
         if entry.style_id in self._entries:
-            raise DuplicateStyleError(f"style id already present: {entry.style_id!r}")
+            raise DuplicateStyleError(
+                f"duplicate style id already present: {entry.style_id!r}")
         self._entries[entry.style_id] = entry
 
     def get(self, style_id: str) -> StyleBankEntry:
@@ -185,9 +191,6 @@ class StyleBank:
             return self._entries[style_id]
         except KeyError:
             raise UnknownStyleError(f"unknown style id: {style_id!r}") from None
-
-    def __contains__(self, style_id: str) -> bool:
-        return style_id in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -214,7 +217,7 @@ def bank_bytes(bank: StyleBank) -> bytes:
         w.u32(e.channels, e.positions)
         params = {"i_m": e.i_m, **vars(e.ssam)}
         for name in _entry_shapes(e.channels, e.positions):
-            w.array(params[name].value.data)
+            w.array(params[name].value.data, name)
     return w.getvalue()
 
 
@@ -230,15 +233,12 @@ def load_bank(path) -> StyleBank:
         style_id, artist, template = (
             rd.string(what) for what in ("style_id", "artist", "template"))
         c, n = rd.u32("channels"), rd.u32("positions")
-        if style_id in bank:
-            raise MalformedHeaderError(f"duplicate style id: {style_id!r}")
-        check_prompt(template, artist, MalformedHeaderError)
-        if c < 1 or n < 1:
-            raise MalformedHeaderError(
-                f"entry {style_id!r} has dimensions ({c}, {n})")
         params = {name: Parameter(name, Tensor(rd.array(shape, name)))
                   for name, shape in _entry_shapes(c, n).items()}
-        bank.add(StyleBankEntry(style_id, artist, template, params.pop("i_m"),
-                                SsamParams(**params)))
+        try:
+            bank.add(StyleBankEntry(style_id, artist, template,
+                                    params.pop("i_m"), SsamParams(**params)))
+        except ArtBankError as exc:
+            raise MalformedHeaderError(str(exc)) from None
     rd.finish()
     return bank

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from . import bank as bank_mod
 from . import attention, data_io, diffusion, inversion, metrics
 from .errors import ArtBankError, ConfigError
-from .seeding import derive_seed
+from .seeding import derive_seed, utf8
 
 PROG = "artbank"
 
@@ -118,12 +118,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    # Paths may hold any bytes, but these texts are hashed as UTF-8.
-    for key in ("style_id", "artist", "template"):
-        try:
-            getattr(cfg, key).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ConfigError(f"{key} must be valid UTF-8") from None
     return cfg
 
 
@@ -233,6 +227,7 @@ def cmd_train_bank(cfg: RunConfig) -> int:
     if not cfg.bank_path:
         raise ConfigError("train-bank requires a bank output path")
     artist = cfg.artist or cfg.style_id
+    utf8(cfg.style_id, "style_id")  # the entry's id rule, before any file is read
     bank_mod.check_prompt(cfg.template, artist)
     bank_mod.check_entry_dim("positions", cfg.positions)
     d, sched = _load_backbone(cfg)

@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .errors import (BadMagicError, FormatError, MalformedHeaderError,
-                     TruncatedFileError, VersionMismatchError)
+                     NumericError, TruncatedFileError, VersionMismatchError)
 
 
 class Writer:
@@ -32,7 +32,9 @@ class Writer:
         self.u32(len(raw))
         self._parts.append(raw)
 
-    def array(self, arr: np.ndarray) -> None:
+    def array(self, arr: np.ndarray, what: str) -> None:
+        if not np.isfinite(arr).all():
+            raise NumericError(f"{what} holds a non-finite value")
         self._parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
     def getvalue(self) -> bytes:

@@ -154,10 +154,7 @@ class Denoiser:
         self._param_names = list(shapes)
 
         half = width // 2
-        if half > 1:
-            self._freqs = np.exp(-np.log(10000.0) * np.arange(half) / (half - 1))
-        else:
-            self._freqs = np.ones(max(half, 1))
+        self._freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
         self._temb: dict[int, Tensor] = {}  # each timestep's feature map
         self._attn_scale = Tensor(1.0 / np.sqrt(width))
 
@@ -178,10 +175,8 @@ class Denoiser:
         temb = self._temb.get(t)
         if temb is None:
             ang = float(t) * self._freqs
-            emb = np.concatenate([np.sin(ang), np.cos(ang)])
-            if emb.size < self.width:
-                emb = np.concatenate([emb, np.zeros(self.width - emb.size)])
-            temb = self._temb[t] = Tensor(emb[:self.width].reshape(self.width, 1, 1))
+            emb = np.concatenate([np.sin(ang), np.cos(ang), np.zeros(self.width % 2)])
+            temb = self._temb[t] = Tensor(emb.reshape(self.width, 1, 1))
         return temb
 
     def trunk(self, state: LatentState) -> Trunk:
@@ -231,7 +226,7 @@ def checkpoint_bytes(d: Denoiser) -> bytes:
     w.u32(d.in_channels, d.width, d.cond_dim, d.timesteps,
           sum(p.value.data.size for p in params))
     for p in params:
-        w.array(p.value.data)
+        w.array(p.value.data, p.name)
     return w.getvalue()
 
 

@@ -12,9 +12,18 @@ def hash_seed(data: bytes) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
+def utf8(text: str, what: str) -> bytes:
+    """``text`` as UTF-8; refuses, as ``what``, text with lone surrogates,
+    which is what a file name that is not UTF-8 decodes to."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{what} must be valid UTF-8") from None
+
+
 def derive_seed(root: int, label: str) -> int:
     """Derive a 64-bit child seed from a root seed and a text label."""
-    return hash_seed(f"{root}:{label}".encode("utf-8"))
+    return hash_seed(utf8(f"{root}:{label}", "seed label"))
 
 
 def rng(seed: int) -> np.random.Generator:

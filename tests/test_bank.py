@@ -14,10 +14,11 @@ from artbank.bank import (BANK_MAGIC, StyleBank, StyleBankEntry,
                           TokenEmbeddingSeq, assemble_condition, bank_bytes,
                           create_entry, encode_prompt, entry_condition,
                           load_bank, save_bank)
-from artbank.diffusion import Denoiser, checkpoint_bytes, load_checkpoint
+from artbank.diffusion import (Denoiser, checkpoint_bytes, load_checkpoint,
+                               save_checkpoint)
 from artbank.errors import (BadMagicError, ConfigError, DimensionError,
                             DuplicateStyleError, FormatError,
-                            MalformedHeaderError, TemplateError,
+                            MalformedHeaderError, NumericError, TemplateError,
                             TruncatedFileError, UnknownStyleError,
                             VersionMismatchError)
 from artbank.tensor import Parameter, Tensor, mean_all
@@ -203,6 +204,18 @@ class TestCreateEntry:
             StyleBankEntry("s", "a", entry.template, params.pop("i_m"),
                            SsamParams(**params))
 
+    @pytest.mark.parametrize("c, n", [(0, 3), (2, 0), (0, 0)])
+    def test_zero_dimension_refused(self, c, n):
+        # Unrefused, an entry with no channels or no positions was built,
+        # and saved to a bank that the reader refuses.
+        shapes = {"i_m": (c, n), "w_q": (c, c), "w_k": (c, c), "w_v": (c, c),
+                  "w_col": (n, 1), "w_row": (1, n), "alpha": ()}
+        params = {name: Parameter(name, Tensor(np.zeros(shape)))
+                  for name, shape in shapes.items()}
+        with pytest.raises(DimensionError, match=rf"^entry dimensions \({c}, {n}\) "
+                                                 r"must be at least 1$"):
+            StyleBankEntry("s", "a", "a *", params.pop("i_m"), SsamParams(**params))
+
     def test_bad_template_rejected(self):
         with pytest.raises(TemplateError):
             create_entry("s", "a", 4, 2, template="no placeholder")
@@ -234,6 +247,12 @@ class TestStyleBank:
         bank = StyleBank()
         with pytest.raises(UnknownStyleError, match="nope"):
             bank.get("nope")
+
+
+# Any text, half the time with lone surrogates (which have no UTF-8 form)
+# drawn among the characters.
+_TEXT = st.text(max_size=12) | st.text(
+    st.characters() | st.characters(categories=["Cs"]), max_size=12)
 
 
 def entries_equal(a, b) -> bool:
@@ -330,6 +349,24 @@ class TestPersistence:
             with pytest.raises(FormatError, match="i_m holds a non-finite"):
                 load_bank(path)
 
+    def test_non_finite_value_refused_before_the_file_is_written(self, tmp_path):
+        # Unrefused, each save wrote a file its own reader refuses, over the
+        # file that was at the path.
+        entry = create_entry("s", "a", 4, 2)
+        entry.ssam.alpha.value.data[...] = np.nan
+        bank = StyleBank()
+        bank.add(entry)
+        d = Denoiser(1, 4, 4, seed=0)
+        d.conv1_b.value.data[1] = np.inf
+        for save, value, name in ((save_bank, bank, "alpha"),
+                                  (save_checkpoint, d, "conv1_b")):
+            path = tmp_path / name
+            path.write_bytes(b"kept")
+            with pytest.raises(NumericError,
+                               match=f"^{name} holds a non-finite value$"):
+                save(value, path)
+            assert path.read_bytes() == b"kept"
+
     def test_template_without_placeholder(self, tmp_path):
         path = tmp_path / "tmpl.ispb"
         path.write_bytes(raw_bank(("s", "a painting", 2, 3, 0.0)))
@@ -358,18 +395,26 @@ class TestPersistence:
             with pytest.raises(MalformedHeaderError, match="dimensions"):
                 load_bank(path)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
         c=st.integers(1, 6), n=st.integers(1, 6), seed=st.integers(0, 2**31),
-        style_id=st.text(min_size=1, max_size=12),
+        style_id=_TEXT.filter(bool),
         # An artist that adds a second placeholder token is refused by the
         # prompt rule; a '*' inside a token is not a placeholder.
-        artist=st.text(max_size=12).filter(
-            lambda a: bank_mod.PLACEHOLDER not in a.split()),
+        artist=_TEXT.filter(lambda a: bank_mod.PLACEHOLDER not in a.split()),
     )
     @example(c=2, n=3, seed=0, style_id="s", artist="a*b")
+    @example(c=2, n=3, seed=0, style_id="\udcff", artist="a")
+    @example(c=2, n=3, seed=0, style_id="s", artist="caf\udce9")
     def test_random_entries_round_trip(self, tmp_path_factory, c, n, seed,
                                        style_id, artist):
+        # Every entry the constructor accepts round-trips. Text holding a
+        # lone surrogate has no UTF-8 bytes to save, so it is refused where
+        # the entry is built; unrefused, the save raised UnicodeEncodeError.
+        if any("\ud800" <= ch <= "\udfff" for ch in style_id + artist):
+            with pytest.raises(ConfigError, match="must be valid UTF-8$"):
+                create_entry(style_id, artist, c, n, seed=seed)
+            return
         bank = StyleBank()
         bank.add(create_entry(style_id, artist, c, n, seed=seed))
         path = tmp_path_factory.mktemp("banks") / "b.ispb"

@@ -390,6 +390,8 @@ _RUNNABLE = {
     *(pytest.param("train-bank", [f"--{key}", value], f"{key} must be valid UTF-8",
                    id=f"train-bank-{key}-undecodable")
       for key, value in (("artist", "\udcff"), ("template", "a \udcff *"))),
+    pytest.param("train-bank", ["--style-id", "\udcff"], "style_id must be valid UTF-8",
+                 id="train-bank-style_id-undecodable"),
     *(pytest.param(command, ["--positions", size], message,
                    id=f"{command}-positions-{size}")
       for command in ("train-bank", "bench-attn")
@@ -479,6 +481,26 @@ def test_pool_directory_prompt_refused_before_any_file_is_read(
     assert capsys.readouterr().err.splitlines() == [
         "artbank: error: prompt must contain exactly one '*' token, found 2: "
         "'a painting by x * *'"]
+    assert reads == []
+    assert not out.exists()
+
+
+def test_pool_directory_name_not_utf8_refused_before_any_file_is_read(
+        tmp_path, capsys, monkeypatch):
+    """A pool directory whose name is not UTF-8 (it decodes to text with a
+    lone surrogate) is refused before any image or checkpoint is read.
+    Unrefused, training ended in a UnicodeEncodeError traceback when it
+    hashed the directory's prompt."""
+    root = _pool(tmp_path / "data", ["stripes", os.fsdecode(b"caf\xe9")])
+    reads = []
+    for module, reader in ((diffusion, "load_checkpoint"),
+                           (bank_mod, "load_bank"), (data_io, "read_ppm")):
+        monkeypatch.setattr(module, reader, lambda *a: reads.append(a))
+    out = tmp_path / "never.abdn"
+    code = run(["pretrain", "--data", str(root), "--checkpoint", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "artbank: error: artist must be valid UTF-8"]
     assert reads == []
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 """Noise schedule, denoiser, trainers, and samplers."""
 
 import hashlib
+import math
 import os
 import struct
 import tracemalloc
@@ -175,6 +176,21 @@ class TestDenoiser:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match=f"^{reader}: non-finite"):
                 d.predict_noise(state, text_cond(16))
+
+    @pytest.mark.parametrize("width", range(2, 10))
+    def test_time_features_are_sines_cosines_and_an_odd_zero(self, width):
+        # The digest pins cover width 32 only. Frequency k of the width // 2
+        # is 10000^(-k / (width // 2 - 1)), or 1 when there is one; the
+        # sines come first, then the cosines, then a zero if width is odd.
+        half = width // 2
+        d = Denoiser(3, width, 4, seed=0)
+        for t in (1, 7, 50, 100):
+            angles = [t * 10000.0 ** (-k / max(half - 1, 1)) for k in range(half)]
+            expected = ([math.sin(a) for a in angles]
+                        + [math.cos(a) for a in angles] + [0.0] * (width % 2))
+            got = d._time_features(t).data
+            assert got.shape == (width, 1, 1)
+            np.testing.assert_allclose(got.ravel(), expected, rtol=0, atol=1e-12)
 
     def test_head_of_trunk_is_predict_noise(self):
         rng = np.random.default_rng(11)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import artbank
 import artbank.tensor as tensor_mod
-from artbank.bank import create_entry, encode_prompt
+from artbank.bank import check_prompt, create_entry, encode_prompt
 from artbank.data_io import (default_style_specs, gen_content_image,
                              gen_style_collection)
 from artbank.diffusion import (Denoiser, ispb_eval_loss, make_schedule,
@@ -86,6 +86,36 @@ def test_only_seeding_hashes_or_names_pcg64():
             offenders += [f"{path.name}:{node.lineno}: {name}" for name in names
                           if name in ("hashlib", "PCG64")]
     assert not offenders
+
+
+_NO_UTF8 = "\udcff"  # a lone surrogate: what a file name's byte 0xff decodes to
+
+
+@pytest.mark.parametrize("call, what", [
+    pytest.param(lambda: check_prompt(f"a {_NO_UTF8} *", "x"), "template",
+                 id="check_prompt-template"),
+    pytest.param(lambda: check_prompt("by {artist} *", _NO_UTF8), "artist",
+                 id="check_prompt-artist"),
+    pytest.param(lambda: encode_prompt(f"a {_NO_UTF8} *", "x", 4), "template",
+                 id="encode_prompt-template"),
+    pytest.param(lambda: encode_prompt("by {artist} *", _NO_UTF8, 4), "artist",
+                 id="encode_prompt-artist"),
+    pytest.param(lambda: create_entry("s", "x", 4, 2, template=f"a {_NO_UTF8} *"),
+                 "template", id="create_entry-template"),
+    pytest.param(lambda: create_entry("s", _NO_UTF8, 4, 2), "artist",
+                 id="create_entry-artist"),
+    pytest.param(lambda: create_entry(_NO_UTF8, "x", 4, 2), "style_id",
+                 id="create_entry-style_id"),
+    pytest.param(lambda: seeding.derive_seed(0, _NO_UTF8), "seed label",
+                 id="derive_seed"),
+])
+def test_text_without_utf8_refused(call, what):
+    """Text is hashed and saved as UTF-8, so text that has no UTF-8 form is
+    refused where it is first checked. Unrefused, ``check_prompt`` and
+    ``create_entry`` passed it on, and the others raised
+    ``UnicodeEncodeError``."""
+    with pytest.raises(ConfigError, match=f"^{what} must be valid UTF-8$"):
+        call()
 
 
 _SEEDS = (-2**63, -1, 0, 2**64 - 1, 2**64, 2**200)
